@@ -8,38 +8,31 @@
 //! * protocol-term normalization: reducing gleaning collections over
 //!   growing concrete networks (the inner loop of every proof passage).
 //!
-//! **E19** (machine-readable `BENCH_rewriting.json`): rule indexing and
-//! shared normal forms. Two workloads, each run as three legs in the
-//! same process:
+//! **E19** (machine-readable `BENCH_rewriting.json`): rule indexing. Two
+//! workloads, each run as two legs in the same process:
 //!
 //! * **campaign** — the full inv1 proof campaign (init + 27 transition
 //!   obligations, case splits and all) through `verify_property_opts`,
 //!   exactly what `tls-prove inv1` runs. Wall time per leg; the index's
 //!   win here is bounded by how much of the campaign is matching cost
 //!   (see EXPERIMENTS E17/E19 — the expensive fires are not).
-//! * **fanout** — the cross-clone redundancy the shared cache exists
-//!   for: every obligation of the inv1 campaign runs on its own clone
-//!   of the pristine spec with its own engine, so each clone re-derives
-//!   the same secrecy reduction — `PMS \in cpms(<n-message network>)`,
-//!   the paper's workhorse `red` for the inv1 secrecy family — from
-//!   scratch. One such reduction per obligation clone (init + 27).
-//!   Only the `normalize` calls are timed (clones and term construction
-//!   are workload setup, not normalization). The shared leg derives the
-//!   normal form once and replays it on the other 27 clones.
+//! * **fanout** — every obligation of the inv1 campaign runs on its own
+//!   clone of the pristine spec with its own engine, so each clone
+//!   derives the same secrecy reduction — `PMS \in cpms(<n-message
+//!   network>)`, the paper's workhorse `red` for the inv1 secrecy family
+//!   — from scratch. One such reduction per obligation clone (init +
+//!   27). Only the `normalize` calls are timed (clones and term
+//!   construction are workload setup, not normalization).
 //!
 //! Legs:
 //!
 //! * **linear** — candidate rules by scanning per-operator rule lists
 //!   (the engine before discrimination-tree indexing);
-//! * **indexed** — discrimination-tree candidate selection (default);
-//! * **indexed+shared** — plus the shared normal-form cache, created
-//!   fresh per sample (each sample is a cold campaign, warm only across
-//!   its own obligation clones).
+//! * **indexed** — discrimination-tree candidate selection (default).
 //!
-//! All legs produce structurally identical results; linear vs. indexed
-//! are bit-identical in every rewrite statistic. Throughput rates are
-//! omitted when a leg finishes below the 1 ms measurement floor (same
-//! guard as `tls-prove --metrics`).
+//! Both legs are bit-identical in every rewrite statistic. Throughput
+//! rates are omitted when a leg finishes below the 1 ms measurement
+//! floor (same guard as `tls-prove --metrics`).
 //!
 //! Environment knobs (as `benches/parallel.rs`):
 //!
@@ -58,7 +51,6 @@ use equitls_rewrite::prelude::*;
 use equitls_tls::verify::{self, VerifyOptions};
 use equitls_tls::TlsModel;
 use std::hint::black_box;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn bench_ring_throughput() {
@@ -173,17 +165,15 @@ fn ms(d: Duration) -> f64 {
 enum Leg {
     Linear,
     Indexed,
-    IndexedShared,
 }
 
-const LEGS: [Leg; 3] = [Leg::Linear, Leg::Indexed, Leg::IndexedShared];
+const LEGS: [Leg; 2] = [Leg::Linear, Leg::Indexed];
 
 impl Leg {
     fn label(self) -> &'static str {
         match self {
             Leg::Linear => "linear",
             Leg::Indexed => "indexed",
-            Leg::IndexedShared => "indexed+shared",
         }
     }
 }
@@ -198,7 +188,6 @@ fn bench_campaign(samples: usize, smoke: bool) -> Vec<JsonValue> {
     for leg in LEGS {
         let opts = VerifyOptions {
             linear_scan: leg == Leg::Linear,
-            shared_nf_cache: leg == Leg::IndexedShared,
             ..VerifyOptions::default()
         };
         let mut best = Duration::MAX;
@@ -248,9 +237,7 @@ fn bench_campaign(samples: usize, smoke: bool) -> Vec<JsonValue> {
 /// (`ca` vs `intruder`), so every gleaning condition *decides* — an
 /// arbitrary constant in a compared slot would leave `a = intruder`
 /// symbolic and jam the reduction. Every clone replays the same
-/// creation sequence, so fresh-constant names — and with them the
-/// shared cache's fingerprints — line up across clones, exactly as the
-/// prover's obligation clones do.
+/// creation sequence, exactly as the prover's obligation clones do.
 fn fanout_subject(
     model: &TlsModel,
     n: usize,
@@ -299,7 +286,6 @@ struct PassStats {
 /// `clones` obligation clones with a fresh engine. Returns normalize-only
 /// wall time (setup excluded) and the accumulated engine statistics.
 fn fanout_pass(model: &TlsModel, clones: usize, n: usize, leg: Leg) -> (Duration, PassStats) {
-    let shared = (leg == Leg::IndexedShared).then(|| Arc::new(SharedNfCache::new()));
     // Setup (untimed): the per-obligation spec clones and their subjects.
     let worlds: Vec<_> = (0..clones).map(|_| fanout_subject(model, n)).collect();
     let mut stats = PassStats::default();
@@ -308,9 +294,6 @@ fn fanout_pass(model: &TlsModel, clones: usize, n: usize, leg: Leg) -> (Duration
         let alg = spec.alg().clone();
         let mut norm = spec.normalizer();
         norm.set_indexing(leg != Leg::Linear);
-        if let Some(cache) = &shared {
-            norm.set_shared_cache(Some(cache.clone()));
-        }
         let t0 = Instant::now();
         let nf = norm.normalize(spec.store_mut(), subject).expect("reduces");
         wall += t0.elapsed();
@@ -325,7 +308,7 @@ fn fanout_pass(model: &TlsModel, clones: usize, n: usize, leg: Leg) -> (Duration
     (wall, stats)
 }
 
-/// The cross-clone fan-out workload, three legs, best-of-`samples`.
+/// The cross-clone fan-out workload, both legs, best-of-`samples`.
 fn bench_fanout(samples: usize, smoke: bool) -> JsonValue {
     let model = TlsModel::standard().expect("model builds");
     let clones = model.ots.actions.len() + 1;
@@ -363,9 +346,6 @@ fn bench_fanout(samples: usize, smoke: bool) -> JsonValue {
             ("index_lookups", num(c.index_lookups as f64)),
             ("index_candidates", num(c.index_candidates as f64)),
             ("index_pruned", num(c.index_pruned as f64)),
-            ("shared_hits", num(c.shared_hits as f64)),
-            ("shared_misses", num(c.shared_misses as f64)),
-            ("shared_published", num(c.shared_published as f64)),
             (
                 "speedup_vs_linear",
                 num(base.as_secs_f64() / best.as_secs_f64().max(1e-9)),

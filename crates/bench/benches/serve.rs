@@ -2,26 +2,22 @@
 //! warm-path win.
 //!
 //! A one-shot `tls-prove` run pays the cold-start stack on every
-//! invocation: spec compilation, LPO precedence, discrimination-tree
-//! index build, and a normal-form memo warmed from nothing. The daemon
-//! pays it once. This bench drives an in-process [`ServeEngine`] (the
-//! same code path `equitls-serve` serves from, minus the socket) and
-//! measures one prove request end to end — admission, journaling,
-//! execution, stable-response rendering:
+//! invocation: spec compilation, LPO precedence and the
+//! discrimination-tree index build. The daemon pays it once. This bench
+//! drives an in-process [`ServeEngine`] (the same code path
+//! `equitls-serve` serves from, minus the socket) and measures one prove
+//! request end to end — admission, journaling, execution,
+//! stable-response rendering:
 //!
 //! * **cold** — the first request on a fresh engine (includes the model
 //!   build and index construction);
 //! * **warm** — the same request repeated on the now-resident engine
-//!   (clones share the pre-built index; the resident NF cache replays
-//!   published reductions), best of `BENCH_SAMPLES`;
-//! * **warm-noshared** — warm model but per-request
-//!   `shared_cache: false`, isolating the resident NF cache's
-//!   contribution from spec/index reuse.
+//!   (clones share the pre-built index), best of `BENCH_SAMPLES`.
 //!
 //! Compare against the `campaign` legs of `BENCH_rewriting.json` (E19):
 //! that file times the same inv1 campaign cold-per-sample; the gap
 //! between its indexed leg and this file's warm leg is the residency
-//! win. Stable payloads are byte-identical across all legs (pinned in
+//! win. Stable payloads are byte-identical across both legs (pinned in
 //! `tests/serve_determinism.rs`); only latency moves.
 //!
 //! Environment knobs (as the other benches):
@@ -55,10 +51,9 @@ fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-fn prove_request(id: &str, property: &str, shared_cache: Option<bool>) -> JobRequest {
+fn prove_request(id: &str, property: &str) -> JobRequest {
     let mut req = JobRequest::new(id, JobKind::Prove);
     req.property = property.to_string();
-    req.shared_cache = shared_cache;
     req
 }
 
@@ -102,30 +97,20 @@ fn main() {
     .expect("engine starts");
 
     println!("== serve latency ({property}, best of {samples})");
-    let (cold, cold_line) = timed_request(&engine, prove_request("cold", property, None));
+    let (cold, cold_line) = timed_request(&engine, prove_request("cold", property));
     println!("serve/cold                 {cold:>12.2?}");
 
     let mut warm = Duration::MAX;
     for i in 0..samples.max(1) {
-        let (wall, _) = timed_request(&engine, prove_request(&format!("warm{i}"), property, None));
+        let (wall, _) = timed_request(&engine, prove_request(&format!("warm{i}"), property));
         warm = warm.min(wall);
     }
     println!("serve/warm                 {warm:>12.2?}");
 
-    let mut warm_noshared = Duration::MAX;
-    for i in 0..samples.max(1) {
-        let (wall, _) = timed_request(
-            &engine,
-            prove_request(&format!("noshare{i}"), property, Some(false)),
-        );
-        warm_noshared = warm_noshared.min(wall);
-    }
-    println!("serve/warm-noshared        {warm_noshared:>12.2?}");
-
     // The warm and cold stable results must agree exactly (the envelope
     // differs only in request id and admission seq) — residency is a
     // latency lever, not a result lever.
-    let (_, warm_line) = timed_request(&engine, prove_request("cold", property, None));
+    let (_, warm_line) = timed_request(&engine, prove_request("cold", property));
     let result_of = |line: &str| {
         equitls_obs::json::parse(line)
             .expect("stable line parses")
@@ -140,7 +125,6 @@ fn main() {
     );
 
     let warm_stats = engine.warm().stats();
-    let nf = engine.warm().nf_cache(false).stats();
     engine.shutdown();
 
     let stamp =
@@ -158,15 +142,12 @@ fn main() {
         ("property", JsonValue::String(property.to_string())),
         ("cold_ms", num(ms(cold))),
         ("warm_ms", num(ms(warm))),
-        ("warm_noshared_ms", num(ms(warm_noshared))),
         (
             "speedup_cold_over_warm",
             num(cold.as_secs_f64() / warm.as_secs_f64().max(1e-9)),
         ),
         ("model_builds", num(warm_stats.model_builds as f64)),
         ("model_reuses", num(warm_stats.model_reuses as f64)),
-        ("shared_nf_hits", num(nf.hits as f64)),
-        ("shared_nf_published", num(nf.published as f64)),
     ]);
     std::fs::write(&out_path, format!("{doc}\n")).expect("write BENCH_serve.json");
     println!("wrote {}", out_path.display());

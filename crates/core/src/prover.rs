@@ -43,7 +43,7 @@ use equitls_spec::spec::Spec;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Tunables for the proof search.
@@ -106,28 +106,6 @@ pub struct ProverConfig {
     /// Requires a readable, valid ledger — a missing or corrupt snapshot
     /// is a typed [`CoreError::Persist`], never a silent fresh start.
     pub resume: bool,
-    /// Share finished normal forms between obligations through an
-    /// `Arc`-shared [`SharedNfCache`]: each obligation's initial goal
-    /// reduction may then replay subterm normal forms a sibling already
-    /// derived instead of recomputing them on its private spec clone.
-    /// **Off by default.** The engine's participation gates
-    /// (`Normalizer::set_shared_cache`) are built so a hit replays
-    /// exactly what a fresh derivation would produce, and the
-    /// determinism suite pins campaign outcomes with the cache on and
-    /// off — but the cache couples obligations through timing-dependent
-    /// hit patterns, so it is opt-in for speed, never silently enabled.
-    pub shared_nf_cache: bool,
-    /// An externally owned [`SharedNfCache`] to use when
-    /// [`shared_nf_cache`](Self::shared_nf_cache) is on, instead of a
-    /// fresh per-property cache. This is how a resident service keeps
-    /// normal forms warm *across* campaigns: the daemon owns one cache
-    /// per pristine spec and threads it through every request. Soundness
-    /// is unchanged — entries are keyed by structural fingerprint and
-    /// published only at assumption-free top level, so they are a pure
-    /// function of the rule set; the handle must simply never be shared
-    /// between *different* specs (standard vs. variant each get their
-    /// own). Ignored when `shared_nf_cache` is off.
-    pub shared_nf_handle: Option<Arc<SharedNfCache>>,
     /// Disable the discrimination-tree candidate index and fall back to
     /// the per-head linear scan. The index returns candidates in
     /// declaration order, so results are identical either way; this
@@ -153,24 +131,12 @@ impl Default for ProverConfig {
             checkpoint_path: None,
             checkpoint_every_secs: 0,
             resume: false,
-            shared_nf_cache: false,
-            shared_nf_handle: None,
             linear_scan: false,
         }
     }
 }
 
-/// Resolve a `jobs` request: `0` means "use the machine's available
-/// parallelism", anything else is taken literally.
-pub fn resolve_jobs(jobs: usize) -> usize {
-    if jobs == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    } else {
-        jobs
-    }
-}
+pub use equitls_rewrite::budget::resolve_jobs;
 
 /// Which lemmas strengthen which obligations.
 ///
@@ -247,7 +213,6 @@ pub struct Prover<'a> {
     invariants: &'a InvariantSet,
     config: ProverConfig,
     obs: Obs,
-    shared_nf: Option<Arc<SharedNfCache>>,
 }
 
 impl<'a> Prover<'a> {
@@ -259,16 +224,7 @@ impl<'a> Prover<'a> {
             invariants,
             config: ProverConfig::default(),
             obs: Obs::noop(),
-            shared_nf: None,
         }
-    }
-
-    /// Attach a campaign-wide shared normal-form cache (see
-    /// `ProverConfig::shared_nf_cache`); obligations run through this
-    /// prover hand it to their normalizers.
-    fn with_shared_nf(mut self, cache: Option<Arc<SharedNfCache>>) -> Self {
-        self.shared_nf = cache;
-        self
     }
 
     /// Replace the default configuration.
@@ -328,12 +284,6 @@ impl<'a> Prover<'a> {
             inv_name: invariant,
             hints,
             case_lemmas: Vec::new(),
-            shared_nf: self.config.shared_nf_cache.then(|| {
-                self.config
-                    .shared_nf_handle
-                    .clone()
-                    .unwrap_or_else(|| Arc::new(SharedNfCache::new()))
-            }),
         };
         let mut tasks: Vec<Task<'_>> = vec![Task::Base];
         tasks.extend(self.ots.actions.iter().map(Task::Step));
@@ -384,12 +334,6 @@ impl<'a> Prover<'a> {
             inv_name: invariant,
             hints: &hints,
             case_lemmas: lemma_names.iter().map(|s| (*s).to_string()).collect(),
-            shared_nf: self.config.shared_nf_cache.then(|| {
-                self.config
-                    .shared_nf_handle
-                    .clone()
-                    .unwrap_or_else(|| Arc::new(SharedNfCache::new()))
-            }),
         };
         let mut reports = run_tasks(&ctx, &[Task::CaseAnalysis])?;
         Ok(ProofReport::new(
@@ -480,9 +424,6 @@ impl<'a> Prover<'a> {
             norm.set_profiling(true);
         }
         norm.set_indexing(!self.config.linear_scan);
-        if let Some(cache) = &self.shared_nf {
-            norm.set_shared_cache(Some(cache.clone()));
-        }
         let mut stats = SearchStats {
             metrics: ProverMetrics::default(),
             scores: Vec::new(),
@@ -1206,11 +1147,6 @@ struct TaskCtx<'c> {
     inv_name: &'c str,
     hints: &'c Hints,
     case_lemmas: Vec<String>,
-    /// The campaign-wide shared normal-form cache, when
-    /// `ProverConfig::shared_nf_cache` is on: every obligation's worker
-    /// attaches the same `Arc`, so goal reductions exchange finished
-    /// subterm normal forms across their private spec clones.
-    shared_nf: Option<Arc<SharedNfCache>>,
 }
 
 /// Stack size for prover worker threads. The case-split recursion on top
@@ -1302,8 +1238,7 @@ fn run_task_inner(ctx: &TaskCtx<'_>, task: &Task<'_>) -> Result<StepReport, Core
     let mut local = ctx.spec.clone();
     let mut prover = Prover::new(&mut local, ctx.ots, ctx.invariants)
         .with_config(ctx.config.clone())
-        .with_obs(ctx.obs.clone())
-        .with_shared_nf(ctx.shared_nf.clone());
+        .with_obs(ctx.obs.clone());
     match task {
         Task::Base => {
             let lemmas = prover.resolve_lemmas(&ctx.hints.lemmas_for(ctx.inv_name, None))?;

@@ -71,30 +71,6 @@ pub enum Term {
     Var(VarId),
 }
 
-const FP_FNV_PRIME: u64 = 0x100_0000_01b3;
-
-/// `splitmix64` finalizer: scrambles a lane so nearby inputs diverge.
-fn fp_splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// FNV-style string hash with a seed, finalized through [`fp_splitmix`].
-fn fp_str_hash(s: &str, seed: u64) -> u64 {
-    let mut h = seed ^ 0xcbf2_9ce4_8422_2325;
-    for b in s.bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(FP_FNV_PRIME);
-    }
-    fp_splitmix(h)
-}
-
-/// Fold a child value into a running lane hash.
-fn fp_combine(h: u64, child: u64) -> u64 {
-    fp_splitmix(h ^ child.wrapping_mul(FP_FNV_PRIME))
-}
-
 /// Arena of interned terms plus the signature they are built over.
 ///
 /// See the [crate-level documentation](crate) for an end-to-end example.
@@ -103,10 +79,6 @@ pub struct TermStore {
     sig: Signature,
     nodes: Vec<Term>,
     sorts: Vec<SortId>,
-    /// Structural fingerprint per node, computed incrementally at intern
-    /// time from the children's fingerprints (hash-consing guarantees
-    /// children are interned first). See [`TermStore::fingerprint`].
-    fps: Vec<u128>,
     intern: HashMap<Term, TermId>,
     vars: Vec<VarDecl>,
     var_names: HashMap<String, VarId>,
@@ -121,7 +93,6 @@ impl TermStore {
             sig,
             nodes: Vec::new(),
             sorts: Vec::new(),
-            fps: Vec::new(),
             intern: HashMap::new(),
             vars: Vec::new(),
             var_names: HashMap::new(),
@@ -149,53 +120,11 @@ impl TermStore {
             self.intern_hits += 1;
             return id;
         }
-        let fp = self.node_fp(&node);
         let id = TermId(self.nodes.len() as u32);
         self.nodes.push(node.clone());
         self.sorts.push(sort);
-        self.fps.push(fp);
         self.intern.insert(node, id);
         id
-    }
-
-    /// The fingerprint of a node about to be interned; its children are
-    /// already interned, so their lanes are table lookups.
-    fn node_fp(&self, node: &Term) -> u128 {
-        match node {
-            Term::Var(v) => {
-                let decl = &self.vars[v.index()];
-                let sort = &self.sig.sort(decl.sort).name;
-                let lo = fp_combine(fp_str_hash(&decl.name, 0x11), fp_str_hash(sort, 0x13));
-                let hi = fp_combine(fp_str_hash(&decl.name, 0x29), fp_str_hash(sort, 0x31));
-                (u128::from(hi) << 64) | u128::from(lo)
-            }
-            Term::App { op, args } => {
-                let decl = self.sig.op(*op);
-                let result = &self.sig.sort(decl.result).name;
-                let mut lo = fp_combine(fp_str_hash(&decl.name, 0x17), fp_str_hash(result, 0x19));
-                let mut hi = fp_combine(fp_str_hash(&decl.name, 0x37), fp_str_hash(result, 0x41));
-                lo = fp_combine(lo, args.len() as u64);
-                hi = fp_combine(hi, !(args.len() as u64));
-                for a in args {
-                    let child = self.fps[a.index()];
-                    lo = fp_combine(lo, child as u64);
-                    hi = fp_combine(hi, (child >> 64) as u64);
-                }
-                (u128::from(hi) << 64) | u128::from(lo)
-            }
-        }
-    }
-
-    /// The 128-bit structural fingerprint of `t`: two independent 64-bit
-    /// lanes over the term's tree shape, operator names with arity and
-    /// result sort, and variable names with sorts. Identical term
-    /// structures fingerprint identically in *any* arena over the same
-    /// vocabulary (fresh-constant names are generated deterministically,
-    /// so clones of one pristine store agree on them); term ids never
-    /// enter the hash. Computed incrementally at intern time, so this is
-    /// a table lookup — and clones inherit the table.
-    pub fn fingerprint(&self, t: TermId) -> u128 {
-        self.fps[t.index()]
     }
 
     /// Intern the application `op(args…)`.

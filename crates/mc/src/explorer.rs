@@ -123,17 +123,7 @@ pub struct ExploreConfig {
     pub spill_shards: usize,
 }
 
-/// Resolve a `jobs` request: `0` means "use the machine's available
-/// parallelism", anything else is taken literally.
-pub fn resolve_jobs(jobs: usize) -> usize {
-    if jobs == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-    } else {
-        jobs
-    }
-}
+pub use equitls_rewrite::budget::resolve_jobs;
 
 /// A safety-property violation with its witness trace.
 #[derive(Debug, Clone)]
@@ -1885,13 +1875,6 @@ mod tests {
         assert!((slow - 50.0).abs() < 1e-9, "got {slow}");
         // No states, no rate.
         assert_eq!(mk(0, Duration::from_secs(1)).states_per_sec(), 0.0);
-    }
-
-    #[test]
-    fn resolve_jobs_zero_means_available_parallelism() {
-        assert!(resolve_jobs(0) >= 1);
-        assert_eq!(resolve_jobs(1), 1);
-        assert_eq!(resolve_jobs(7), 7);
     }
 
     #[test]

@@ -65,13 +65,6 @@ impl TlsMachine {
         self
     }
 
-    /// Enable scalarset symmetry reduction (the default — see
-    /// [`TlsMachine::new`]).
-    pub fn with_symmetry(mut self) -> Self {
-        self.symmetry = true;
-        self
-    }
-
     /// Disable scalarset symmetry reduction: explore the raw state space
     /// (the `--no-symmetry` escape hatch, for cross-checking the reduced
     /// run against the unreduced one).

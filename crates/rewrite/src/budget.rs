@@ -98,6 +98,18 @@ impl CancelToken {
     }
 }
 
+/// Resolve a `jobs` request: `0` means "use the machine's available
+/// parallelism", anything else is taken literally.
+pub fn resolve_jobs(jobs: usize) -> usize {
+    if jobs == 0 {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    } else {
+        jobs
+    }
+}
+
 /// A shared resource budget: wall-clock deadline, heap-byte ceiling, and a
 /// [`CancelToken`].
 ///
@@ -460,6 +472,13 @@ impl fmt::Display for WorkerFault {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn resolve_jobs_zero_means_available_parallelism() {
+        assert!(resolve_jobs(0) >= 1);
+        assert_eq!(resolve_jobs(1), 1);
+        assert_eq!(resolve_jobs(7), 7);
+    }
 
     #[test]
     fn unlimited_budget_never_trips() {

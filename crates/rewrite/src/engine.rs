@@ -21,11 +21,8 @@
 //! therefore every result and every [`RewriteStats`] counter — is
 //! bit-identical to the linear scan it replaces
 //! ([`Normalizer::set_indexing`] restores the scan for comparison). The
-//! memo cache is segmented (hot/cold with second-chance promotion, see
-//! [`Normalizer::set_cache_capacity`]), and an optional cross-session
-//! [`crate::shared::SharedNfCache`] lets parallel prover obligations
-//! exchange finished normal forms (see [`Normalizer::set_shared_cache`]
-//! for the strict participation gates that protect determinism).
+//! memo is one bounded map, cleared when it overflows (see
+//! [`Normalizer::set_cache_capacity`]).
 //!
 //! ## Blocked conditions
 //!
@@ -43,7 +40,6 @@ use crate::budget::{trigger_injected_panic, Budget, FaultKind, FaultPlan, FaultS
 use crate::equality::{decide_equality, EqVerdict};
 use crate::error::RewriteError;
 use crate::rule::{PathIndex, RuleSet};
-use crate::shared::{fingerprint, EncodedTerm, SharedEntry, SharedNfCache};
 use equitls_kernel::matching::{match_term, MatchOutcome};
 use equitls_kernel::prelude::*;
 use equitls_kernel::term::Term;
@@ -69,10 +65,7 @@ pub struct RewriteStats {
     pub eq_decisions: u64,
     /// Conditional-rule attempts whose condition stayed undecided.
     pub blocked_conditions: u64,
-    /// Memo-segment rotations forced by the memo-cache capacity bound:
-    /// when the hot segment fills, the cold segment is dropped and the
-    /// hot segment becomes the new cold one, so entries touched since the
-    /// last rotation survive capacity pressure (see
+    /// Memo clears forced by the memo-cache capacity bound (see
     /// [`Normalizer::set_cache_capacity`]).
     pub cache_evictions: u64,
 }
@@ -121,13 +114,12 @@ impl fmt::Display for RewriteStats {
     }
 }
 
-/// Counters for the candidate-rule index and the shared normal-form
-/// cache. Kept apart from [`RewriteStats`] on purpose: the index prunes
-/// rules that could never have matched, so a `RewriteStats` snapshot is
-/// bit-identical with the index on or off, and these counters carry the
-/// (mode-dependent) bookkeeping instead. Emitted by
-/// [`Normalizer::emit_profile`] as `rewrite.index_*` / `rewrite.shared_*`
-/// counters so `tls-trace summarize` shows the win.
+/// Counters for the candidate-rule index. Kept apart from
+/// [`RewriteStats`] on purpose: the index prunes rules that could never
+/// have matched, so a `RewriteStats` snapshot is bit-identical with the
+/// index on or off, and these counters carry the (mode-dependent)
+/// bookkeeping instead. Emitted by [`Normalizer::emit_profile`] as
+/// `rewrite.index_*` counters so `tls-trace summarize` shows the win.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineCounters {
     /// Discrimination-tree traversals (one per indexed root attempt).
@@ -137,12 +129,6 @@ pub struct EngineCounters {
     /// Rules sharing the root operator that the index proved structurally
     /// incompatible before any matcher ran.
     pub index_pruned: u64,
-    /// Shared-cache lookups that replayed a published normal form.
-    pub shared_hits: u64,
-    /// Shared-cache lookups that found nothing usable.
-    pub shared_misses: u64,
-    /// Clean windows this session published to the shared cache.
-    pub shared_published: u64,
 }
 
 impl EngineCounters {
@@ -152,9 +138,6 @@ impl EngineCounters {
             index_lookups: self.index_lookups + other.index_lookups,
             index_candidates: self.index_candidates + other.index_candidates,
             index_pruned: self.index_pruned + other.index_pruned,
-            shared_hits: self.shared_hits + other.shared_hits,
-            shared_misses: self.shared_misses + other.shared_misses,
-            shared_published: self.shared_published + other.shared_published,
         }
     }
 }
@@ -187,9 +170,8 @@ pub const DEFAULT_FUEL: u64 = 5_000_000;
 
 /// Default memo-cache capacity (entries). At a few machine words per
 /// entry plus hash-table overhead this bounds the cache around a few tens
-/// of megabytes; long prover runs rotate the segmented cache instead of
-/// growing without bound (rotations are counted in
-/// [`RewriteStats::cache_evictions`]).
+/// of megabytes; long prover runs clear the cache instead of growing
+/// without bound (clears are counted in [`RewriteStats::cache_evictions`]).
 pub const DEFAULT_CACHE_CAPACITY: usize = 1 << 20;
 
 /// A rewriting session: rules + assumptions + caches.
@@ -202,30 +184,9 @@ pub struct Normalizer {
     alg: BoolAlg,
     rules: RuleSet,
     assumptions: RuleSet,
-    /// Hot memo segment: entries inserted or touched since the last
-    /// rotation. Bounded to half the configured capacity.
-    hot: HashMap<TermId, MemoEntry>,
-    /// Cold memo segment: the previous hot segment. A lookup that hits
-    /// here promotes the entry back into `hot` (its second chance); a
-    /// rotation drops whatever was never touched.
-    cold: HashMap<TermId, MemoEntry>,
+    /// Memoized normal forms, bounded by `cache_capacity`.
+    memo: HashMap<TermId, TermId>,
     cache_capacity: usize,
-    /// Monotone counter stamped onto memo entries; the shared-cache
-    /// window logic uses it to tell in-window entries from older ones.
-    epoch: u64,
-    /// Smallest epoch of any memo entry hit since the innermost open
-    /// window began (`u64::MAX` = none). Only maintained while
-    /// `shared_active`.
-    min_hit_epoch: u64,
-    /// Smallest `blocked` index any in-window recording deduplicated
-    /// against (`usize::MAX` = none). Only maintained while
-    /// `shared_active`.
-    min_dedup_idx: usize,
-    shared: Option<Arc<SharedNfCache>>,
-    /// `true` only inside a top-level [`Normalizer::normalize`] call that
-    /// passed the participation gates (shared cache attached, no
-    /// assumptions, cold memo).
-    shared_active: bool,
     /// Discrimination-tree index over `rules`, built lazily on first
     /// root-matching attempt and shared by clones.
     index: Option<Arc<PathIndex>>,
@@ -245,25 +206,6 @@ pub struct Normalizer {
     profiles: HashMap<String, RuleProfile>,
     budget: Budget,
     fault: Option<FaultHook>,
-}
-
-/// One memo entry: the normal form plus the epoch at which it was
-/// inserted (promotions keep the original epoch — the entry's *content*
-/// predates the promotion).
-#[derive(Debug, Clone, Copy)]
-struct MemoEntry {
-    value: TermId,
-    epoch: u64,
-}
-
-/// Saved window state for one `norm` activation while the shared cache
-/// participates; see [`Normalizer::set_shared_cache`].
-#[derive(Debug, Clone, Copy)]
-struct WindowFrame {
-    start_epoch: u64,
-    blocked_start: usize,
-    saved_min_hit_epoch: u64,
-    saved_min_dedup_idx: usize,
 }
 
 /// Fault-injection bookkeeping for one rewriting session. Clones (the
@@ -306,14 +248,8 @@ impl Normalizer {
             alg,
             rules,
             assumptions: RuleSet::new(),
-            hot: HashMap::new(),
-            cold: HashMap::new(),
+            memo: HashMap::new(),
             cache_capacity: DEFAULT_CACHE_CAPACITY,
-            epoch: 0,
-            min_hit_epoch: u64::MAX,
-            min_dedup_idx: usize::MAX,
-            shared: None,
-            shared_active: false,
             index: None,
             use_index: true,
             index_scratch: Vec::new(),
@@ -364,86 +300,28 @@ impl Normalizer {
     }
 
     /// Override the memo-cache capacity (entries; see
-    /// [`DEFAULT_CACHE_CAPACITY`]). The cache is two segments of at most
-    /// `capacity / 2` entries each: inserts land in the hot segment; when
-    /// it fills, the cold segment is dropped, the hot segment becomes the
-    /// new cold one, and [`RewriteStats::cache_evictions`] counts the
-    /// rotation. A lookup that hits the cold segment promotes its entry
-    /// back into the hot one — a second chance, so entries in active use
-    /// survive capacity pressure instead of being wiped wholesale (the
-    /// pre-segmentation behavior), while the bound stays allocation-free
-    /// on the hot path (no per-entry LRU bookkeeping). A capacity of 0
-    /// disables memoization.
+    /// [`DEFAULT_CACHE_CAPACITY`]). An insert into a full cache clears it
+    /// first, and [`RewriteStats::cache_evictions`] counts the clear. A
+    /// capacity of 0 disables memoization.
     pub fn set_cache_capacity(&mut self, capacity: usize) {
         self.cache_capacity = capacity;
-        if self.hot.len() + self.cold.len() > capacity {
-            self.clear_memo();
+        if self.memo.len() > capacity {
+            self.memo.clear();
             self.stats.cache_evictions += 1;
         }
     }
 
-    /// Entries one segment may hold before a rotation.
-    fn segment_capacity(&self) -> usize {
+    /// Memoize `value` as the normal form of `key`, clearing the cache
+    /// first when it is full.
+    fn cache_insert(&mut self, key: TermId, value: TermId) {
         if self.cache_capacity == 0 {
-            0
-        } else {
-            (self.cache_capacity / 2).max(1)
-        }
-    }
-
-    /// Put an entry into the hot segment, rotating the segments first
-    /// when it is full.
-    fn hot_insert(&mut self, key: TermId, entry: MemoEntry) {
-        let cap = self.segment_capacity();
-        if cap == 0 {
             return;
         }
-        if self.hot.len() >= cap {
-            self.cold = std::mem::take(&mut self.hot);
+        if self.memo.len() >= self.cache_capacity {
+            self.memo.clear();
             self.stats.cache_evictions += 1;
         }
-        self.hot.insert(key, entry);
-    }
-
-    /// Insert a memo entry at the current epoch.
-    fn cache_insert(&mut self, key: TermId, value: TermId) {
-        self.epoch += 1;
-        let entry = MemoEntry {
-            value,
-            epoch: self.epoch,
-        };
-        self.hot_insert(key, entry);
-    }
-
-    /// Look up a memo entry, promoting cold hits into the hot segment
-    /// (keeping their original epoch) and feeding the shared-cache window
-    /// poison tracking when active.
-    fn cache_lookup(&mut self, key: TermId) -> Option<TermId> {
-        let entry = if let Some(e) = self.hot.get(&key) {
-            *e
-        } else if let Some(e) = self.cold.remove(&key) {
-            self.hot_insert(key, e);
-            e
-        } else {
-            return None;
-        };
-        if self.shared_active {
-            self.min_hit_epoch = self.min_hit_epoch.min(entry.epoch);
-        }
-        Some(entry.value)
-    }
-
-    /// Drop both memo segments (assumptions changed, so every cached
-    /// normal form is suspect).
-    fn clear_memo(&mut self) {
-        self.hot.clear();
-        self.cold.clear();
-    }
-
-    /// `true` when nothing is memoized — the cold-start condition the
-    /// shared cache's participation gate requires.
-    fn memo_is_empty(&self) -> bool {
-        self.hot.is_empty() && self.cold.is_empty()
+        self.memo.insert(key, value);
     }
 
     /// Attach an observability handle; counters and gauges flow to its
@@ -503,16 +381,13 @@ impl Normalizer {
             .gauge("rewrite.cache_hit_rate", self.stats.cache_hit_rate());
         self.obs.gauge("rewrite.fuel_remaining", self.fuel as f64);
         self.obs.counter("rewrite.rewrites", self.stats.rewrites);
-        // Index and shared-cache counters, zero-skipped like the rule
-        // profiles (linear-scan or cache-off runs should not emit noise).
+        // Index counters, zero-skipped like the rule profiles (linear-scan
+        // runs should not emit noise).
         let c = self.counters;
         for (name, value) in [
             ("rewrite.index_lookups", c.index_lookups),
             ("rewrite.index_candidates", c.index_candidates),
             ("rewrite.index_pruned", c.index_pruned),
-            ("rewrite.shared_hits", c.shared_hits),
-            ("rewrite.shared_misses", c.shared_misses),
-            ("rewrite.shared_published", c.shared_published),
         ] {
             if value > 0 {
                 self.obs.counter(name, value);
@@ -573,7 +448,7 @@ impl Normalizer {
         self.stats
     }
 
-    /// Index and shared-cache counters accumulated so far (see
+    /// Index counters accumulated so far (see
     /// [`EngineCounters`]).
     pub fn engine_counters(&self) -> EngineCounters {
         self.counters
@@ -585,34 +460,6 @@ impl Normalizer {
     /// exists so benchmarks and determinism tests can compare the paths.
     pub fn set_indexing(&mut self, on: bool) {
         self.use_index = on;
-    }
-
-    /// Attach (or detach, with `None`) a shared normal-form cache.
-    ///
-    /// ## Participation gates
-    ///
-    /// The cache participates only in top-level
-    /// [`Normalizer::normalize`] calls that start with **no assumptions**
-    /// and an **empty memo cache** — in the prover that is exactly the
-    /// initial goal reduction of each obligation, before any case split
-    /// installs passage equations. Within a participating call, a
-    /// sub-computation is *published* only when its window is **clean**:
-    /// it hit no memo entry predating the window and deduplicated no
-    /// blocked condition against a pre-window recording, so its normal
-    /// form and blocked conditions are exactly what a from-scratch
-    /// derivation produces. A *hit* replays the published normal form and
-    /// blocked conditions into the consumer's arena by name (see
-    /// [`crate::shared`]); it can only skip work a fresh derivation would
-    /// have repeated, never change its result — the residual coupling
-    /// through arena-local atom ordering is pinned by the determinism
-    /// suite, and the prover ships with the cache **off** by default.
-    pub fn set_shared_cache(&mut self, cache: Option<Arc<SharedNfCache>>) {
-        self.shared = cache;
-    }
-
-    /// The shared normal-form cache currently attached, if any.
-    pub fn shared_cache(&self) -> Option<&Arc<SharedNfCache>> {
-        self.shared.as_ref()
     }
 
     /// Add an assumption equation `lhs = rhs`, used as a highest-priority
@@ -629,7 +476,7 @@ impl Normalizer {
         rhs: TermId,
     ) -> Result<(), RewriteError> {
         self.assumptions.add(store, label, lhs, rhs, None, None)?;
-        self.clear_memo();
+        self.memo.clear();
         Ok(())
     }
 
@@ -682,7 +529,7 @@ impl Normalizer {
                     }
                 }
                 std::mem::swap(&mut self.assumptions, &mut others);
-                self.clear_memo();
+                self.memo.clear();
                 self.fuel = self.fuel_limit;
                 let ln = self.norm(store, pairs[i].1);
                 let rn = self.norm(store, pairs[i].2);
@@ -741,7 +588,7 @@ impl Normalizer {
                 rebuilt.add(store, label.clone(), *l, *r, None, None)?;
             }
             self.assumptions = rebuilt;
-            self.clear_memo();
+            self.memo.clear();
             if !changed {
                 break;
             }
@@ -766,17 +613,7 @@ impl Normalizer {
     pub fn normalize(&mut self, store: &mut TermStore, t: TermId) -> Result<TermId, RewriteError> {
         self.check_budget(store, t)?;
         self.fuel = self.fuel_limit;
-        // Shared-cache participation gate: assumption-free, cold-start
-        // top-level calls only (see `set_shared_cache`).
-        self.shared_active =
-            self.shared.is_some() && self.assumptions.is_empty() && self.memo_is_empty();
-        if self.shared_active {
-            self.min_hit_epoch = u64::MAX;
-            self.min_dedup_idx = usize::MAX;
-        }
-        let result = self.norm(store, t);
-        self.shared_active = false;
-        result
+        self.norm(store, t)
     }
 
     /// Normalize `t` and report whether it is `true` — the paper's
@@ -838,7 +675,7 @@ impl Normalizer {
     /// arena plus memo cache. Coarse by design — the budget's memory
     /// ceiling is a tripwire on arena growth, not an allocator audit.
     fn heap_estimate(&self, store: &TermStore) -> u64 {
-        let memo = (self.hot.len() + self.cold.len()) as u64;
+        let memo = self.memo.len() as u64;
         (store.term_count() as u64) * 96 + memo * 40
     }
 
@@ -884,119 +721,22 @@ impl Normalizer {
     }
 
     fn norm(&mut self, store: &mut TermStore, t: TermId) -> Result<TermId, RewriteError> {
-        if let Some(r) = self.cache_lookup(t) {
+        if let Some(&r) = self.memo.get(&t) {
             self.stats.cache_hits += 1;
             return Ok(r);
         }
         self.stats.cache_misses += 1;
-        if self.shared_active {
-            if let Some(r) = self.shared_consult(store, t) {
-                return Ok(r);
-            }
-        }
         self.depth += 1;
         if self.depth > self.max_depth {
             self.depth -= 1;
             return Err(self.exhausted(store, t));
         }
-        let frame = if self.shared_active {
-            Some(self.window_open())
-        } else {
-            None
-        };
         let result = self.norm_uncached(store, t);
         self.depth -= 1;
         let result = result?;
-        if let Some(frame) = frame {
-            self.window_close(store, frame, t, result);
-        }
         self.cache_insert(t, result);
         self.cache_insert(result, result);
         Ok(result)
-    }
-
-    /// Try to resolve `t` from the shared cache. On a hit, replays the
-    /// published normal form and blocked conditions into this session
-    /// (memoizing them at fresh epochs) and returns the normal form; any
-    /// decode failure fails closed as a miss.
-    fn shared_consult(&mut self, store: &mut TermStore, t: TermId) -> Option<TermId> {
-        if !matches!(store.node(t), Term::App { .. }) {
-            return None;
-        }
-        let cache = self.shared.clone()?;
-        let fp = fingerprint(store, t);
-        let Some(entry) = cache.lookup(fp) else {
-            self.counters.shared_misses += 1;
-            return None;
-        };
-        let decoded = (|| {
-            let nf = entry.nf.decode(store)?;
-            let mut blocked = Vec::with_capacity(entry.blocked.len());
-            for enc in &entry.blocked {
-                blocked.push(enc.decode(store)?);
-            }
-            Some((nf, blocked))
-        })();
-        let Some((nf, blocked)) = decoded else {
-            self.counters.shared_misses += 1;
-            return None;
-        };
-        self.counters.shared_hits += 1;
-        // Replay the blocked recordings with the same dedup a fresh
-        // derivation applies, feeding the enclosing window's poison
-        // tracking exactly as a fresh dedup would.
-        for b in blocked {
-            match self.blocked.iter().position(|&x| x == b) {
-                Some(i) => self.min_dedup_idx = self.min_dedup_idx.min(i),
-                None => self.blocked.push(b),
-            }
-        }
-        self.cache_insert(t, nf);
-        if nf != t {
-            self.cache_insert(nf, nf);
-        }
-        Some(nf)
-    }
-
-    /// Open a shared-cache window for one `norm` activation: remember the
-    /// enclosing window's poison state and start fresh.
-    fn window_open(&mut self) -> WindowFrame {
-        let frame = WindowFrame {
-            start_epoch: self.epoch,
-            blocked_start: self.blocked.len(),
-            saved_min_hit_epoch: self.min_hit_epoch,
-            saved_min_dedup_idx: self.min_dedup_idx,
-        };
-        self.min_hit_epoch = u64::MAX;
-        self.min_dedup_idx = usize::MAX;
-        frame
-    }
-
-    /// Close a window: publish it when clean (no dependency on pre-window
-    /// state, so the result equals a from-scratch derivation), then fold
-    /// the poison state back into the enclosing window.
-    fn window_close(&mut self, store: &TermStore, frame: WindowFrame, subject: TermId, nf: TermId) {
-        let clean =
-            self.min_hit_epoch > frame.start_epoch && self.min_dedup_idx >= frame.blocked_start;
-        if clean && matches!(store.node(subject), Term::App { .. }) {
-            if let Some(cache) = self.shared.clone() {
-                let fp = fingerprint(store, subject);
-                if !cache.contains(fp) {
-                    let entry = SharedEntry {
-                        nf: EncodedTerm::encode(store, nf),
-                        blocked: self.blocked[frame.blocked_start..]
-                            .iter()
-                            .map(|&b| EncodedTerm::encode(store, b))
-                            .collect(),
-                    };
-                    if cache.publish(fp, entry) {
-                        self.counters.shared_published += 1;
-                    }
-                }
-            }
-        }
-        self.min_hit_epoch = self.min_hit_epoch.min(frame.saved_min_hit_epoch);
-        self.min_dedup_idx = self.min_dedup_idx.min(frame.saved_min_dedup_idx);
     }
 
     fn norm_uncached(&mut self, store: &mut TermStore, t: TermId) -> Result<TermId, RewriteError> {
@@ -1121,12 +861,8 @@ impl Normalizer {
                         }
                         None => {
                             self.stats.blocked_conditions += 1;
-                            match self.blocked.iter().position(|&b| b == nc) {
-                                // A dedup against an earlier recording:
-                                // note its index for the shared-cache
-                                // window poison tracking.
-                                Some(i) => self.min_dedup_idx = self.min_dedup_idx.min(i),
-                                None => self.blocked.push(nc),
+                            if !self.blocked.contains(&nc) {
+                                self.blocked.push(nc);
                             }
                             self.profile(label, started, |p| p.blocked += 1);
                             continue;
@@ -1904,31 +1640,27 @@ mod tests {
     }
 
     #[test]
-    fn second_chance_keeps_touched_entries_across_rotations() {
+    fn full_memo_clears_on_overflow_and_counts_the_eviction() {
         let mut w = bool_world();
         let t: Vec<TermId> = (0..4)
             .map(|_| w.store.fresh_constant("t", w.alg.sort()))
             .collect();
         let mut norm = Normalizer::new(w.alg.clone(), RuleSet::new());
-        norm.set_cache_capacity(4); // segments of 2
+        norm.set_cache_capacity(2);
         norm.cache_insert(t[0], t[0]);
-        norm.cache_insert(t[1], t[1]); // hot = {t0, t1}
-        norm.cache_insert(t[2], t[2]); // rotation: cold = {t0, t1}, hot = {t2}
+        norm.cache_insert(t[1], t[1]);
+        assert_eq!(norm.stats().cache_evictions, 0, "two entries fit");
+        norm.cache_insert(t[2], t[2]); // full: clear, then insert
         assert_eq!(norm.stats().cache_evictions, 1);
-        // Touch t0: promoted back into the hot segment.
-        assert_eq!(norm.cache_lookup(t[0]), Some(t[0]));
-        norm.cache_insert(t[3], t[3]); // rotation: cold = {t2, t0}, hot = {t3}
+        assert_eq!(norm.memo.get(&t[0]), None, "the clear dropped t0");
+        assert_eq!(norm.memo.get(&t[1]), None, "the clear dropped t1");
+        assert_eq!(norm.memo.get(&t[2]), Some(&t[2]));
+        norm.cache_insert(t[3], t[3]);
+        assert_eq!(norm.stats().cache_evictions, 1, "room for a second entry");
+        // Shrinking below the current size clears and counts too.
+        norm.set_cache_capacity(1);
         assert_eq!(norm.stats().cache_evictions, 2);
-        assert_eq!(
-            norm.cache_lookup(t[0]),
-            Some(t[0]),
-            "the touched entry survived two rotations"
-        );
-        assert_eq!(
-            norm.cache_lookup(t[1]),
-            None,
-            "the untouched entry was dropped with the cold segment"
-        );
+        assert!(norm.memo.is_empty());
     }
 
     /// A world with same-head rule families and a conditional rule, so
@@ -1993,107 +1725,6 @@ mod tests {
         assert!(
             indexed_counters.index_pruned > 0,
             "f(a) and f(d) attempts must prune the incompatible f-rules: {indexed_counters:?}"
-        );
-    }
-
-    #[test]
-    fn shared_cache_replays_normal_forms_across_spec_clones() {
-        let (mut store, alg, rules, subjects) = prunable_world();
-        // Clone the arena first: the consumers below replay the producer's
-        // work on identical pristine clones, as prover obligations do.
-        let mut clone_a = store.clone();
-        let mut clone_b = store.clone();
-        let cache = Arc::new(SharedNfCache::new());
-
-        let mut published = 0;
-        let produced: Vec<TermId> = subjects
-            .iter()
-            .map(|&t| {
-                let mut one = Normalizer::new(alg.clone(), rules.clone());
-                one.set_shared_cache(Some(cache.clone()));
-                let n = one.normalize(&mut store, t).unwrap();
-                published += one.engine_counters().shared_published;
-                n
-            })
-            .collect();
-        assert!(published > 0, "producers published clean windows");
-
-        // A consumer with the cache replays; one without recomputes; both
-        // agree on every normal form and every blocked condition. The
-        // arenas are distinct clones, so the comparison is structural
-        // (rendered terms), not on raw ids.
-        let mut hits = 0;
-        for (&t, &expect) in subjects.iter().zip(&produced) {
-            let mut one = Normalizer::new(alg.clone(), rules.clone());
-            one.set_shared_cache(Some(cache.clone()));
-            let n = one.normalize(&mut clone_a, t).unwrap();
-            hits += one.engine_counters().shared_hits;
-            let mut fresh = Normalizer::new(alg.clone(), rules.clone());
-            let m = fresh.normalize(&mut clone_b, t).unwrap();
-            let replayed: Vec<String> = one
-                .take_blocked()
-                .iter()
-                .map(|&b| clone_a.display(b).to_string())
-                .collect();
-            let derived: Vec<String> = fresh
-                .take_blocked()
-                .iter()
-                .map(|&b| clone_b.display(b).to_string())
-                .collect();
-            assert_eq!(replayed, derived, "blocked replay");
-            assert_eq!(
-                clone_a.display(n).to_string(),
-                store.display(expect).to_string(),
-                "cache replay equals producer result"
-            );
-            assert_eq!(
-                clone_a.display(n).to_string(),
-                clone_b.display(m).to_string(),
-                "cache replay equals fresh derivation"
-            );
-        }
-        assert!(hits > 0, "consumer replayed published entries");
-    }
-
-    #[test]
-    fn shared_cache_sits_out_with_assumptions_or_a_warm_memo() {
-        let (mut store, alg, rules, subjects) = prunable_world();
-        let cache = Arc::new(SharedNfCache::new());
-        // With an assumption installed, the gate fails: no consults, no
-        // publications, even on a cold memo.
-        let mut norm = Normalizer::new(alg.clone(), rules.clone());
-        norm.set_shared_cache(Some(cache.clone()));
-        let s = store.sort_of(subjects[0]);
-        let extra = store.fresh_constant("extra", s);
-        let extra2 = store.fresh_constant("extra", s);
-        norm.assume(&store, "extra", extra, extra2).unwrap();
-        norm.normalize(&mut store, subjects[0]).unwrap();
-        let gated = norm.engine_counters();
-        assert_eq!(gated.shared_hits, 0);
-        assert_eq!(gated.shared_misses, 0);
-        assert_eq!(gated.shared_published, 0);
-        assert!(cache.is_empty());
-        // Without assumptions the first call participates; the second
-        // (warm memo) must not touch the shared cache again.
-        let mut cold = Normalizer::new(alg.clone(), rules.clone());
-        cold.set_shared_cache(Some(cache.clone()));
-        cold.normalize(&mut store, subjects[0]).unwrap();
-        let after_first = cold.engine_counters();
-        assert!(after_first.shared_published > 0, "{after_first:?}");
-        cold.normalize(&mut store, subjects[1]).unwrap();
-        let after_second = cold.engine_counters();
-        assert_eq!(
-            (
-                after_first.shared_hits,
-                after_first.shared_misses,
-                after_first.shared_published
-            ),
-            (
-                after_second.shared_hits,
-                after_second.shared_misses,
-                after_second.shared_published
-            ),
-            "warm-memo calls must not consult or publish"
         );
     }
 }

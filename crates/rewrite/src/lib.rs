@@ -10,8 +10,7 @@
 //!
 //! * [`rule`] / [`engine`] — equations used as left-to-right (conditional)
 //!   rewrite rules, applied innermost-first with discrimination-tree
-//!   candidate indexing, segmented memoization (plus an optional
-//!   cross-obligation [`shared`] normal-form cache), and fuel-bounded
+//!   candidate indexing, bounded memoization, and fuel-bounded
 //!   termination;
 //! * [`boolring`] — the Boolean-ring (GF(2) polynomial) normal form that
 //!   makes propositional reasoning *complete*: any propositional tautology
@@ -61,7 +60,6 @@ pub mod engine;
 pub mod equality;
 pub mod error;
 pub mod rule;
-pub mod shared;
 
 pub use error::RewriteError;
 
@@ -78,5 +76,4 @@ pub mod prelude {
     pub use crate::equality::EqVerdict;
     pub use crate::error::RewriteError;
     pub use crate::rule::{validate_rule, PathIndex, Rule, RuleDefect, RuleSet};
-    pub use crate::shared::{SharedCacheStats, SharedNfCache};
 }

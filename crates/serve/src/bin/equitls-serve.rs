@@ -50,7 +50,6 @@ struct Options {
     resume: bool,
     results: Option<PathBuf>,
     retry_after_ms: u64,
-    shared_cache: bool,
     allow_test_jobs: bool,
     trace: Option<PathBuf>,
     spill_dir: Option<PathBuf>,
@@ -81,9 +80,6 @@ fn parse_args() -> Options {
         resume: false,
         results: None,
         retry_after_ms: 200,
-        // Under the daemon the resident NF cache is the warm path:
-        // shared-cache defaults ON (one-shot CLIs keep it opt-in).
-        shared_cache: true,
         allow_test_jobs: false,
         trace: None,
         spill_dir: None,
@@ -146,7 +142,6 @@ fn parse_args() -> Options {
                     "a backoff hint in milliseconds (e.g. --retry-after-ms 200)",
                 );
             }
-            "--no-shared-cache" => opts.shared_cache = false,
             "--allow-test-jobs" => opts.allow_test_jobs = true,
             "--spill-dir" => {
                 opts.spill_dir = Some(path_flag(
@@ -208,7 +203,6 @@ fn main() {
         queue_cap: opts.queue_cap,
         journal_path: opts.journal.clone(),
         resume: opts.resume,
-        shared_cache: opts.shared_cache,
         retry_after_ms: opts.retry_after_ms,
         fault_plan: None,
         allow_test_jobs: opts.allow_test_jobs,

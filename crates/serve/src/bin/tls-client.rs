@@ -109,8 +109,6 @@ fn parse_args() -> Options {
             "--variant" => fields.push(("variant".into(), JsonValue::Bool(true))),
             "--ack" => fields.push(("ack".into(), JsonValue::Bool(true))),
             "--trace-events" => fields.push(("trace".into(), JsonValue::Bool(true))),
-            "--shared-cache" => fields.push(("shared_cache".into(), JsonValue::Bool(true))),
-            "--no-shared-cache" => fields.push(("shared_cache".into(), JsonValue::Bool(false))),
             "--jobs" => {
                 let n = numeric_flag(&mut args, "--jobs", "a thread count (e.g. --jobs 2)");
                 fields.push(("jobs".into(), JsonValue::Number(n as f64)));

@@ -74,11 +74,6 @@ pub struct ServeConfig {
     pub journal_path: Option<PathBuf>,
     /// Re-enqueue the journal's unfinished jobs on startup.
     pub resume: bool,
-    /// Daemon default for prove requests that do not set
-    /// `shared_cache` themselves. **On** under the daemon — the resident
-    /// cache is the warm path — while one-shot CLI runs keep the PR 8
-    /// off-by-default contract.
-    pub shared_cache: bool,
     /// The hint sent with `busy` responses.
     pub retry_after_ms: u64,
     /// Deterministic fault injection for the persist writers.
@@ -102,7 +97,6 @@ impl Default for ServeConfig {
             queue_cap: 32,
             journal_path: None,
             resume: false,
-            shared_cache: true,
             retry_after_ms: 200,
             fault_plan: None,
             allow_test_jobs: false,
@@ -386,7 +380,6 @@ impl ServeEngine {
         let inner = &self.inner;
         let state = lock_state(inner);
         let warm = inner.warm.stats();
-        let nf = inner.warm.nf_cache(false).stats();
         JsonValue::Object(vec![
             ("queue".to_string(), state.journal.summary_json()),
             (
@@ -405,14 +398,6 @@ impl ServeEngine {
             (
                 "model_reuses".to_string(),
                 JsonValue::Number(warm.model_reuses as f64),
-            ),
-            (
-                "shared_nf_hits".to_string(),
-                JsonValue::Number(nf.hits as f64),
-            ),
-            (
-                "shared_nf_published".to_string(),
-                JsonValue::Number(nf.published as f64),
             ),
             (
                 "worker_restarts".to_string(),
@@ -479,7 +464,6 @@ fn run_one(inner: &EngineInner) -> Option<(u64, bool)> {
             &entry.request,
             &entry.degradation,
             &inner.warm,
-            inner.config.shared_cache,
             &job::SpillOptions {
                 dir: inner.config.spill_dir.clone(),
                 max_resident_shards: inner.config.max_resident_shards,

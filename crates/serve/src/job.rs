@@ -7,13 +7,11 @@
 //! [`crate::engine`]):
 //!
 //! * **wall-clock durations** — different on every run by definition;
-//! * **rewrite tallies** — under the daemon's resident
-//!   [`SharedNfCache`](equitls_rewrite::shared::SharedNfCache) a hit
-//!   replays a cached derivation and *shrinks* the `rewrites` counter,
-//!   so the tally depends on which requests ran before this one. The
-//!   PR 8 contract (hits change rewrites only, never verdicts, counts,
-//!   or scores) is exactly what makes the rest of the report safe to
-//!   pin byte-for-byte.
+//! * **rewrite tallies** — they measure what the engine spent, not what
+//!   it proved: a change to the memo bound, the fuel, or the engine
+//!   itself moves them while every verdict, count and score stays put.
+//!   Keeping them out of the stable payload lets the engine change
+//!   without invalidating journals pinned byte-for-byte.
 //!
 //! A request that sets its own `deadline_ms` opts out of replay
 //! stability for its *outcome* (a budget can trip at a different point
@@ -93,12 +91,11 @@ pub fn execute(
     request: &JobRequest,
     degradation: &[String],
     warm: &WarmState,
-    shared_cache_default: bool,
     spill: &SpillOptions,
     obs: &Obs,
 ) -> JsonValue {
     let result = match request.kind {
-        JobKind::Prove => run_prove(request, warm, shared_cache_default, obs),
+        JobKind::Prove => run_prove(request, warm, obs),
         JobKind::Check => Ok(run_check(seq, request, spill, obs)),
         JobKind::Lint => Ok(run_lint(request, warm)),
         JobKind::Panic => panic!("injected test panic (job {})", request.id),
@@ -152,20 +149,16 @@ fn budget_for(request: &JobRequest) -> Budget {
 fn run_prove(
     request: &JobRequest,
     warm: &WarmState,
-    shared_cache_default: bool,
     obs: &Obs,
 ) -> Result<JsonValue, (String, String)> {
     let pristine = warm.model(request.variant);
     // Clone the warm pristine model: the clone shares the pre-built
-    // rule index, and (below) the resident NF cache.
+    // rule index.
     let mut model = (*pristine).clone();
-    let shared = request.shared_cache.unwrap_or(shared_cache_default);
     let opts = VerifyOptions {
         budget: budget_for(request),
         fuel: request.fuel,
         jobs: request.jobs.max(1),
-        shared_nf_cache: shared,
-        shared_nf_handle: shared.then(|| warm.nf_cache(request.variant)),
         ..VerifyOptions::default()
     };
     let report = verify::verify_property_opts(&mut model, &request.property, &opts, obs)

@@ -261,6 +261,32 @@ mod tests {
     }
 
     #[test]
+    fn entry_with_a_retired_request_field_fails_load_as_malformed() {
+        let path = tmp("retired-field");
+        let obs = Obs::noop();
+        // One pending entry in the journal's own encoding, but carrying
+        // the retired `shared_cache` request field.
+        let mut w = Writer::new();
+        w.usize(1);
+        w.u64(0);
+        w.str(r#"{"id":"a-1","kind":"prove","property":"inv1","shared_cache":true}"#);
+        w.usize(0);
+        w.bool(false);
+        write_snapshot(&path, SnapshotKind::JobJournal, &w.into_bytes(), &obs).unwrap();
+
+        match JobJournal::load(&path, None, &obs) {
+            Err(PersistError::Malformed(msg)) => {
+                assert!(
+                    msg.contains("unknown request field `shared_cache`"),
+                    "{msg}"
+                );
+            }
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn injected_write_fault_degrades_without_losing_prior_snapshot() {
         let path = tmp("fault");
         let obs = Obs::noop();

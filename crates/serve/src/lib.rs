@@ -2,13 +2,11 @@
 //!
 //! A one-shot `tls-prove` run pays the full cold-start cost on every
 //! invocation: compile the TLS spec, build the LPO precedence and the
-//! discrimination-tree rule index, warm the normal-form memo from
-//! nothing. This crate amortises all of it across requests by keeping a
-//! daemon resident:
+//! discrimination-tree rule index. This crate amortises both across
+//! requests by keeping a daemon resident:
 //!
-//! * [`warm`] holds the compiled pristine models and one resident
-//!   [`SharedNfCache`](equitls_rewrite::shared::SharedNfCache) per model
-//!   family; request clones share the pre-built index by `Arc`.
+//! * [`warm`] holds the compiled pristine models; request clones share
+//!   the pre-built index by `Arc`.
 //! * [`proto`] defines the JSONL request/response protocol spoken over a
 //!   Unix socket (byte-stable canonical rendering, so responses are
 //!   replay-comparable).

@@ -98,9 +98,6 @@ pub struct JobRequest {
     pub deadline_ms: Option<u64>,
     /// Rewriting fuel override for `prove`.
     pub fuel: Option<u64>,
-    /// Shared NF cache override for `prove`: `None` = daemon default
-    /// (on — the warm path), `Some(false)` opts a request out.
-    pub shared_cache: Option<bool>,
     /// `check`: network-size bound (scope cutoff).
     pub max_messages: Option<usize>,
     /// `check`: BFS depth bound.
@@ -130,7 +127,6 @@ impl JobRequest {
             jobs: 0,
             deadline_ms: None,
             fuel: None,
-            shared_cache: None,
             max_messages: None,
             max_depth: None,
             max_states: None,
@@ -169,9 +165,6 @@ impl JobRequest {
         }
         if let Some(fuel) = self.fuel {
             fields.push(("fuel".to_string(), JsonValue::Number(fuel as f64)));
-        }
-        if let Some(on) = self.shared_cache {
-            fields.push(("shared_cache".to_string(), JsonValue::Bool(on)));
         }
         if let Some(n) = self.max_messages {
             fields.push(("max_messages".to_string(), JsonValue::Number(n as f64)));
@@ -224,7 +217,6 @@ impl JobRequest {
                 "jobs" => req.jobs = expect_usize(name, field)?,
                 "deadline_ms" => req.deadline_ms = Some(expect_u64(name, field)?),
                 "fuel" => req.fuel = Some(expect_u64(name, field)?),
-                "shared_cache" => req.shared_cache = Some(expect_bool(name, field)?),
                 "max_messages" => req.max_messages = Some(expect_usize(name, field)?),
                 "max_depth" => req.max_depth = Some(expect_usize(name, field)?),
                 "max_states" => req.max_states = Some(expect_usize(name, field)?),
@@ -335,6 +327,15 @@ mod tests {
         assert!(JobRequest::from_line(r#"{"id":"x","kind":"prove","porperty":"inv1"}"#).is_err());
         assert!(JobRequest::from_line("not json").is_err());
         assert!(JobRequest::from_line(r#"{"kind":"prove"}"#).is_err());
+    }
+
+    #[test]
+    fn retired_shared_cache_field_is_an_unknown_field() {
+        let line = r#"{"id":"x","kind":"prove","property":"inv1","shared_cache":true}"#;
+        assert_eq!(
+            JobRequest::from_line(line),
+            Err("unknown request field `shared_cache`".to_string())
+        );
     }
 
     #[test]

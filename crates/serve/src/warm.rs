@@ -1,27 +1,18 @@
-//! The daemon's warm state: compiled specs and resident caches.
+//! The daemon's warm state: compiled specs.
 //!
-//! A one-shot CLI run pays three cold-start costs per campaign: parsing
+//! A one-shot CLI run pays two cold-start costs per campaign: parsing
 //! and compiling the TLS spec (term interning, rule compilation, LPO
-//! precedence), building the PR 8 discrimination-tree `PathIndex`, and
-//! warming the normal-form memo from nothing. The daemon pays each cost
-//! once per model family and then serves every subsequent request from
-//! the warm copies:
-//!
-//! * the **pristine models** (standard and §5.3 variant) are built
-//!   lazily, held in `Arc`s, and *cloned* per request — a `Spec` clone
-//!   shares the already-built `PathIndex` through its `OnceLock<Arc<_>>`
-//!   (the spec-compilation-is-`Arc`-shareable refactor), so request
-//!   clones skip both the parse and the index build;
-//! * one **[`SharedNfCache`] per model family** stays resident across
-//!   requests. Entries are keyed by structural fingerprint and published
-//!   only at assumption-free top level, so they are a pure function of
-//!   the rule set — safe to share across every request against the same
-//!   pristine spec, never shared between standard and variant.
+//! precedence) and building the discrimination-tree `PathIndex`. The
+//! daemon pays both once per model family and then serves every
+//! subsequent request from the warm copies: the **pristine models**
+//! (standard and §5.3 variant) are built lazily, held in `Arc`s, and
+//! *cloned* per request — a `Spec` clone shares the already-built
+//! `PathIndex` through its `OnceLock<Arc<_>>`, so request clones skip
+//! both the parse and the index build.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-use equitls_rewrite::shared::SharedNfCache;
 use equitls_tls::symbolic::TlsModel;
 
 /// Warm-path hit counters, exposed through `stats` responses and the
@@ -39,8 +30,6 @@ pub struct WarmStats {
 pub struct WarmState {
     standard: OnceLock<Arc<TlsModel>>,
     variant: OnceLock<Arc<TlsModel>>,
-    nf_standard: OnceLock<Arc<SharedNfCache>>,
-    nf_variant: OnceLock<Arc<SharedNfCache>>,
     builds: AtomicU64,
     reuses: AtomicU64,
 }
@@ -82,16 +71,6 @@ impl WarmState {
         Arc::clone(model)
     }
 
-    /// The resident shared NF cache for the family.
-    pub fn nf_cache(&self, variant: bool) -> Arc<SharedNfCache> {
-        let slot = if variant {
-            &self.nf_variant
-        } else {
-            &self.nf_standard
-        };
-        Arc::clone(slot.get_or_init(|| Arc::new(SharedNfCache::new())))
-    }
-
     /// Whether the family's model is already warm (without building it).
     pub fn is_warm(&self, variant: bool) -> bool {
         if variant {
@@ -125,8 +104,5 @@ mod tests {
         let stats = warm.stats();
         assert_eq!(stats.model_builds, 1);
         assert_eq!(stats.model_reuses, 1);
-        // The caches are per-family singletons.
-        assert!(Arc::ptr_eq(&warm.nf_cache(false), &warm.nf_cache(false)));
-        assert!(!Arc::ptr_eq(&warm.nf_cache(false), &warm.nf_cache(true)));
     }
 }

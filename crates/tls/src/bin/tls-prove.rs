@@ -29,12 +29,9 @@
 //! obligation boundaries; throttle with `--checkpoint-every-secs N`);
 //! `--resume` reloads the ledger and skips obligations it already proved.
 //!
-//! Engine flags: `--shared-cache` shares normal forms across a
-//! property's obligations (verdicts, counts, and scores are unchanged;
-//! `rewrites` metrics may drop because hits replay cached reductions);
-//! `--linear-scan` disables the discrimination-tree rule index and
-//! matches rules by scanning per-operator lists (diagnostic; results
-//! are bit-identical either way).
+//! Engine flag: `--linear-scan` disables the discrimination-tree rule
+//! index and matches rules by scanning per-operator lists (diagnostic;
+//! results are bit-identical either way).
 //!
 //! Exit codes: **0** every requested property proved; **1** at least one
 //! obligation open or faulted (budget trip, fuel exhaustion, stuck case);
@@ -82,8 +79,6 @@ struct Options {
     checkpoint_every_secs: u64,
     /// Resume from the ledger at `checkpoint`.
     resume: bool,
-    /// Share normal forms across a property's obligations.
-    shared_cache: bool,
     /// Disable the rule index; scan per-operator rule lists instead.
     linear_scan: bool,
     names: Vec<String>,
@@ -111,7 +106,6 @@ fn parse_args() -> Options {
         checkpoint: None,
         checkpoint_every_secs: 0,
         resume: false,
-        shared_cache: false,
         linear_scan: false,
         names: Vec::new(),
     };
@@ -177,7 +171,6 @@ fn parse_args() -> Options {
                 );
             }
             "--resume" => opts.resume = true,
-            "--shared-cache" => opts.shared_cache = true,
             "--linear-scan" => opts.linear_scan = true,
             "--all" => {}
             other if other.starts_with("--") => {
@@ -271,7 +264,6 @@ fn run() {
         checkpoint_path: opts.checkpoint.clone(),
         checkpoint_every_secs: opts.checkpoint_every_secs,
         resume: opts.resume,
-        shared_nf_cache: opts.shared_cache,
         linear_scan: opts.linear_scan,
         ..VerifyOptions::default()
     };

@@ -16,10 +16,8 @@ use equitls_core::prelude::*;
 use equitls_core::CoreError;
 use equitls_obs::sink::Obs;
 use equitls_rewrite::budget::{Budget, FaultPlan};
-use equitls_rewrite::shared::SharedNfCache;
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::Arc;
 
 /// Robustness and execution options for a verification run.
 ///
@@ -50,18 +48,6 @@ pub struct VerifyOptions {
     /// into the report without re-running. Requires a valid snapshot at
     /// `checkpoint_path` (typed `CoreError::Persist` otherwise).
     pub resume: bool,
-    /// Share normal forms across this property's obligations through a
-    /// fingerprint-keyed concurrent cache. Off by default: hits replay
-    /// cached rewrite sequences, so `rewrites` metrics (never verdicts,
-    /// counts, or scores) may differ from the cold run.
-    pub shared_nf_cache: bool,
-    /// Resident cache handle for `shared_nf_cache` (see
-    /// [`ProverConfig::shared_nf_handle`]): a warm daemon passes the
-    /// cache it keeps alive across requests; one-shot CLI runs leave
-    /// this `None` and get a fresh per-property cache. Must be paired
-    /// with the spec it was warmed on (standard and variant models each
-    /// own one).
-    pub shared_nf_handle: Option<Arc<SharedNfCache>>,
     /// Bypass the discrimination-tree rule index and match candidate
     /// rules by scanning `rules_for_op` lists, as the engine did before
     /// indexing landed. Diagnostic knob: results are bit-identical
@@ -80,8 +66,6 @@ impl Default for VerifyOptions {
             checkpoint_path: None,
             checkpoint_every_secs: 0,
             resume: false,
-            shared_nf_cache: false,
-            shared_nf_handle: None,
             linear_scan: false,
         }
     }
@@ -328,8 +312,6 @@ pub fn verify_property_opts(
         checkpoint_path: opts.checkpoint_path.clone(),
         checkpoint_every_secs: opts.checkpoint_every_secs,
         resume: opts.resume,
-        shared_nf_cache: opts.shared_nf_cache,
-        shared_nf_handle: opts.shared_nf_handle.clone(),
         linear_scan: opts.linear_scan,
         ..defaults
     };

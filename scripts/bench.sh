@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Reproducible benchmark pipeline: the parallel execution layer (E14),
-# the rewrite engine's indexing / shared-cache legs (E19), and the serve
-# daemon's warm-path latency (E20).
+# the rewrite engine's indexing legs (E19), and the serve daemon's
+# warm-path latency (E20).
 #
 # Runs the explorer and prover workloads at jobs ∈ {1, 2, all cores},
-# the three-leg rewriting benchmark, and the cold/warm serve legs, and
+# the two-leg rewriting benchmark, and the cold/warm serve legs, and
 # writes BENCH_parallel.json, BENCH_rewriting.json, and BENCH_serve.json
 # at the repository root.
 # Knobs:

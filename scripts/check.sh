@@ -10,6 +10,9 @@ cargo build --release --workspace
 echo "== cargo test -q =="
 cargo test -q --workspace
 
+echo "== campaign bench: the API it pins still builds and its tests pass =="
+cargo test -q --release --manifest-path campaign_bench/Cargo.toml
+
 echo "== tls-lint =="
 cargo run -q --release -p equitls-tls --bin tls-lint
 
@@ -246,11 +249,10 @@ BENCH_SMOKE=1 cargo bench -q -p equitls-bench --bench parallel
 BENCH_SMOKE=1 cargo bench -q -p equitls-bench --bench serve
 
 echo "== rewriting bench smoke: indexed must not lose to linear scan =="
-# A fixed tiny workload through all three engine legs. Wall times jitter,
-# so the gate is deliberately loose (indexed within 1.5x of linear on the
+# A fixed tiny workload through both engine legs. Wall times jitter, so
+# the gate is deliberately loose (indexed within 1.5x of linear on the
 # fan-out normalize loop); the structural assertions are exact — the
-# index must actually prune, and the shared cache must hit on every
-# clone after the first.
+# index must be bit-identical and must actually prune.
 REWRITING_JSON="$(mktemp -u /tmp/equitls_check_XXXXXX.rewriting.json)"
 BENCH_SMOKE=1 BENCH_OUT="$REWRITING_JSON" \
     cargo bench -q -p equitls-bench --bench rewriting
@@ -258,17 +260,13 @@ python3 - "$REWRITING_JSON" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 legs = {leg["leg"]: leg for leg in doc["fanout"]["legs"]}
-linear, indexed, shared = legs["linear"], legs["indexed"], legs["indexed+shared"]
+linear, indexed = legs["linear"], legs["indexed"]
 assert indexed["normalize_ms"] <= 1.5 * linear["normalize_ms"], (
     f"indexed fan-out {indexed['normalize_ms']:.3f} ms vs "
     f"linear {linear['normalize_ms']:.3f} ms"
 )
 assert indexed["rewrites"] == linear["rewrites"], "indexed must be bit-identical"
 assert indexed["index_pruned"] > 0, "the index must prune candidates"
-clones = doc["fanout"]["clones"]
-assert shared["shared_hits"] == clones - 1, (
-    f"every clone after the first must hit: {shared['shared_hits']} of {clones - 1}"
-)
 EOF
 rm -f "$REWRITING_JSON"
 

@@ -8,11 +8,9 @@
 //! counts, violation traces, and proved/vacuous/open tallies at
 //! jobs = 1, 2, 4.
 //!
-//! The rewrite engine's accelerators are held to the same contract:
+//! The rewrite engine's index is held to the same contract:
 //! discrimination-tree indexing must be bit-identical to a linear rule
-//! scan (it is a lookup structure, not a strategy), and the shared
-//! normal-form cache may change the `rewrites` fuel tally only — never
-//! a verdict, count, trace, or score.
+//! scan (it is a lookup structure, not a strategy).
 
 use equitls::lint::{analyze_spec, AnalysisOptions, LintConfig};
 use equitls::mc::prelude::*;
@@ -232,11 +230,10 @@ fn indexed_matching_is_bit_identical_to_linear_scan() {
     });
 }
 
-/// The shared normal-form cache may only skip work a fresh derivation
-/// would have repeated: a hit replays a published normal form, so it
-/// reduces the `rewrites` fuel counter but can never change a verdict,
-/// a passage/split/proved/vacuous/open tally, or a score — at any
-/// thread count. The scoped model check runs after the cached proof
+/// A proof campaign run through `verify_property_opts` may differ from
+/// the cold `verify_property_jobs` run in the `rewrites` fuel tally only
+/// — never a verdict, a passage/split/proved/vacuous/open tally, or a
+/// score — at any thread count. The scoped model check runs after the
 /// campaigns in the same process and must match its own pre-campaign
 /// baseline exactly: the concrete explorer never rewrites, and engine
 /// state must not bleed into it.
@@ -259,7 +256,6 @@ fn shared_cache_changes_rewrite_counts_only() {
         for jobs in JOBS {
             let opts = VerifyOptions {
                 jobs,
-                shared_nf_cache: true,
                 ..VerifyOptions::default()
             };
             let mut model = TlsModel::standard().unwrap();
@@ -272,8 +268,7 @@ fn shared_cache_changes_rewrite_counts_only() {
                 assert_eq!(step.action, bstep.action, "step order at jobs={jobs}");
                 assert_eq!(step.outcome, bstep.outcome, "verdict at jobs={jobs}");
                 assert_eq!(step.scores, bstep.scores, "scores at jobs={jobs}");
-                // Every tally except the fuel spent must match the cold
-                // run; `rewrites` is exactly what a cache hit saves.
+                // Every tally except the fuel spent must match the cold run.
                 let (m, bm) = (&step.metrics, &bstep.metrics);
                 assert_eq!(m.passages, bm.passages, "passages at jobs={jobs}");
                 assert_eq!(m.splits, bm.splits, "splits at jobs={jobs}");
