@@ -8,7 +8,9 @@
 
 use equitls_bench::harness::bench;
 use equitls_core::prelude::*;
-use equitls_tls::{verify, TlsModel};
+use equitls_obs::sink::Obs;
+use equitls_tls::verify::{self, verify_property_opts, VerifyOptions};
+use equitls_tls::TlsModel;
 use std::hint::black_box;
 
 const REPRESENTATIVES: [&str; 6] = [
@@ -29,6 +31,10 @@ fn with_big_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> 
         .expect("join")
 }
 
+fn prove(model: &mut TlsModel, name: &str) -> ProofReport {
+    verify_property_opts(model, name, &VerifyOptions::default(), &Obs::noop()).expect("prover runs")
+}
+
 fn bench_standard() {
     println!("== prove-standard");
     for name in REPRESENTATIVES {
@@ -36,7 +42,7 @@ fn bench_standard() {
             let name = name.to_string();
             with_big_stack(move || {
                 let mut model = TlsModel::standard().expect("model builds");
-                let report = verify::verify_property(&mut model, &name).expect("prover runs");
+                let report = prove(&mut model, &name);
                 assert!(report.is_proved(), "{name} must prove");
                 black_box(report.total_passages())
             })
@@ -51,7 +57,7 @@ fn bench_variant() {
             let name = name.to_string();
             with_big_stack(move || {
                 let mut model = TlsModel::variant().expect("model builds");
-                let report = verify::verify_property(&mut model, &name).expect("prover runs");
+                let report = prove(&mut model, &name);
                 assert!(report.is_proved(), "{name} must prove on the variant");
                 black_box(report.total_passages())
             })

@@ -13,38 +13,17 @@ use equitls_tls::concrete::{props, Scope, State};
 /// An owned monitor predicate over concrete states.
 type BoxedPredicate = Box<dyn Fn(&State) -> bool>;
 
-/// Run every §5 monitor over the scope, breadth-first.
+/// Run every §5 monitor over the scope, breadth-first, on `jobs` worker
+/// threads (`0` = available parallelism), under `config`'s budget.
 ///
 /// The expected outcome (within any scope that lets the intruder act):
-/// properties 1–5 hold everywhere, 2′ and 3′ are violated.
-pub fn check_scope(scope: &Scope, limits: &Limits) -> Exploration<State> {
-    check_scope_jobs(scope, limits, 1)
-}
-
-/// [`check_scope`] on `jobs` worker threads (`0` = available parallelism).
-///
-/// The verdicts, state counts, and violation traces are identical for
-/// every `jobs` value — see [`crate::explorer::explore_jobs`].
-pub fn check_scope_jobs(scope: &Scope, limits: &Limits, jobs: usize) -> Exploration<State> {
-    check_scope_config(scope, limits, jobs, &ExploreConfig::default())
-}
-
-/// [`check_scope_jobs`] under an [`ExploreConfig`] budget: a tripped
-/// deadline, memory ceiling, or cancellation yields a *partial* but
-/// internally consistent exploration with a typed
-/// [`Exploration::stop_reason`] instead of an unbounded run.
-pub fn check_scope_config(
-    scope: &Scope,
-    limits: &Limits,
-    jobs: usize,
-    config: &ExploreConfig,
-) -> Exploration<State> {
-    check_scope_config_obs(scope, limits, jobs, config, &Obs::noop())
-}
-
-/// [`check_scope_config`] with an observability handle: per-level timing
-/// counters and heartbeats flow to `obs`'s sink. Purely additive — the
-/// exploration result is identical whatever the sink.
+/// properties 1–5 hold everywhere, 2′ and 3′ are violated. The verdicts,
+/// state counts, and violation traces are identical for every `jobs`
+/// value, and a tripped deadline, memory ceiling, or cancellation yields
+/// a *partial* but internally consistent exploration with a typed
+/// [`Exploration::stop_reason`] — see [`explore_with_config_jobs`].
+/// Per-level timing counters and heartbeats flow to `obs`'s sink; the
+/// result is identical whatever the sink.
 pub fn check_scope_config_obs(
     scope: &Scope,
     limits: &Limits,
@@ -52,42 +31,15 @@ pub fn check_scope_config_obs(
     config: &ExploreConfig,
     obs: &Obs,
 ) -> Exploration<State> {
-    check_scope_config_obs_sym(scope, limits, jobs, config, obs, true)
-}
-
-/// [`check_scope_config_obs`] with an explicit symmetry switch: `true`
-/// (the default everywhere else) canonicalizes states under scalarset
-/// symmetry, `false` explores the raw space — the `--no-symmetry`
-/// escape hatch. Verdicts are identical either way; only the state
-/// count changes.
-pub fn check_scope_config_obs_sym(
-    scope: &Scope,
-    limits: &Limits,
-    jobs: usize,
-    config: &ExploreConfig,
-    obs: &Obs,
-    symmetry: bool,
-) -> Exploration<State> {
-    with_scope_monitors(scope, symmetry, |machine, refs| {
+    with_scope_monitors(scope, |machine, refs| {
         explore_with_config_jobs(machine, refs, limits, config, jobs, obs)
     })
 }
 
 /// Resume a scope check from the snapshot at `config.checkpoint_path`
-/// (see [`crate::explorer::explore_resume_with_config_jobs`]): the search
-/// picks up at the checkpointed level barrier and the final result is
-/// bit-identical to an uninterrupted [`check_scope_config`] run.
-pub fn check_scope_resume(
-    scope: &Scope,
-    limits: &Limits,
-    jobs: usize,
-    config: &ExploreConfig,
-) -> Result<Exploration<State>, PersistError> {
-    check_scope_resume_obs(scope, limits, jobs, config, &Obs::noop())
-}
-
-/// [`check_scope_resume`] with an observability handle (see
-/// [`check_scope_config_obs`]).
+/// (see [`explore_resume_with_config_jobs`]): the search picks up at the
+/// checkpointed level barrier and the final result is bit-identical to
+/// an uninterrupted [`check_scope_config_obs`] run.
 pub fn check_scope_resume_obs(
     scope: &Scope,
     limits: &Limits,
@@ -95,22 +47,7 @@ pub fn check_scope_resume_obs(
     config: &ExploreConfig,
     obs: &Obs,
 ) -> Result<Exploration<State>, PersistError> {
-    check_scope_resume_obs_sym(scope, limits, jobs, config, obs, true)
-}
-
-/// [`check_scope_resume_obs`] with an explicit symmetry switch (see
-/// [`check_scope_config_obs_sym`]). A checkpoint must be resumed under
-/// the same symmetry setting it was written with — the snapshot stores
-/// canonicalized states.
-pub fn check_scope_resume_obs_sym(
-    scope: &Scope,
-    limits: &Limits,
-    jobs: usize,
-    config: &ExploreConfig,
-    obs: &Obs,
-    symmetry: bool,
-) -> Result<Exploration<State>, PersistError> {
-    with_scope_monitors(scope, symmetry, |machine, refs| {
+    with_scope_monitors(scope, |machine, refs| {
         explore_resume_with_config_jobs(machine, refs, limits, config, jobs, obs)
     })
 }
@@ -119,14 +56,9 @@ pub fn check_scope_resume_obs_sym(
 /// them to `run` (shared by the fresh-start and resume entry points).
 fn with_scope_monitors<R>(
     scope: &Scope,
-    symmetry: bool,
     run: impl FnOnce(&TlsMachine, &[Monitor<'_, State>]) -> R,
 ) -> R {
-    let machine = if symmetry {
-        TlsMachine::new(scope.clone())
-    } else {
-        TlsMachine::new(scope.clone()).without_symmetry()
-    };
+    let machine = TlsMachine::new(scope.clone());
     let scope2 = scope.clone();
     let monitors = props::monitors();
     let boxed: Vec<(&str, BoxedPredicate)> = monitors
@@ -163,7 +95,8 @@ mod tests {
             max_states: 60_000,
             max_depth: 3,
         };
-        let result = check_scope(&scope, &limits);
+        let result =
+            check_scope_config_obs(&scope, &limits, 1, &ExploreConfig::default(), &Obs::noop());
         assert!(result.states > 10);
         // Positive properties hold in the explored region.
         for (name, expected) in expected_outcomes() {

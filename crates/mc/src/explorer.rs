@@ -7,10 +7,10 @@
 //!
 //! ## Parallel exploration
 //!
-//! [`explore_jobs`] runs the same search level-synchronously across `N`
-//! worker threads: the current frontier is partitioned into contiguous
-//! chunks, each worker expands its chunk's states into a local successor
-//! batch, and the batches are merged into the dedup index **at the level
+//! [`explore_with_config_jobs`] runs the search level-synchronously
+//! across `jobs` worker threads: the current frontier is partitioned
+//! into contiguous chunks, each worker expands its chunk's states into a
+//! local successor batch, and the batches are merged into the dedup index **at the level
 //! barrier, in frontier order** — exactly the order the sequential search
 //! visits them. Successor generation (`Model::successors`) is pure, so
 //! the merged result is *identical* to the sequential one for every
@@ -31,21 +31,13 @@ use equitls_rewrite::budget::{
     WorkerFault,
 };
 use std::collections::{HashMap, HashSet};
-use std::hash::Hash;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-/// Very coarse per-state heap estimate (state + parent edge + index slot)
-/// for the *hashed-value* visited set (models without a state encoder),
-/// used only as the tripwire for [`Budget::check`]'s memory ceiling. The
-/// point is to stop runaway explorations in the right order of magnitude,
-/// not to account precisely.
-const STATE_BYTES_ESTIMATE: u64 = 512;
-
-/// Per-state estimate of the parts that can never spill in encoded mode:
-/// the parent edge and label. The visited store accounts its own resident
-/// and unspillable bytes on top.
+/// Per-state estimate of the parts that can never spill: the parent edge
+/// and label. The visited store accounts its own resident and
+/// unspillable bytes on top.
 const STATE_FIXED_BYTES: u64 = 64;
 
 /// Barrier spill trigger: spill when the heap estimate crosses this
@@ -94,9 +86,7 @@ pub struct ExploreConfig {
     /// When set, the search writes a crash-safe snapshot of its progress
     /// to this path at level barriers (the only points where the search
     /// state is a complete, deterministic prefix of the full run), and
-    /// [`explore_resume_with_config_jobs`] can continue from it. Requires
-    /// the model to implement [`Model::encode_state`]; models that do not
-    /// simply skip the writes.
+    /// [`explore_resume_with_config_jobs`] can continue from it.
     pub checkpoint_path: Option<PathBuf>,
     /// Minimum seconds between checkpoint writes; `0` writes at every
     /// level barrier.
@@ -106,10 +96,9 @@ pub struct ExploreConfig {
     /// the tallies are consistent). Purely cosmetic: heartbeats never
     /// affect the search or its result. `0` (the default) is silent.
     pub heartbeat_every_secs: u64,
-    /// When set (and the model has a state encoder), cold visited-set
-    /// shards spill to files in this directory under memory pressure —
-    /// Murφ-style — instead of the search truncating at the budget's
-    /// heap ceiling. Spill decisions are taken only at level barriers,
+    /// When set, cold visited-set shards spill to files in this
+    /// directory under memory pressure — Murφ-style — instead of the
+    /// search truncating at the budget's heap ceiling. Spill decisions are taken only at level barriers,
     /// in shard order, so results stay bit-identical at every `jobs`
     /// value; the degradation is disclosed in
     /// [`Exploration::degradation`].
@@ -118,7 +107,7 @@ pub struct ExploreConfig {
     /// entries after each barrier (the rest spill). `0` leaves residency
     /// purely to the memory-pressure trigger.
     pub max_resident_shards: usize,
-    /// Visited-set shard count in encoded mode; `0` uses the default
+    /// Visited-set shard count; `0` uses the default
     /// ([`crate::visited::DEFAULT_SHARDS`]).
     pub spill_shards: usize,
 }
@@ -217,90 +206,23 @@ impl<S> Exploration<S> {
     }
 }
 
-/// Explore `model` breadth-first, checking `monitors` in every state.
+/// Explore `model` breadth-first on `jobs` worker threads (`0` =
+/// available parallelism), checking `monitors` in every state.
 ///
 /// Each monitor is `(name, predicate)`; a violation is recorded the first
 /// time a predicate returns `false`, and the search continues (to find
-/// violations of the other monitors).
-pub fn explore<M: Model>(
-    model: &M,
-    monitors: &[Monitor<'_, M::State>],
-    limits: &Limits,
-) -> Exploration<M::State> {
-    explore_with_obs(model, monitors, limits, &Obs::noop())
-}
-
-/// [`explore`] with an observability handle: emits a span per BFS level,
-/// frontier-size and dedup-rate gauges, and a final states/sec gauge.
-pub fn explore_with_obs<M: Model>(
-    model: &M,
-    monitors: &[Monitor<'_, M::State>],
-    limits: &Limits,
-    obs: &Obs,
-) -> Exploration<M::State> {
-    explore_with_config(model, monitors, limits, &ExploreConfig::default(), obs)
-}
-
-/// [`explore`] under an [`ExploreConfig`] budget: the search stops
-/// cooperatively when the deadline passes, the heap-estimate ceiling is
-/// crossed, or the shared cancel token fires, and returns a partial but
-/// internally consistent [`Exploration`] with a typed
-/// [`Exploration::stop_reason`].
-pub fn explore_with_config<M: Model>(
-    model: &M,
-    monitors: &[Monitor<'_, M::State>],
-    limits: &Limits,
-    config: &ExploreConfig,
-    obs: &Obs,
-) -> Exploration<M::State> {
-    explore_core(model, monitors, limits, config, obs, expand_level_seq)
-}
-
-/// [`explore`] on `jobs` worker threads (`0` = available parallelism).
+/// violations of the other monitors). The search stops cooperatively
+/// when `config`'s budget trips and returns a partial but internally
+/// consistent [`Exploration`] with a typed [`Exploration::stop_reason`].
+/// `obs` receives a span per BFS level, frontier-size and dedup-rate
+/// gauges, and a final states/sec gauge.
 ///
 /// Deterministic: for any `jobs`, the result (state count, verdicts,
-/// traces, per-level accounting) is identical to the sequential search.
-/// See the module docs for how the merge keeps it so.
-pub fn explore_jobs<M>(
-    model: &M,
-    monitors: &[Monitor<'_, M::State>],
-    limits: &Limits,
-    jobs: usize,
-) -> Exploration<M::State>
-where
-    M: Model + Sync,
-    M::State: Send + Sync,
-{
-    explore_with_obs_jobs(model, monitors, limits, jobs, &Obs::noop())
-}
-
-/// [`explore_jobs`] with an observability handle.
-pub fn explore_with_obs_jobs<M>(
-    model: &M,
-    monitors: &[Monitor<'_, M::State>],
-    limits: &Limits,
-    jobs: usize,
-    obs: &Obs,
-) -> Exploration<M::State>
-where
-    M: Model + Sync,
-    M::State: Send + Sync,
-{
-    explore_with_config_jobs(
-        model,
-        monitors,
-        limits,
-        &ExploreConfig::default(),
-        jobs,
-        obs,
-    )
-}
-
-/// [`explore_with_config`] on `jobs` worker threads (`0` = available
-/// parallelism). Injected faults and the structural limits truncate at
-/// the identical `(parent, successor)` position for every `jobs` value;
-/// real wall-clock budget trips yield a consistent partial result whose
-/// exact cut point depends on timing.
+/// traces, per-level accounting) is identical to the sequential search —
+/// see the module docs. Injected faults and the structural limits
+/// truncate at the identical `(parent, successor)` position for every
+/// `jobs` value; real wall-clock budget trips yield a consistent partial
+/// result whose exact cut point depends on timing.
 pub fn explore_with_config_jobs<M>(
     model: &M,
     monitors: &[Monitor<'_, M::State>],
@@ -313,44 +235,18 @@ where
     M: Model + Sync,
     M::State: Send + Sync,
 {
-    let jobs = resolve_jobs(jobs);
-    explore_core(
-        model,
-        monitors,
-        limits,
-        config,
-        obs,
-        move |model, search, frontier, depth, limits, obs| {
-            expand_level_par(model, search, frontier, depth, limits, jobs, obs)
-        },
-    )
-}
-
-/// The dedup set behind the search, in one of two modes:
-///
-/// * **Encoded** (models with a state codec): states live as canonical
-///   encoded bytes in a [`VisitedStore`] — compact, concurrently
-///   probeable, and spillable to disk under memory pressure.
-/// * **Plain** (encoder-less models): the original hashed-value set.
-///   No spill tier; the budget's memory ceiling truncates as before.
-enum VisitedSet<S> {
-    /// Hashed-value fallback for models without a state encoder.
-    Plain {
-        states: Vec<S>,
-        index: HashMap<S, usize>,
-    },
-    /// Encoded-bytes sharded store (the spillable path).
-    Encoded { store: VisitedStore },
+    let seed = initial_seed(model, monitors);
+    explore_driver(model, monitors, limits, config, jobs, obs, seed)
 }
 
 /// One generated successor, as a worker hands it to the merge: the
-/// decoded state plus (in encoded mode) its canonical bytes and the
-/// result of the concurrent duplicate probe. `known_dup` is only ever
-/// a *definite* hit — the merge counts it without a lookup.
+/// decoded state, its canonical bytes, and the result of the concurrent
+/// duplicate probe. `known_dup` is only ever a *definite* hit — the
+/// merge counts it without a lookup.
 struct SuccRec<S> {
     label: String,
     state: S,
-    bytes: Option<Vec<u8>>,
+    bytes: Vec<u8>,
     known_dup: bool,
 }
 
@@ -358,7 +254,9 @@ struct SuccRec<S> {
 struct Search<'m, S> {
     monitors: &'m [Monitor<'m, S>],
     config: &'m ExploreConfig,
-    visited: VisitedSet<S>,
+    /// The dedup set: every state's canonical encoded bytes, sharded,
+    /// concurrently probeable, and spillable to disk under pressure.
+    visited: VisitedStore,
     parents: Vec<(usize, String)>,
     violations: Vec<Violation<S>>,
     /// The violating state's global index, parallel to `violations`
@@ -383,31 +281,18 @@ struct Search<'m, S> {
     dedup_time: Duration,
 }
 
-impl<S: Clone + Eq + Hash> Search<'_, S> {
+impl<S: Clone> Search<'_, S> {
     /// Distinct states stored so far (every state has a parent edge).
     fn len(&self) -> usize {
         self.parents.len()
     }
 
-    /// Coarse heap estimate for the budget's memory tripwire. In encoded
-    /// mode the visited store accounts for its own resident bytes, so
-    /// the estimate *drops* when shards spill — that is the degradation:
-    /// the same ceiling that would truncate a resident run instead
-    /// steers the store onto disk.
+    /// Coarse heap estimate for the budget's memory tripwire. The visited
+    /// store accounts for its own resident bytes, so the estimate *drops*
+    /// when shards spill — that is the degradation: the same ceiling that
+    /// would truncate a resident run instead steers the store onto disk.
     fn heap_estimate(&mut self) -> u64 {
-        let n = self.parents.len() as u64;
-        match &mut self.visited {
-            VisitedSet::Plain { .. } => n * STATE_BYTES_ESTIMATE,
-            VisitedSet::Encoded { store } => n * STATE_FIXED_BYTES + store.resident_estimate(),
-        }
-    }
-
-    /// The store to probe concurrently, when in encoded mode.
-    fn probe_store(&self) -> Option<&VisitedStore> {
-        match &self.visited {
-            VisitedSet::Plain { .. } => None,
-            VisitedSet::Encoded { store } => Some(store),
-        }
+        self.parents.len() as u64 * STATE_FIXED_BYTES + self.visited.resident_estimate()
     }
 
     /// Whether a mid-level `MemoryExceeded` may be deferred to the next
@@ -415,18 +300,15 @@ impl<S: Clone + Eq + Hash> Search<'_, S> {
     /// the unspillable part (parent edges, locator, hash index) must
     /// itself fit the ceiling — otherwise spilling cannot help and the
     /// honest answer is to stop.
-    fn can_defer_memory_stop(&mut self) -> bool {
+    fn can_defer_memory_stop(&self) -> bool {
         let config = self.config;
         if config.spill_dir.is_none() {
             return false;
         }
         let fixed = self.parents.len() as u64 * STATE_FIXED_BYTES;
-        match &self.visited {
-            VisitedSet::Plain { .. } => false,
-            VisitedSet::Encoded { store } => match config.budget.max_heap_bytes() {
-                Some(max) => fixed + store.unspillable_estimate() <= max,
-                None => true,
-            },
+        match config.budget.max_heap_bytes() {
+            Some(max) => fixed + self.visited.unspillable_estimate() <= max,
+            None => true,
         }
     }
 
@@ -479,25 +361,18 @@ impl<S: Clone + Eq + Hash> Search<'_, S> {
     }
 
     /// The state at global index `idx`, decoded from the visited store
-    /// (reloading its shard if spilled) or cloned from the plain set.
+    /// (reloading its shard if spilled).
     fn state_at<M: Model<State = S>>(
         &mut self,
         model: &M,
         idx: usize,
         obs: &Obs,
     ) -> Result<S, SpillError> {
-        match &mut self.visited {
-            VisitedSet::Plain { states, .. } => Ok(states[idx].clone()),
-            VisitedSet::Encoded { store } => {
-                let bytes = store.fetch(idx, obs)?;
-                model.decode_state(&bytes).ok_or_else(|| SpillError {
-                    shard: store.shard_of(idx),
-                    error: PersistError::Malformed(format!(
-                        "state {idx} does not decode for this model"
-                    )),
-                })
-            }
-        }
+        let bytes = self.visited.fetch(idx, obs)?;
+        model.decode_state(&bytes).ok_or_else(|| SpillError {
+            shard: self.visited.shard_of(idx),
+            error: PersistError::Malformed(format!("state {idx} does not decode for this model")),
+        })
     }
 
     /// Check every monitor against the just-inserted state `idx`,
@@ -563,29 +438,14 @@ impl<S: Clone + Eq + Hash> Search<'_, S> {
         limits: &Limits,
         obs: &Obs,
     ) -> Option<StopReason> {
-        for mut rec in succs {
+        for rec in succs {
             if rec.known_dup {
                 self.dedup_hits += 1;
                 continue;
             }
-            let inserted = match &mut self.visited {
-                VisitedSet::Plain { states, index } => {
-                    if index.contains_key(&rec.state) {
-                        Ok(Lookup::Known)
-                    } else if states.len() >= limits.max_states {
-                        Ok(Lookup::CapRefused)
-                    } else {
-                        let new_idx = states.len();
-                        states.push(rec.state.clone());
-                        index.insert(rec.state.clone(), new_idx);
-                        Ok(Lookup::Inserted(new_idx))
-                    }
-                }
-                VisitedSet::Encoded { store } => {
-                    let bytes = rec.bytes.take().expect("encoded mode carries state bytes");
-                    store.lookup_or_insert(bytes, limits.max_states, obs)
-                }
-            };
+            let inserted = self
+                .visited
+                .lookup_or_insert(rec.bytes, limits.max_states, obs);
             let new_idx = match inserted {
                 Ok(Lookup::Known) => {
                     self.dedup_hits += 1;
@@ -618,15 +478,12 @@ impl<S: Clone + Eq + Hash> Search<'_, S> {
         config.spill_dir.as_ref()?;
         let fixed = self.parents.len() as u64 * STATE_FIXED_BYTES;
         let pressure_flag = std::mem::take(&mut self.mem_pressure);
-        let VisitedSet::Encoded { store } = &mut self.visited else {
-            return None;
-        };
         let over_pressure = config
             .budget
-            .memory_pressure(fixed + store.resident_estimate())
+            .memory_pressure(fixed + self.visited.resident_estimate())
             .is_some_and(|p| p >= SPILL_PRESSURE);
         let cap = config.max_resident_shards;
-        let over_cap = cap > 0 && store.resident_shard_count() > cap;
+        let over_cap = cap > 0 && self.visited.resident_shard_count() > cap;
         if !(pressure_flag || over_pressure || over_cap) {
             return None;
         }
@@ -634,7 +491,7 @@ impl<S: Clone + Eq + Hash> Search<'_, S> {
             Some(max) => (max / 2).saturating_sub(fixed),
             None => u64::MAX,
         };
-        let outcome = store.spill_until(goal, cap, obs);
+        let outcome = self.visited.spill_until(goal, cap, obs);
         if outcome.spilled > 0 && !self.degradation.iter().any(|d| d == "visited-spilled") {
             self.degradation.push("visited-spilled".into());
         }
@@ -642,22 +499,10 @@ impl<S: Clone + Eq + Hash> Search<'_, S> {
         {
             self.degradation.push("spill-write-failed".into());
         }
-        let VisitedSet::Encoded { store } = &mut self.visited else {
-            unreachable!("mode checked above");
-        };
-        config.budget.check(fixed + store.resident_estimate()).err()
-    }
-
-    /// Spill-tier counters for the final [`Exploration`]:
-    /// `(shards spilled, bytes written, reloads)`.
-    fn spill_stats(&self) -> (u64, u64, u64) {
-        match &self.visited {
-            VisitedSet::Plain { .. } => (0, 0, 0),
-            VisitedSet::Encoded { store } => {
-                let s = store.stats();
-                (s.spills, s.spill_bytes, s.reloads)
-            }
-        }
+        config
+            .budget
+            .check(fixed + self.visited.resident_estimate())
+            .err()
     }
 }
 
@@ -666,18 +511,20 @@ impl<S: Clone + Eq + Hash> Search<'_, S> {
 /// [`WorkerFault`] instead of letting it poison sibling workers. A
 /// faulted state contributes no successors; the search continues.
 ///
-/// In encoded mode (`store` is `Some`) each successor is also encoded to
-/// its canonical bytes and probed against the store — a concurrent,
-/// read-only, definite-hit-only duplicate check that moves the encoding
-/// and most hashing work off the merge thread. The probe can only say
-/// "known" for resident entries; a spilled match is still found by the
-/// merge-thread lookup, so the dedup count is identical either way.
+/// Each successor is also encoded to its canonical bytes and probed
+/// against `store` — a concurrent, read-only, definite-hit-only duplicate
+/// check that moves the encoding and most hashing work off the merge
+/// thread. The probe can only say "known" for resident entries; a
+/// spilled match is still found by the merge-thread lookup, so the dedup
+/// count is identical either way. A successor the model cannot encode
+/// breaks the [`Model::encode_state`] contract and faults its parent the
+/// same way.
 fn compute_succs<M: Model>(
     model: &M,
     state: &M::State,
     idx: usize,
     plan: Option<&FaultPlan>,
-    store: Option<&VisitedStore>,
+    store: &VisitedStore,
 ) -> Result<Vec<SuccRec<M::State>>, WorkerFault> {
     catch_unwind(AssertUnwindSafe(|| {
         if let Some(plan) = plan {
@@ -689,16 +536,10 @@ fn compute_succs<M: Model>(
             .successors(state)
             .into_iter()
             .map(|(label, succ)| {
-                let (bytes, known_dup) = match store {
-                    Some(store) => {
-                        let bytes = model
-                            .encode_state(&succ)
-                            .expect("encoded-mode model must encode every reachable state");
-                        let known_dup = store.probe(&bytes);
-                        (Some(bytes), known_dup)
-                    }
-                    None => (None, false),
-                };
+                let bytes = model
+                    .encode_state(&succ)
+                    .expect("Model::encode_state must encode every state the model produces");
+                let known_dup = store.probe(&bytes);
                 SuccRec {
                     label,
                     state: succ,
@@ -745,7 +586,7 @@ fn expand_level_seq<M: Model>(
             &current,
             idx,
             search.config.fault_plan.as_ref(),
-            search.probe_store(),
+            &search.visited,
         ) {
             Ok(succs) => succs,
             Err(fault) => {
@@ -817,7 +658,7 @@ where
         // Workers share the store read-only: probes take each shard's
         // stripe lock briefly, and the merge thread below is the only
         // writer — after this scope joins.
-        let store = search.probe_store();
+        let store = &search.visited;
         std::thread::scope(|scope| {
             let handles: Vec<_> = frontier
                 .chunks(chunk_len)
@@ -937,8 +778,8 @@ struct Barrier<'a> {
 }
 
 /// Serialize the barrier state into a snapshot payload. Returns `None`
-/// when the model does not support state encoding (or a spilled state
-/// cannot be fetched — the checkpoint is skipped, the search continues).
+/// when a state cannot be fetched from the visited store — the
+/// checkpoint is skipped, the search continues.
 ///
 /// Two formats, distinguished by a leading byte:
 ///
@@ -950,14 +791,12 @@ struct Barrier<'a> {
 ///   caller must flush first ([`VisitedStore::flush_all`]). Resume
 ///   revalidates every shard file's checksum and digest against the
 ///   manifest before trusting a byte of it.
-fn encode_checkpoint<M: Model>(
-    model: &M,
-    search: &mut Search<'_, M::State>,
+fn encode_checkpoint<S: Clone>(
+    search: &mut Search<'_, S>,
     barrier: &Barrier<'_>,
     obs: &Obs,
 ) -> Option<Vec<u8>> {
-    let manifest_mode =
-        search.config.spill_dir.is_some() && matches!(search.visited, VisitedSet::Encoded { .. });
+    let manifest_mode = search.config.spill_dir.is_some();
     let mut w = Writer::new();
     w.u8(if manifest_mode { 1 } else { 0 });
     w.usize(barrier.depth);
@@ -977,9 +816,7 @@ fn encode_checkpoint<M: Model>(
             });
             w.str(label);
         }
-        let VisitedSet::Encoded { store } = &mut search.visited else {
-            unreachable!("manifest mode is encoded mode");
-        };
+        let store = &mut search.visited;
         for &(shard, slot) in store.locator() {
             w.u32(shard);
             w.u32(slot);
@@ -992,10 +829,7 @@ fn encode_checkpoint<M: Model>(
         }
     } else {
         for idx in 0..n_states {
-            let bytes = match &mut search.visited {
-                VisitedSet::Plain { states, .. } => model.encode_state(&states[idx])?,
-                VisitedSet::Encoded { store } => store.fetch(idx, obs).ok()?,
-            };
+            let bytes = search.visited.fetch(idx, obs).ok()?;
             let (parent, label) = &search.parents[idx];
             w.bytes(&bytes);
             w.u64(if *parent == usize::MAX {
@@ -1251,9 +1085,8 @@ fn decode_checkpoint<M: Model>(
 /// Write a checkpoint at a level barrier, honoring the throttle. Write
 /// failures are contained (the search result is still correct without a
 /// snapshot) and surface as a `persist.snapshot_failed` counter.
-fn checkpoint_at_barrier<M: Model>(
-    model: &M,
-    search: &mut Search<'_, M::State>,
+fn checkpoint_at_barrier<S: Clone>(
+    search: &mut Search<'_, S>,
     barrier: &Barrier<'_>,
     obs: &Obs,
     last_write: &mut Instant,
@@ -1270,15 +1103,11 @@ fn checkpoint_at_barrier<M: Model>(
     // A manifest checkpoint references the shard files, so they must be
     // brought up to date first. A failed flush skips this checkpoint —
     // the previous snapshot stays valid, the search is unaffected.
-    if search.config.spill_dir.is_some() {
-        if let VisitedSet::Encoded { store } = &mut search.visited {
-            if !store.flush_all(obs) {
-                obs.counter("persist.snapshot_failed", 1);
-                return;
-            }
-        }
+    if search.config.spill_dir.is_some() && !search.visited.flush_all(obs) {
+        obs.counter("persist.snapshot_failed", 1);
+        return;
     }
-    let Some(payload) = encode_checkpoint(model, search, barrier, obs) else {
+    let Some(payload) = encode_checkpoint(search, barrier, obs) else {
         return;
     };
     // Deterministic persist-fault injection: the write index counts
@@ -1304,29 +1133,24 @@ fn checkpoint_at_barrier<M: Model>(
     }
 }
 
-/// The level-synchronous BFS driver, parameterized over how a level is
-/// expanded (sequentially, or fanned out over worker threads) and over
-/// its starting point (a fresh search, or a decoded checkpoint).
-fn explore_driver<M, E>(
+/// The level-synchronous BFS driver, from either starting point (a fresh
+/// search, or a decoded checkpoint). Each level is expanded on `jobs`
+/// worker threads (`0` = available parallelism); one worker takes the
+/// sequential path.
+fn explore_driver<M>(
     model: &M,
     monitors: &[Monitor<'_, M::State>],
     limits: &Limits,
     config: &ExploreConfig,
+    jobs: usize,
     obs: &Obs,
-    mut expand: E,
     seed: SearchSeed<M::State>,
 ) -> Exploration<M::State>
 where
-    M: Model,
-    E: for<'m> FnMut(
-        &M,
-        &mut Search<'m, M::State>,
-        &[usize],
-        usize,
-        &Limits,
-        &Obs,
-    ) -> Option<StopReason>,
+    M: Model + Sync,
+    M::State: Send + Sync,
 {
+    let jobs = resolve_jobs(jobs);
     let start = Instant::now();
     let SearchSeed {
         states: seed_states,
@@ -1340,36 +1164,20 @@ where
         states_per_depth: seed_states_per_depth,
         depth: seed_depth,
     } = seed;
-    // Visited-set mode: encoded canonical bytes (compact, spillable)
-    // when the model has a state codec, hashed values otherwise.
-    let encoded = seed_states
-        .first()
-        .map(|s| model.encode_state(s).is_some())
-        .unwrap_or(false);
-    let visited = if encoded {
-        let spill = config.spill_dir.clone().map(|dir| SpillSettings {
-            dir,
-            fault_plan: config.fault_plan.clone(),
-        });
-        let mut store = VisitedStore::new(config.spill_shards, spill);
-        for state in &seed_states {
-            let bytes = model.encode_state(state).expect("encoder checked above");
-            store
-                .lookup_or_insert(bytes, usize::MAX, obs)
-                .expect("a fresh store has nothing to reload");
-        }
-        debug_assert_eq!(store.len(), seed_states.len());
-        VisitedSet::Encoded { store }
-    } else {
-        let mut index = HashMap::with_capacity(seed_states.len());
-        for (idx, state) in seed_states.iter().enumerate() {
-            index.insert(state.clone(), idx);
-        }
-        VisitedSet::Plain {
-            states: seed_states,
-            index,
-        }
-    };
+    let spill = config.spill_dir.clone().map(|dir| SpillSettings {
+        dir,
+        fault_plan: config.fault_plan.clone(),
+    });
+    let mut visited = VisitedStore::new(config.spill_shards, spill);
+    for state in &seed_states {
+        let bytes = model
+            .encode_state(state)
+            .expect("Model::encode_state must encode every state the model produces");
+        visited
+            .lookup_or_insert(bytes, usize::MAX, obs)
+            .expect("a fresh store has nothing to reload");
+    }
+    debug_assert_eq!(visited.len(), seed_states.len());
     let mut search = Search {
         monitors,
         config,
@@ -1411,7 +1219,7 @@ where
         let level_faults = search.faults.len();
         let (succ_before, dedup_before) = (search.succ_time, search.dedup_time);
         let dedup_hits_before = search.dedup_hits;
-        stop = expand(model, &mut search, &frontier, depth, limits, obs);
+        stop = expand_level_par(model, &mut search, &frontier, depth, limits, jobs, obs);
         states_per_depth.push(search.len() - level_start);
         obs.gauge("mc.frontier", search.next_frontier.len() as f64);
         obs.counter("mc.states", search.next_frontier.len() as u64);
@@ -1474,7 +1282,6 @@ where
                 depth,
             };
             checkpoint_at_barrier(
-                model,
                 &mut search,
                 &barrier,
                 obs,
@@ -1498,7 +1305,6 @@ where
             depth,
         };
         checkpoint_at_barrier(
-            model,
             &mut search,
             &barrier,
             obs,
@@ -1511,7 +1317,7 @@ where
     // stopped — the dropped remainder of an interrupted level plus the
     // frontier that never got its level (also the depth-capped case).
     let unexpanded = search.unexpanded + if stop.is_some() { frontier.len() } else { 0 };
-    let (spill_shards, spill_bytes, spill_reloads) = search.spill_stats();
+    let spill = search.visited.stats();
     let result = Exploration {
         states: search.len(),
         depth_reached: depth,
@@ -1523,9 +1329,9 @@ where
         faults: search.faults,
         unexpanded,
         degradation: search.degradation,
-        spill_shards,
-        spill_bytes,
-        spill_reloads,
+        spill_shards: spill.spills,
+        spill_bytes: spill.spill_bytes,
+        spill_reloads: spill.reloads,
         duration: start.elapsed(),
     };
     if obs.enabled() {
@@ -1533,30 +1339,6 @@ where
         obs.gauge("mc.dedup_hit_rate", result.dedup_hit_rate());
     }
     result
-}
-
-/// The fresh-start driver: seed a new search and run it.
-fn explore_core<M, E>(
-    model: &M,
-    monitors: &[Monitor<'_, M::State>],
-    limits: &Limits,
-    config: &ExploreConfig,
-    obs: &Obs,
-    expand: E,
-) -> Exploration<M::State>
-where
-    M: Model,
-    E: for<'m> FnMut(
-        &M,
-        &mut Search<'m, M::State>,
-        &[usize],
-        usize,
-        &Limits,
-        &Obs,
-    ) -> Option<StopReason>,
-{
-    let seed = initial_seed(model, monitors);
-    explore_driver(model, monitors, limits, config, obs, expand, seed)
 }
 
 /// Resume an exploration from the snapshot at `config.checkpoint_path`
@@ -1587,17 +1369,8 @@ where
         .ok_or(PersistError::MissingPath)?;
     let (_meta, payload) = read_snapshot(path, SnapshotKind::Explorer, obs)?;
     let seed = decode_checkpoint(model, &payload, config.spill_dir.as_deref(), obs)?;
-    let jobs = resolve_jobs(jobs);
     Ok(explore_driver(
-        model,
-        monitors,
-        limits,
-        config,
-        obs,
-        move |model, search, frontier, depth, limits, obs| {
-            expand_level_par(model, search, frontier, depth, limits, jobs, obs)
-        },
-        seed,
+        model, monitors, limits, config, jobs, obs, seed,
     ))
 }
 
@@ -1605,6 +1378,34 @@ where
 mod tests {
     use super::*;
     use crate::model::Model;
+
+    /// One sequential exploration under the default config.
+    fn bfs<M>(
+        model: &M,
+        monitors: &[Monitor<'_, M::State>],
+        limits: &Limits,
+    ) -> Exploration<M::State>
+    where
+        M: Model + Sync,
+        M::State: Send + Sync,
+    {
+        bfs_with(model, monitors, limits, &ExploreConfig::default(), 1)
+    }
+
+    /// One exploration under `config` on `jobs` workers, unobserved.
+    fn bfs_with<M>(
+        model: &M,
+        monitors: &[Monitor<'_, M::State>],
+        limits: &Limits,
+        config: &ExploreConfig,
+        jobs: usize,
+    ) -> Exploration<M::State>
+    where
+        M: Model + Sync,
+        M::State: Send + Sync,
+    {
+        explore_with_config_jobs(model, monitors, limits, config, jobs, &Obs::noop())
+    }
 
     /// A toy counter model: increments up to 5, with a "reset" self-loop.
     struct Counter;
@@ -1672,7 +1473,7 @@ mod tests {
 
     #[test]
     fn exhausts_a_small_space() {
-        let result = explore(&Counter, &[], &Limits::default());
+        let result = bfs(&Counter, &[], &Limits::default());
         assert_eq!(result.states, 6);
         assert!(result.complete);
         assert!(result.all_hold());
@@ -1681,7 +1482,7 @@ mod tests {
     #[test]
     fn finds_a_violation_with_a_minimal_trace() {
         let below_three = |s: &u8| *s < 3;
-        let result = explore(
+        let result = bfs(
             &Counter,
             &[("below-three", &below_three)],
             &Limits::default(),
@@ -1699,7 +1500,7 @@ mod tests {
             max_states: 3,
             max_depth: 10,
         };
-        let result = explore(&Counter, &[], &limits);
+        let result = bfs(&Counter, &[], &limits);
         assert!(result.states <= 4);
         assert!(!result.complete);
     }
@@ -1710,7 +1511,7 @@ mod tests {
             max_states: 1000,
             max_depth: 2,
         };
-        let result = explore(&Counter, &[], &limits);
+        let result = bfs(&Counter, &[], &limits);
         assert_eq!(result.depth_reached, 2);
         assert!(!result.complete);
         assert_eq!(result.states_per_depth.len(), 3);
@@ -1720,7 +1521,7 @@ mod tests {
     fn counts_dedup_hits_and_rates() {
         // Every "reset" successor re-reaches state 0, and every "inc"
         // successor beyond the first visit of its target is a duplicate.
-        let result = explore(&Counter, &[], &Limits::default());
+        let result = bfs(&Counter, &[], &Limits::default());
         assert!(result.dedup_hits > 0);
         let rate = result.dedup_hit_rate();
         assert!(rate > 0.0 && rate < 1.0, "rate {rate}");
@@ -1739,7 +1540,14 @@ mod tests {
 
         let recorder = Arc::new(RecordingSink::new());
         let obs = Obs::new(recorder.clone());
-        let result = explore_with_obs(&Counter, &[], &Limits::default(), &obs);
+        let result = explore_with_config_jobs(
+            &Counter,
+            &[],
+            &Limits::default(),
+            &ExploreConfig::default(),
+            1,
+            &obs,
+        );
         let summary = MetricsSummary::from_events(&recorder.events());
         // One span per expanded BFS level.
         let levels: usize = (1..=result.depth_reached)
@@ -1758,7 +1566,7 @@ mod tests {
     #[test]
     fn reports_one_violation_per_property() {
         let never = |_: &u8| false;
-        let result = explore(&Counter, &[("never", &never)], &Limits::default());
+        let result = bfs(&Counter, &[("never", &never)], &Limits::default());
         assert_eq!(result.violations.len(), 1);
         assert_eq!(result.violations[0].depth, 0);
         assert!(result.violations[0].trace.is_empty());
@@ -1774,7 +1582,7 @@ mod tests {
                 max_states,
                 max_depth: 10,
             };
-            let result = explore(&Counter, &[], &limits);
+            let result = bfs(&Counter, &[], &limits);
             assert_eq!(
                 result.states,
                 max_states.min(6),
@@ -1807,9 +1615,9 @@ mod tests {
                 max_states,
                 max_depth: 16,
             };
-            let seq = explore(&Grid, &[], &limits);
+            let seq = bfs(&Grid, &[], &limits);
             for jobs in [2, 4] {
-                let par = explore_jobs(&Grid, &[], &limits, jobs);
+                let par = bfs_with(&Grid, &[], &limits, &ExploreConfig::default(), jobs);
                 assert_eq!(par.states, seq.states, "cap {max_states} jobs {jobs}");
                 assert_eq!(par.complete, seq.complete, "cap {max_states} jobs {jobs}");
                 assert_eq!(
@@ -1828,10 +1636,16 @@ mod tests {
     fn parallel_exploration_is_deterministic() {
         let on_diagonal = |s: &(u8, u8)| s.0 != s.1 || s.0 < 3;
         let monitors: [Monitor<'_, (u8, u8)>; 1] = [("off-diagonal", &on_diagonal)];
-        let seq = explore(&Grid, &monitors, &Limits::default());
+        let seq = bfs(&Grid, &monitors, &Limits::default());
         assert!(!seq.all_hold());
         for jobs in [1, 2, 4, 8] {
-            let par = explore_jobs(&Grid, &monitors, &Limits::default(), jobs);
+            let par = bfs_with(
+                &Grid,
+                &monitors,
+                &Limits::default(),
+                &ExploreConfig::default(),
+                jobs,
+            );
             assert_eq!(par.states, seq.states, "jobs {jobs}");
             assert_eq!(par.complete, seq.complete, "jobs {jobs}");
             assert_eq!(par.depth_reached, seq.depth_reached, "jobs {jobs}");
@@ -1879,7 +1693,7 @@ mod tests {
 
     #[test]
     fn structural_stops_carry_typed_reasons() {
-        let capped = explore(
+        let capped = bfs(
             &Counter,
             &[],
             &Limits {
@@ -1890,7 +1704,7 @@ mod tests {
         assert_eq!(capped.stop_reason, Some(StopReason::StateCapReached));
         assert!(!capped.complete);
 
-        let shallow = explore(
+        let shallow = bfs(
             &Counter,
             &[],
             &Limits {
@@ -1901,7 +1715,7 @@ mod tests {
         assert_eq!(shallow.stop_reason, Some(StopReason::DepthCapReached));
         assert!(!shallow.complete);
 
-        let full = explore(&Counter, &[], &Limits::default());
+        let full = bfs(&Counter, &[], &Limits::default());
         assert_eq!(full.stop_reason, None);
         assert!(full.complete);
     }
@@ -1913,7 +1727,7 @@ mod tests {
             fault_plan: None,
             ..Default::default()
         };
-        let result = explore_with_config(&Grid, &[], &Limits::default(), &config, &Obs::noop());
+        let result = bfs_with(&Grid, &[], &Limits::default(), &config, 1);
         assert_eq!(result.stop_reason, Some(StopReason::DeadlineExceeded));
         assert!(!result.complete);
         assert_eq!(
@@ -1930,7 +1744,7 @@ mod tests {
             fault_plan: None,
             ..Default::default()
         };
-        let result = explore_with_config(&Grid, &[], &Limits::default(), &config, &Obs::noop());
+        let result = bfs_with(&Grid, &[], &Limits::default(), &config, 1);
         assert_eq!(result.stop_reason, Some(StopReason::MemoryExceeded));
         assert_eq!(result.states, 1, "only the initial state is stored");
         assert_eq!(result.states_per_depth, vec![1]);
@@ -1945,7 +1759,7 @@ mod tests {
             fault_plan: None,
             ..Default::default()
         };
-        let result = explore_with_config(&Grid, &[], &Limits::default(), &config, &Obs::noop());
+        let result = bfs_with(&Grid, &[], &Limits::default(), &config, 1);
         assert_eq!(result.stop_reason, Some(StopReason::Cancelled));
         assert!(!result.complete);
     }
@@ -1963,7 +1777,7 @@ mod tests {
             ))),
             ..Default::default()
         };
-        let seq = explore_with_config(&Grid, &[], &Limits::default(), &config, &Obs::noop());
+        let seq = bfs_with(&Grid, &[], &Limits::default(), &config, 1);
         assert_eq!(seq.stop_reason, Some(StopReason::DeadlineExceeded));
         assert!(!seq.complete);
         assert!(
@@ -1973,14 +1787,7 @@ mod tests {
         );
         assert_eq!(seq.states_per_depth.iter().sum::<usize>(), seq.states);
         for jobs in [2, 4] {
-            let par = explore_with_config_jobs(
-                &Grid,
-                &[],
-                &Limits::default(),
-                &config,
-                jobs,
-                &Obs::noop(),
-            );
+            let par = bfs_with(&Grid, &[], &Limits::default(), &config, jobs);
             assert_eq!(par.states, seq.states, "jobs {jobs}");
             assert_eq!(par.stop_reason, seq.stop_reason, "jobs {jobs}");
             assert_eq!(par.states_per_depth, seq.states_per_depth, "jobs {jobs}");
@@ -2006,7 +1813,7 @@ mod tests {
             max_states: 1000,
             max_depth: 16,
         };
-        let seq = explore_with_config(&Grid, &[], &limits, &config, &Obs::noop());
+        let seq = bfs_with(&Grid, &[], &limits, &config, 1);
         assert_eq!(seq.faults.len(), 1);
         assert_eq!(seq.faults[0].site, "successor:3");
         assert!(
@@ -2017,7 +1824,7 @@ mod tests {
         assert!(seq.complete, "a contained fault is not an early stop");
         assert_eq!(seq.stop_reason, None);
         for jobs in [2, 4] {
-            let par = explore_with_config_jobs(&Grid, &[], &limits, &config, jobs, &Obs::noop());
+            let par = bfs_with(&Grid, &[], &limits, &config, jobs);
             assert_eq!(par.states, seq.states, "jobs {jobs}");
             assert_eq!(par.faults, seq.faults, "jobs {jobs}");
             assert_eq!(par.states_per_depth, seq.states_per_depth, "jobs {jobs}");
@@ -2034,7 +1841,7 @@ mod tests {
         use equitls_rewrite::budget::Fault;
         let on_diagonal = |s: &(u8, u8)| s.0 != s.1 || s.0 < 3;
         let monitors: [Monitor<'_, (u8, u8)>; 1] = [("off-diagonal", &on_diagonal)];
-        let straight = explore(&Grid, &monitors, &Limits::default());
+        let straight = bfs(&Grid, &monitors, &Limits::default());
         for jobs in [1usize, 2, 4] {
             let path = tmp_snapshot(&format!("grid_resume_{jobs}"));
             let _ = std::fs::remove_file(&path);
@@ -2049,13 +1856,12 @@ mod tests {
                 checkpoint_path: Some(path.clone()),
                 ..Default::default()
             };
-            let partial = explore_with_config_jobs(
+            let partial = bfs_with(
                 &Grid,
                 &monitors,
                 &Limits::default(),
                 &interrupted_config,
                 jobs,
-                &Obs::noop(),
             );
             assert_eq!(partial.stop_reason, Some(StopReason::DeadlineExceeded));
             assert!(path.exists(), "a barrier checkpoint was written");
@@ -2099,8 +1905,7 @@ mod tests {
             checkpoint_path: Some(path.clone()),
             ..Default::default()
         };
-        let straight =
-            explore_with_config(&Counter, &[], &Limits::default(), &config, &Obs::noop());
+        let straight = bfs_with(&Counter, &[], &Limits::default(), &config, 1);
         assert!(straight.complete);
         let resumed = explore_resume_with_config_jobs(
             &Counter,
@@ -2150,31 +1955,47 @@ mod tests {
     }
 
     #[test]
-    fn models_without_state_encoding_skip_checkpointing() {
-        /// Supports exploration but not persistence (the trait defaults).
-        struct Opaque;
-        impl Model for Opaque {
-            type State = u8;
-            fn initial(&self) -> u8 {
-                0
+    fn a_successor_that_does_not_encode_faults_each_parent_identically() {
+        /// The grid, except that the codec refuses the reachable state
+        /// (2,2) — a model breaking the [`Model::encode_state`] contract.
+        struct Holey;
+        impl Model for Holey {
+            type State = (u8, u8);
+            fn initial(&self) -> (u8, u8) {
+                Grid.initial()
             }
-            fn successors(&self, s: &u8) -> Vec<(String, u8)> {
-                if *s < 3 {
-                    vec![("next".into(), s + 1)]
-                } else {
-                    vec![]
-                }
+            fn successors(&self, s: &(u8, u8)) -> Vec<(String, (u8, u8))> {
+                Grid.successors(s)
+            }
+            fn encode_state(&self, s: &(u8, u8)) -> Option<Vec<u8>> {
+                (*s != (2, 2)).then(|| vec![s.0, s.1])
+            }
+            fn decode_state(&self, bytes: &[u8]) -> Option<(u8, u8)> {
+                Grid.decode_state(bytes)
             }
         }
-        let path = tmp_snapshot("opaque");
-        let _ = std::fs::remove_file(&path);
-        let config = ExploreConfig {
-            checkpoint_path: Some(path.clone()),
-            ..Default::default()
-        };
-        let result = explore_with_config(&Opaque, &[], &Limits::default(), &config, &Obs::noop());
-        assert!(result.complete, "the search itself is unaffected");
-        assert!(!path.exists(), "no snapshot is written without an encoder");
+        let run = |jobs| bfs_with(&Holey, &[], &full_limits(), &ExploreConfig::default(), jobs);
+        let seq = run(1);
+        // (2,2)'s parents are (2,1) and (1,2), states 7 and 8 in BFS
+        // order: each faults and contributes no successors. Every other
+        // state is still reached through a sibling path.
+        let sites: Vec<&str> = seq.faults.iter().map(|f| f.site.as_str()).collect();
+        assert_eq!(sites, ["successor:7", "successor:8"]);
+        assert!(
+            seq.faults
+                .iter()
+                .all(|f| f.message.contains("encode_state")),
+            "the contract is named: {:?}",
+            seq.faults
+        );
+        assert_eq!(seq.states, 24, "the grid minus (2,2)");
+        assert!(seq.complete);
+        for jobs in [2, 4] {
+            let par = run(jobs);
+            assert_eq!(par.faults, seq.faults, "jobs {jobs}");
+            assert_eq!(par.states, seq.states, "jobs {jobs}");
+            assert_eq!(par.dedup_hits, seq.dedup_hits, "jobs {jobs}");
+        }
     }
 
     fn tmp_spill_dir(name: &str) -> PathBuf {
@@ -2213,10 +2034,10 @@ mod tests {
     fn unexpanded_discloses_dropped_states_at_every_jobs_value() {
         use equitls_rewrite::budget::Fault;
         // A complete run drops nothing.
-        let full = explore(&Grid, &[], &full_limits());
+        let full = bfs(&Grid, &[], &full_limits());
         assert_eq!(full.unexpanded, 0);
         // A depth-capped run discloses the frontier it never expanded.
-        let shallow = explore(
+        let shallow = bfs(
             &Grid,
             &[],
             &Limits {
@@ -2241,26 +2062,19 @@ mod tests {
             ))),
             ..Default::default()
         };
-        let seq = explore_with_config(&Grid, &[], &Limits::default(), &config, &Obs::noop());
+        let seq = bfs_with(&Grid, &[], &Limits::default(), &config, 1);
         assert_eq!(seq.stop_reason, Some(StopReason::DeadlineExceeded));
         assert!(seq.unexpanded > 0, "a mid-level stop drops states");
         // The books balance: every state is visited, enqueued, or never
         // generated — the disclosed part is what was enqueued and dropped.
         assert_eq!(seq.states_per_depth.iter().sum::<usize>(), seq.states);
         for jobs in [2, 4] {
-            let par = explore_with_config_jobs(
-                &Grid,
-                &[],
-                &Limits::default(),
-                &config,
-                jobs,
-                &Obs::noop(),
-            );
+            let par = bfs_with(&Grid, &[], &Limits::default(), &config, jobs);
             assert_eq!(par.unexpanded, seq.unexpanded, "jobs {jobs}");
             assert_eq!(par.states, seq.states, "jobs {jobs}");
         }
         // The structural state cap also disclosed: cap the grid at 7.
-        let capped = explore(
+        let capped = bfs(
             &Grid,
             &[],
             &Limits {
@@ -2276,7 +2090,7 @@ mod tests {
     fn spilled_exploration_is_bit_identical_to_resident() {
         let on_diagonal = |s: &(u8, u8)| s.0 != s.1 || s.0 < 3;
         let monitors: [Monitor<'_, (u8, u8)>; 1] = [("off-diagonal", &on_diagonal)];
-        let resident = explore(&Grid, &monitors, &Limits::default());
+        let resident = bfs(&Grid, &monitors, &Limits::default());
         assert!(!resident.all_hold());
         for jobs in [1usize, 2, 4] {
             let dir = tmp_spill_dir(&format!("identical_{jobs}"));
@@ -2286,14 +2100,7 @@ mod tests {
                 spill_shards: 4,
                 ..Default::default()
             };
-            let spilled = explore_with_config_jobs(
-                &Grid,
-                &monitors,
-                &Limits::default(),
-                &config,
-                jobs,
-                &Obs::noop(),
-            );
+            let spilled = bfs_with(&Grid, &monitors, &Limits::default(), &config, jobs);
             assert_same_result(&spilled, &resident, &format!("jobs {jobs}"));
             assert!(spilled.spill_shards > 0, "jobs {jobs}: shards spilled");
             assert!(
@@ -2313,7 +2120,7 @@ mod tests {
         // completes by spilling — the same ceiling, disclosed degradation
         // instead of silence.
         let ceiling = 3000;
-        let truncated = explore_with_config(
+        let truncated = bfs_with(
             &Grid,
             &[],
             &full_limits(),
@@ -2321,14 +2128,14 @@ mod tests {
                 budget: Budget::unlimited().with_max_heap_bytes(ceiling),
                 ..Default::default()
             },
-            &Obs::noop(),
+            1,
         );
         assert_eq!(truncated.stop_reason, Some(StopReason::MemoryExceeded));
         assert!(!truncated.complete);
         assert!(truncated.unexpanded > 0, "the truncation is disclosed");
 
         let dir = tmp_spill_dir("pressure");
-        let spilled = explore_with_config(
+        let spilled = bfs_with(
             &Grid,
             &[],
             &full_limits(),
@@ -2338,7 +2145,7 @@ mod tests {
                 spill_shards: 4,
                 ..Default::default()
             },
-            &Obs::noop(),
+            1,
         );
         assert_eq!(spilled.stop_reason, None, "the spill tier absorbed it");
         assert!(spilled.complete);
@@ -2353,7 +2160,7 @@ mod tests {
         use equitls_rewrite::budget::Fault;
         let on_diagonal = |s: &(u8, u8)| s.0 != s.1 || s.0 < 3;
         let monitors: [Monitor<'_, (u8, u8)>; 1] = [("off-diagonal", &on_diagonal)];
-        let straight = explore(&Grid, &monitors, &Limits::default());
+        let straight = bfs(&Grid, &monitors, &Limits::default());
         let dir = tmp_spill_dir("resume");
         let path = tmp_snapshot("spilled_resume");
         let _ = std::fs::remove_file(&path);
@@ -2367,7 +2174,7 @@ mod tests {
         };
         // Interrupt mid-search, after barriers that both spilled shards
         // and wrote a manifest checkpoint.
-        let partial = explore_with_config(
+        let partial = bfs_with(
             &Grid,
             &monitors,
             &Limits::default(),
@@ -2376,7 +2183,7 @@ mod tests {
                 FaultKind::DeadlineExpiry,
                 7,
             )))),
-            &Obs::noop(),
+            1,
         );
         assert_eq!(partial.stop_reason, Some(StopReason::DeadlineExceeded));
         assert!(
@@ -2438,7 +2245,7 @@ mod tests {
     #[test]
     fn injected_spill_write_fault_degrades_without_data_loss() {
         use equitls_rewrite::budget::Fault;
-        let resident = explore(&Grid, &[], &full_limits());
+        let resident = bfs(&Grid, &[], &full_limits());
         let dir = tmp_spill_dir("wfault");
         // The very first shard write fails "disk full": that shard stays
         // resident (backpressure), the pass moves on, the search
@@ -2452,7 +2259,7 @@ mod tests {
             spill_shards: 2,
             ..Default::default()
         };
-        let faulted = explore_with_config(&Grid, &[], &full_limits(), &config, &Obs::noop());
+        let faulted = bfs_with(&Grid, &[], &full_limits(), &config, 1);
         assert!(faulted.complete, "a write fault never wedges the search");
         assert_eq!(faulted.states, resident.states);
         assert_eq!(faulted.states_per_depth, resident.states_per_depth);
@@ -2486,14 +2293,7 @@ mod tests {
                 spill_shards: 1,
                 ..Default::default()
             };
-            let result = explore_with_config_jobs(
-                &Grid,
-                &[],
-                &Limits::default(),
-                &config,
-                jobs,
-                &Obs::noop(),
-            );
+            let result = bfs_with(&Grid, &[], &Limits::default(), &config, jobs);
             let _ = std::fs::remove_dir_all(&dir);
             result
         };

@@ -4,6 +4,16 @@ use equitls_tls::concrete::{successors, Scope, State};
 use std::hash::Hash;
 
 /// An explicit-state transition system.
+///
+/// Every model supplies a state codec: the explorer's visited set holds
+/// states as their canonical encoded bytes, so it can probe them
+/// concurrently, spill them to disk, and write them into checkpoints.
+/// The contract is that [`Model::encode_state`] returns `Some` for every
+/// state the model produces, and [`Model::decode_state`] inverts it. A
+/// successor that does not encode is contained as a
+/// [`WorkerFault`](equitls_rewrite::budget::WorkerFault) on its parent,
+/// like any other panicking successor computation; an initial state that
+/// does not encode is a contract violation and panics.
 pub trait Model {
     /// The state type (hashable for the visited set).
     type State: Clone + Eq + Hash;
@@ -14,19 +24,14 @@ pub trait Model {
     /// Labeled successors of a state.
     fn successors(&self, state: &Self::State) -> Vec<(String, Self::State)>;
 
-    /// Serialize a state for checkpoint snapshots. Models that do not
-    /// support persistence return `None` (the default), which disables
-    /// checkpointing rather than producing unusable snapshots.
-    fn encode_state(&self, _state: &Self::State) -> Option<Vec<u8>> {
-        None
-    }
+    /// Serialize a state to its canonical bytes: equal states must give
+    /// equal bytes. Must return `Some` for every state the model
+    /// produces (see the trait docs).
+    fn encode_state(&self, state: &Self::State) -> Option<Vec<u8>>;
 
-    /// Inverse of [`Model::encode_state`]: decode a state from snapshot
-    /// bytes. Returns `None` on malformed input or when the model does
-    /// not support persistence.
-    fn decode_state(&self, _bytes: &[u8]) -> Option<Self::State> {
-        None
-    }
+    /// Inverse of [`Model::encode_state`]: decode a state from its bytes.
+    /// Returns `None` on malformed input.
+    fn decode_state(&self, bytes: &[u8]) -> Option<Self::State>;
 }
 
 /// The concrete TLS handshake protocol under a finite scope.
@@ -66,8 +71,8 @@ impl TlsMachine {
     }
 
     /// Disable scalarset symmetry reduction: explore the raw state space
-    /// (the `--no-symmetry` escape hatch, for cross-checking the reduced
-    /// run against the unreduced one).
+    /// (the unreduced reference, for cross-checking the reduced run
+    /// against it).
     pub fn without_symmetry(mut self) -> Self {
         self.symmetry = false;
         self
@@ -126,20 +131,19 @@ mod tests {
 
     #[test]
     fn symmetry_reduction_shrinks_the_state_space_and_keeps_verdicts() {
-        use crate::check::check_scope;
-        use crate::explorer::{explore, Limits};
+        use crate::check::check_scope_config_obs;
+        use crate::explorer::{explore_with_config_jobs, ExploreConfig, Limits};
+        use equitls_obs::sink::Obs;
         let mut scope = Scope::counterexample();
         scope.max_messages = 2;
         let limits = Limits {
             max_states: 100_000,
             max_depth: 3,
         };
-        let plain = explore(
-            &TlsMachine::new(scope.clone()).without_symmetry(),
-            &[],
-            &limits,
-        );
-        let reduced = explore(&TlsMachine::new(scope.clone()), &[], &limits);
+        let (config, obs) = (ExploreConfig::default(), Obs::noop());
+        let explore = |m: &TlsMachine| explore_with_config_jobs(m, &[], &limits, &config, 1, &obs);
+        let plain = explore(&TlsMachine::new(scope.clone()).without_symmetry());
+        let reduced = explore(&TlsMachine::new(scope.clone()));
         assert!(plain.complete && reduced.complete);
         assert!(
             reduced.states < plain.states,
@@ -148,7 +152,7 @@ mod tests {
             plain.states
         );
         // Verdicts are unchanged (monitors are symmetric).
-        let checked = check_scope(&scope, &limits);
+        let checked = check_scope_config_obs(&scope, &limits, 1, &config, &obs);
         assert!(checked.violation("prop1-pms-secrecy").is_none());
         assert!(checked.violation("prop2p-cf-authentic").is_some());
     }

@@ -4,7 +4,7 @@
 //! Boolean-ring polynomial form ([`crate::boolring`]), so proofs never run
 //! these rules one by one. Static analysis does need them spelled out: the
 //! paper's claim that `red` decides propositional logic rests on the
-//! Hsiang–Dershowitz rewrite system [5] being **terminating and
+//! Hsiang–Dershowitz rewrite system \[5\] being **terminating and
 //! confluent**, and `equitls-lint` re-checks exactly that on this rule set
 //! (an RPO-orientable precedence, an empty set of unjoinable critical
 //! pairs).

@@ -15,7 +15,7 @@
 //! * [`boolring`] — the Boolean-ring (GF(2) polynomial) normal form that
 //!   makes propositional reasoning *complete*: any propositional tautology
 //!   rewrites to `true` and any contradiction to `false`. This is the
-//!   Hsiang–Dershowitz result the paper cites as [5] for the `BOOL` module;
+//!   Hsiang–Dershowitz result the paper cites as \[5\] for the `BOOL` module;
 //! * [`equality`] — the free-constructor equality procedure that decides
 //!   `t1 = t2` for constructor terms (reflexivity, constructor clash,
 //!   injectivity) and leaves everything else as a symbolic atom, which is

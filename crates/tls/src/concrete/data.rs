@@ -203,7 +203,7 @@ pub enum FinKind {
     Server2,
 }
 
-/// A Finished hash: the §3.2 contents (role, A, B, SID, [list,] choice,
+/// A Finished hash: the §3.2 contents (role, A, B, SID, \[list,\] choice,
 /// randoms, PMS). `list` is `None` for the abbreviated-handshake hashes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FinHash {

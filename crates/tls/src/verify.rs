@@ -225,71 +225,15 @@ pub fn plan(name: &str) -> Option<&'static ProofPlan> {
     PLANS.iter().find(|p| p.name == name)
 }
 
-/// Prove one property on the given model.
-///
-/// # Errors
-///
-/// Unknown property, or an engine failure.
-pub fn verify_property(model: &mut TlsModel, name: &str) -> Result<ProofReport, CoreError> {
-    verify_property_with_jobs(model, name, &Obs::noop(), false, 1)
-}
-
-/// [`verify_property`] on `jobs` worker threads (`0` = available
-/// parallelism). The report is identical for every `jobs` value: each
-/// proof obligation runs on its own clone of the model's spec, so term
-/// arenas never cross threads (see `equitls_core::prover::ProverConfig`).
-///
-/// # Errors
-///
-/// Unknown property, or an engine failure.
-pub fn verify_property_jobs(
-    model: &mut TlsModel,
-    name: &str,
-    jobs: usize,
-) -> Result<ProofReport, CoreError> {
-    verify_property_with_jobs(model, name, &Obs::noop(), false, jobs)
-}
-
-/// [`verify_property`] with an observability handle: a span per proof
-/// obligation, rewrite/cache counters, and (when `profile_rules` is on)
-/// per-rule match/fire/time profiles emitted through `obs`.
-///
-/// # Errors
-///
-/// Unknown property, or an engine failure.
-pub fn verify_property_with(
-    model: &mut TlsModel,
-    name: &str,
-    obs: &Obs,
-    profile_rules: bool,
-) -> Result<ProofReport, CoreError> {
-    verify_property_with_jobs(model, name, obs, profile_rules, 1)
-}
-
-/// [`verify_property_with`] on `jobs` worker threads. Worker obligations
-/// share the one `obs` handle (sinks are internally synchronized), so a
-/// trace interleaves obligation spans when `jobs > 1`.
-///
-/// # Errors
-///
-/// Unknown property, or an engine failure.
-pub fn verify_property_with_jobs(
-    model: &mut TlsModel,
-    name: &str,
-    obs: &Obs,
-    profile_rules: bool,
-    jobs: usize,
-) -> Result<ProofReport, CoreError> {
-    let opts = VerifyOptions {
-        profile_rules,
-        jobs,
-        ..VerifyOptions::default()
-    };
-    verify_property_opts(model, name, &opts, obs)
-}
-
-/// Prove one property under a [`VerifyOptions`] budget — the funnel every
-/// other `verify_property*` entry point goes through.
+/// Prove one property under a [`VerifyOptions`] budget — the one entry
+/// point to the prover. `VerifyOptions::default()` runs one worker with
+/// no budget; `opts.jobs` fans obligations out over worker threads
+/// (`0` = available parallelism) with an identical report, because each
+/// obligation runs on its own clone of the model's spec. `obs` receives
+/// a span per proof obligation, rewrite counters, and (when
+/// `opts.profile_rules` is on) per-rule match/fire/time profiles;
+/// worker obligations share it, so a trace interleaves obligation spans
+/// when `jobs > 1`.
 ///
 /// # Errors
 ///
@@ -330,68 +274,18 @@ pub fn verify_property_opts(
     }
 }
 
-/// Prove every property, in campaign order.
+/// Prove every property in [`PLANS`] order through
+/// [`verify_property_opts`]. Parallelism applies within each property
+/// (its obligations fan out); properties still complete in campaign
+/// order. The budget spans the *whole campaign*: once it trips, every
+/// remaining obligation of every remaining property is skipped (reported
+/// open with a `(budget: …)` residual), so a deadline bounds the full
+/// run, not each property.
 ///
 /// # Errors
 ///
 /// First engine failure, if any (open cases are *not* errors — they are
 /// reported in the returned reports).
-pub fn verify_all(model: &mut TlsModel) -> Result<Vec<ProofReport>, CoreError> {
-    verify_all_with_jobs(model, &Obs::noop(), false, 1)
-}
-
-/// [`verify_all`] on `jobs` worker threads (`0` = available parallelism).
-/// Parallelism applies within each property (its obligations fan out);
-/// properties still complete in campaign order.
-///
-/// # Errors
-///
-/// First engine failure, if any.
-pub fn verify_all_jobs(model: &mut TlsModel, jobs: usize) -> Result<Vec<ProofReport>, CoreError> {
-    verify_all_with_jobs(model, &Obs::noop(), false, jobs)
-}
-
-/// [`verify_all`] with an observability handle (see
-/// [`verify_property_with`]).
-///
-/// # Errors
-///
-/// First engine failure, if any.
-pub fn verify_all_with(
-    model: &mut TlsModel,
-    obs: &Obs,
-    profile_rules: bool,
-) -> Result<Vec<ProofReport>, CoreError> {
-    verify_all_with_jobs(model, obs, profile_rules, 1)
-}
-
-/// [`verify_all_with`] on `jobs` worker threads.
-///
-/// # Errors
-///
-/// First engine failure, if any.
-pub fn verify_all_with_jobs(
-    model: &mut TlsModel,
-    obs: &Obs,
-    profile_rules: bool,
-    jobs: usize,
-) -> Result<Vec<ProofReport>, CoreError> {
-    let opts = VerifyOptions {
-        profile_rules,
-        jobs,
-        ..VerifyOptions::default()
-    };
-    verify_all_opts(model, &opts, obs)
-}
-
-/// [`verify_all`] under a [`VerifyOptions`] budget. The budget spans the
-/// *whole campaign*: once it trips, every remaining obligation of every
-/// remaining property is skipped (reported open with a `(budget: …)`
-/// residual), so a deadline bounds the full run, not each property.
-///
-/// # Errors
-///
-/// First engine failure, if any.
 pub fn verify_all_opts(
     model: &mut TlsModel,
     opts: &VerifyOptions,

@@ -10,7 +10,7 @@
 //! cargo run --release --example model_check [-- --jobs N] [--deadline-ms N] [--max-mem-mb N]
 //!     [--checkpoint <path>] [--checkpoint-every-secs N] [--resume]
 //!     [--profile <out.json>] [--heartbeat-every-secs N]
-//!     [--spill-dir <dir>] [--max-resident-shards N] [--no-symmetry]
+//!     [--spill-dir <dir>] [--max-resident-shards N]
 //! ```
 //!
 //! `--jobs N` explores each BFS level on N worker threads (0 = all
@@ -23,12 +23,10 @@
 //! under the same ceiling, bit-identical to an unconstrained run, with
 //! the degradation disclosed. `--max-resident-shards N` additionally
 //! caps how many shards stay resident after each level barrier.
-//! `--no-symmetry` turns off the default scalarset symmetry reduction
-//! (same verdicts over the larger raw state space). `--checkpoint
-//! <path>` snapshots each bound's BFS at level barriers (one file per
-//! network bound, `<path>.m<bound>`); `--resume` picks every bound up
-//! from its snapshot — the final tables are identical to an
-//! uninterrupted run. `--profile <out.json>` records per-level
+//! `--checkpoint <path>` snapshots each bound's BFS at level barriers
+//! (one file per network bound, `<path>.m<bound>`); `--resume` picks
+//! every bound up from its snapshot — the final tables are identical to
+//! an uninterrupted run. `--profile <out.json>` records per-level
 //! successor/dedup timing and writes a Chrome trace (open in Perfetto);
 //! `--heartbeat-every-secs N` prints a progress line to stderr at level
 //! barriers. Neither changes any verdict or count.
@@ -54,7 +52,6 @@ struct Args {
     heartbeat_every_secs: u64,
     spill_dir: Option<std::path::PathBuf>,
     max_resident_shards: usize,
-    symmetry: bool,
     inject_spill_write_fault: Option<u64>,
 }
 
@@ -70,7 +67,6 @@ fn parse_args() -> Args {
         heartbeat_every_secs: 0,
         spill_dir: None,
         max_resident_shards: 0,
-        symmetry: true,
         inject_spill_write_fault: None,
     };
     let mut args = std::env::args().skip(1);
@@ -116,7 +112,6 @@ fn parse_args() -> Args {
             "--max-resident-shards" => {
                 parsed.max_resident_shards = numeric("a shard cap") as usize;
             }
-            "--no-symmetry" => parsed.symmetry = false,
             "--inject-spill-write-fault" => {
                 parsed.inject_spill_write_fault = Some(numeric("a write-attempt index"));
             }
@@ -187,10 +182,11 @@ fn main() {
                     Fault::new(FaultSite::SpillWrite, FaultKind::IoError, n).in_scope("visited"),
                 )
             }),
-            checkpoint_path: args
-                .checkpoint
-                .as_ref()
-                .map(|p| p.with_extension(format!("m{max_messages}"))),
+            checkpoint_path: args.checkpoint.as_ref().map(|p| {
+                let mut path = p.clone().into_os_string();
+                path.push(format!(".m{max_messages}"));
+                path.into()
+            }),
             checkpoint_every_secs: args.checkpoint_every_secs,
             heartbeat_every_secs: args.heartbeat_every_secs,
             spill_dir: args
@@ -201,7 +197,7 @@ fn main() {
             spill_shards: 0,
         };
         let result = if args.resume {
-            match check_scope_resume_obs_sym(&scope, &limits, jobs, &config, &obs, args.symmetry) {
+            match check_scope_resume_obs(&scope, &limits, jobs, &config, &obs) {
                 Ok(result) => result,
                 Err(e) => {
                     eprintln!("cannot resume network bound {max_messages}: {e}");
@@ -209,7 +205,7 @@ fn main() {
                 }
             }
         } else {
-            check_scope_config_obs_sym(&scope, &limits, jobs, &config, &obs, args.symmetry)
+            check_scope_config_obs(&scope, &limits, jobs, &config, &obs)
         };
         println!(
             "network bound {max_messages}: {} states, depth {}, {:?}, complete: {}{}",

@@ -10,7 +10,9 @@
 //! ```
 
 use equitls::core::prelude::{render_passage, render_step_table, Decision};
-use equitls::tls::{verify, TlsModel};
+use equitls::obs::sink::Obs;
+use equitls::tls::verify::{verify_property_opts, VerifyOptions};
+use equitls::tls::TlsModel;
 
 fn main() {
     let child = std::thread::Builder::new()
@@ -22,9 +24,10 @@ fn main() {
 
 fn run() {
     let mut model = TlsModel::standard().expect("model builds");
+    let (opts, obs) = (VerifyOptions::default(), Obs::noop());
 
     println!("== property 1: pre-master secrets cannot be leaked ==\n");
-    let report = verify::verify_property(&mut model, "inv1").expect("prover runs");
+    let report = verify_property_opts(&mut model, "inv1", &opts, &obs).expect("prover runs");
     print!("{}", render_step_table(&report));
     println!(
         "\nverdict: {}\n",
@@ -32,7 +35,8 @@ fn run() {
     );
 
     println!("== supporting lemma: gleanable ciphertexts have gleanable payloads ==\n");
-    let lemma = verify::verify_property(&mut model, "lem-cepms-cpms").expect("prover runs");
+    let lemma =
+        verify_property_opts(&mut model, "lem-cepms-cpms", &opts, &obs).expect("prover runs");
     println!(
         "lem-cepms-cpms: {} ({} passages, {:?})\n",
         if lemma.is_proved() { "PROVED" } else { "OPEN" },

@@ -108,6 +108,8 @@ grep -q "spill-write-failed" /tmp/equitls_check_spill_fault.txt
 sed -E "$STRIP_DURATION" /tmp/equitls_check_spill_fault.txt \
     | grep -v '^  spill:' \
     | diff - /tmp/equitls_check_spill_base.txt
+# One checkpoint per network bound, named by appending `.m<bound>`.
+test -f "$SPILL_CKPT".m3
 rm -rf "$SPILL_DIR" "$SPILL_CKPT".m* /tmp/equitls_check_spill_*.txt /tmp/equitls_check_spill_corrupt.err
 
 echo "== spill determinism suite (jobs 1/2/4) =="
@@ -272,6 +274,9 @@ rm -f "$REWRITING_JSON"
 
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
+
+echo "== cargo doc -D warnings (no broken intra-doc links) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "== cargo clippy -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings

@@ -79,7 +79,13 @@ fn assert_same_exploration(resumed: &Exploration<State>, straight: &Exploration<
 fn interrupted_then_resumed_scope_check_is_identical_at_jobs_1_2_4() {
     for jobs in JOBS {
         let (scope, limits) = small_scope();
-        let straight = check_scope_jobs(&scope, &limits, jobs);
+        let straight = check_scope_config_obs(
+            &scope,
+            &limits,
+            jobs,
+            &ExploreConfig::default(),
+            &Obs::noop(),
+        );
         assert!(straight.complete, "scope finishes uninterrupted");
 
         // Interrupt: the injected "deadline" fires when frontier entry 40
@@ -98,7 +104,7 @@ fn interrupted_then_resumed_scope_check_is_identical_at_jobs_1_2_4() {
             checkpoint_every_secs: 0,
             ..ExploreConfig::default()
         };
-        let interrupted = check_scope_config(&scope, &limits, jobs, &interrupt);
+        let interrupted = check_scope_config_obs(&scope, &limits, jobs, &interrupt, &Obs::noop());
         assert!(!interrupted.complete, "fault interrupts the search");
         assert_eq!(interrupted.stop_reason, Some(StopReason::DeadlineExceeded));
         assert!(path.exists(), "barrier snapshot was written");

@@ -12,10 +12,11 @@
 //! discrimination-tree indexing must be bit-identical to a linear rule
 //! scan (it is a lookup structure, not a strategy).
 
+use equitls::core::prelude::ProofReport;
 use equitls::lint::{analyze_spec, AnalysisOptions, LintConfig};
 use equitls::mc::prelude::*;
 use equitls::obs::sink::{Obs, RecordingSink};
-use equitls::tls::concrete::Scope;
+use equitls::tls::concrete::{Scope, State};
 use equitls::tls::verify::VerifyOptions;
 use equitls::tls::{verify, TlsModel};
 use std::sync::Arc;
@@ -31,6 +32,21 @@ fn on_big_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T 
         .expect("join")
 }
 
+/// The §5 scope check on `jobs` workers under the default config.
+fn check_at(scope: &Scope, limits: &Limits, jobs: usize) -> Exploration<State> {
+    check_scope_config_obs(scope, limits, jobs, &ExploreConfig::default(), &Obs::noop())
+}
+
+/// `inv1` on a fresh standard model with `jobs` workers per property.
+fn prove_inv1(jobs: usize) -> ProofReport {
+    let opts = VerifyOptions {
+        jobs,
+        ..VerifyOptions::default()
+    };
+    let mut model = TlsModel::standard().unwrap();
+    verify::verify_property_opts(&mut model, "inv1", &opts, &Obs::noop()).unwrap()
+}
+
 #[test]
 fn tls_scope_exploration_is_identical_at_every_thread_count() {
     let mut scope = Scope::counterexample();
@@ -42,7 +58,7 @@ fn tls_scope_exploration_is_identical_at_every_thread_count() {
 
     let runs: Vec<Exploration<_>> = JOBS
         .iter()
-        .map(|&jobs| check_scope_jobs(&scope, &limits, jobs))
+        .map(|&jobs| check_at(&scope, &limits, jobs))
         .collect();
     let baseline = &runs[0];
 
@@ -86,7 +102,7 @@ fn profiling_does_not_change_results_at_any_thread_count() {
         max_states: 100_000,
         max_depth: 3,
     };
-    let baseline = check_scope_jobs(&scope, &limits, 1);
+    let baseline = check_at(&scope, &limits, 1);
 
     for jobs in JOBS {
         let recorder = Arc::new(RecordingSink::new());
@@ -111,10 +127,7 @@ fn profiling_does_not_change_results_at_any_thread_count() {
     }
 
     on_big_stack(|| {
-        let baseline = {
-            let mut model = TlsModel::standard().unwrap();
-            verify::verify_property_jobs(&mut model, "inv1", 1).unwrap()
-        };
+        let baseline = prove_inv1(1);
         for jobs in JOBS {
             let recorder = Arc::new(RecordingSink::new());
             let obs = Obs::new(recorder.clone());
@@ -231,7 +244,7 @@ fn indexed_matching_is_bit_identical_to_linear_scan() {
 }
 
 /// A proof campaign run through `verify_property_opts` may differ from
-/// the cold `verify_property_jobs` run in the `rewrites` fuel tally only
+/// the cold `prove_inv1(1)` baseline in the `rewrites` fuel tally only
 /// — never a verdict, a passage/split/proved/vacuous/open tally, or a
 /// score — at any thread count. The scoped model check runs after the
 /// campaigns in the same process and must match its own pre-campaign
@@ -245,13 +258,10 @@ fn shared_cache_changes_rewrite_counts_only() {
         max_states: 100_000,
         max_depth: 3,
     };
-    let mc_baseline = check_scope_jobs(&scope, &limits, 1);
+    let mc_baseline = check_at(&scope, &limits, 1);
 
     on_big_stack(|| {
-        let baseline = {
-            let mut model = TlsModel::standard().unwrap();
-            verify::verify_property_jobs(&mut model, "inv1", 1).unwrap()
-        };
+        let baseline = prove_inv1(1);
         assert!(baseline.is_proved());
         for jobs in JOBS {
             let opts = VerifyOptions {
@@ -281,7 +291,7 @@ fn shared_cache_changes_rewrite_counts_only() {
     });
 
     for jobs in JOBS {
-        let run = check_scope_jobs(&scope, &limits, jobs);
+        let run = check_at(&scope, &limits, jobs);
         assert_eq!(run.states, mc_baseline.states, "mc states at jobs={jobs}");
         assert_eq!(run.states_per_depth, mc_baseline.states_per_depth);
         assert_eq!(run.dedup_hits, mc_baseline.dedup_hits);
@@ -297,13 +307,7 @@ fn shared_cache_changes_rewrite_counts_only() {
 #[test]
 fn full_proof_score_is_identical_at_every_thread_count() {
     on_big_stack(|| {
-        let reports: Vec<_> = JOBS
-            .iter()
-            .map(|&jobs| {
-                let mut model = TlsModel::standard().unwrap();
-                verify::verify_property_jobs(&mut model, "inv1", jobs).unwrap()
-            })
-            .collect();
+        let reports: Vec<_> = JOBS.iter().map(|&jobs| prove_inv1(jobs)).collect();
         let baseline = &reports[0];
         assert!(baseline.is_proved());
         assert_eq!(baseline.steps.len(), 27);

@@ -7,7 +7,15 @@
 //! auxiliary lemmas) are machine-checked by the mechanized proof-score
 //! prover.
 
+use equitls::core::prelude::ProofReport;
+use equitls::obs::sink::Obs;
+use equitls::tls::verify::VerifyOptions;
 use equitls::tls::{verify, TlsModel, Variant};
+
+/// Prove `name` on `model` with the default options.
+fn prove(model: &mut TlsModel, name: &str) -> ProofReport {
+    verify::verify_property_opts(model, name, &VerifyOptions::default(), &Obs::noop()).unwrap()
+}
 
 fn on_big_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
     std::thread::Builder::new()
@@ -23,7 +31,7 @@ fn the_five_main_properties_prove_on_the_standard_protocol() {
     on_big_stack(|| {
         let mut model = TlsModel::standard().unwrap();
         for name in ["inv1", "inv2", "inv3", "inv4", "inv5"] {
-            let report = verify::verify_property(&mut model, name).unwrap();
+            let report = prove(&mut model, name);
             assert!(
                 report.is_proved(),
                 "{name} should prove; open cases: {:#?}",
@@ -38,7 +46,7 @@ fn all_thirteen_auxiliary_lemmas_prove() {
     on_big_stack(|| {
         let mut model = TlsModel::standard().unwrap();
         for plan in verify::PLANS.iter().filter(|p| p.name.starts_with("lem-")) {
-            let report = verify::verify_property(&mut model, plan.name).unwrap();
+            let report = prove(&mut model, plan.name);
             assert!(
                 report.is_proved(),
                 "{} should prove; open cases: {:#?}",
@@ -58,7 +66,7 @@ fn the_variant_protocol_satisfies_the_same_properties() {
         let mut model = TlsModel::variant().unwrap();
         assert_eq!(model.variant, Variant::ClientFinished2First);
         for name in ["inv1", "inv2", "inv3", "inv4", "inv5"] {
-            let report = verify::verify_property(&mut model, name).unwrap();
+            let report = prove(&mut model, name);
             assert!(
                 report.is_proved(),
                 "{name} should prove on the variant; open: {:#?}",
@@ -72,7 +80,7 @@ fn the_variant_protocol_satisfies_the_same_properties() {
 fn proof_reports_count_passages_and_splits() {
     on_big_stack(|| {
         let mut model = TlsModel::standard().unwrap();
-        let report = verify::verify_property(&mut model, "inv1").unwrap();
+        let report = prove(&mut model, "inv1");
         // The inductive proof covers init + all 27 transitions.
         assert_eq!(report.steps.len(), 27);
         assert!(report.total_passages() > 27, "at least one passage each");

@@ -6,6 +6,8 @@
 //! assumptions, and that they render as `open … close` blocks.
 
 use equitls::core::prelude::*;
+use equitls::obs::sink::Obs;
+use equitls::tls::verify::VerifyOptions;
 use equitls::tls::{verify, TlsModel};
 
 #[test]
@@ -65,7 +67,13 @@ fn score_recording_is_off_by_default() {
         .stack_size(512 * 1024 * 1024)
         .spawn(|| {
             let mut model = TlsModel::standard().unwrap();
-            let report = verify::verify_property(&mut model, "inv1").unwrap();
+            let report = verify::verify_property_opts(
+                &mut model,
+                "inv1",
+                &VerifyOptions::default(),
+                &Obs::noop(),
+            )
+            .unwrap();
             assert!(report.base.scores.is_empty());
             assert!(report.steps.iter().all(|s| s.scores.is_empty()));
         })
