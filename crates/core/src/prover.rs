@@ -779,19 +779,6 @@ impl<'a> Prover<'a> {
                 break;
             }
         }
-        if std::env::var("EQUITLS_DEBUG_SIH").is_ok() {
-            eprintln!(
-                "[sih] lemmas={} used={} seen={} pool={} sih_monos={}",
-                lemmas.len(),
-                used,
-                seen.len(),
-                atom_pool.len(),
-                sih_poly.monomial_count()
-            );
-            for &t in &seen {
-                eprintln!("  inst: {}", self.spec.store().display(t));
-            }
-        }
         if sih_poly.is_false() {
             // The conjunction of known invariants is false here: the case
             // is unreachable.
@@ -1039,13 +1026,7 @@ impl<'a> Prover<'a> {
                 continue;
             }
             if poly.monomial_count() == 1 {
-                let atoms: Vec<TermId> = poly
-                    .monomials()
-                    .next()
-                    .expect("single monomial")
-                    .iter()
-                    .copied()
-                    .collect();
+                let atoms = poly.monomials().next().expect("single monomial").to_vec();
                 let alg = self.spec.alg().clone();
                 let cond_term = poly.to_term(self.spec.store_mut(), &alg)?;
                 return Ok(Some(Split::Condition {

@@ -143,13 +143,11 @@ impl TermStore {
             });
         }
         let result = decl.result;
-        let expected: Vec<SortId> = decl.args.clone();
-        let name = decl.name.clone();
-        for (i, (&arg, &want)) in args.iter().zip(expected.iter()).enumerate() {
+        for (i, (&arg, &want)) in args.iter().zip(decl.args.iter()).enumerate() {
             let got = self.sort_of(arg);
             if got != want {
                 return Err(KernelError::SortMismatch {
-                    op: name,
+                    op: decl.name.clone(),
                     position: i,
                     expected: self.sig.sort(want).name.clone(),
                     got: self.sig.sort(got).name.clone(),

@@ -8,10 +8,17 @@
 //! polynomials over the two-element field GF(2), with `xor` as addition and
 //! `and` as multiplication.
 //!
-//! [`Poly`] implements that canonical form directly: a polynomial is a set
-//! of monomials (xor is idempotent-cancelling, so a set suffices) and a
-//! monomial is a set of atoms (and is idempotent). The empty polynomial is
+//! [`Poly`] implements that canonical form directly. A monomial is a
+//! conjunction of distinct atoms (`and` is idempotent), kept as a slice
+//! sorted by [`TermId`]. A polynomial is an exclusive-or of distinct
+//! monomials (`xor` is self-cancelling), kept in lexicographic slice order,
+//! so the empty monomial, if present, comes first. All monomials of one
+//! polynomial sit back to back in one flat buffer. The empty polynomial is
 //! `false`; the polynomial containing only the empty monomial is `true`.
+//!
+//! The order invariant makes the representation unique, so structural
+//! equality is logical equivalence. It also fixes the order in which
+//! [`Poly::to_term`] rebuilds, and therefore interns, a formula.
 //!
 //! Connective translations (all classical):
 //!
@@ -29,19 +36,24 @@
 
 use crate::bool_alg::BoolAlg;
 use equitls_kernel::prelude::*;
-use std::collections::BTreeSet;
+use std::cmp::Ordering;
+use std::fmt;
 
-/// A monomial: a conjunction of distinct atoms. The empty monomial is the
-/// constant `1` (true).
-pub type Monomial = BTreeSet<TermId>;
+/// A monomial: a conjunction of distinct atoms, sorted by [`TermId`]. The
+/// empty monomial is the constant `1` (true).
+pub type Monomial = [TermId];
 
 /// A polynomial over GF(2): an exclusive-or of distinct monomials.
 ///
 /// `Poly` is the canonical form of a propositional formula; two formulas
 /// are equivalent iff their polynomials are equal.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Clone, PartialEq, Eq, Default)]
 pub struct Poly {
-    monos: BTreeSet<Monomial>,
+    /// Every monomial's atoms, back to back.
+    atoms: Vec<TermId>,
+    /// `ends[k]` is one past the last atom of monomial `k`, which starts at
+    /// `ends[k - 1]` (or 0).
+    ends: Vec<u32>,
 }
 
 impl Poly {
@@ -52,18 +64,18 @@ impl Poly {
 
     /// The unit polynomial, i.e. `true`.
     pub fn one() -> Self {
-        let mut monos = BTreeSet::new();
-        monos.insert(Monomial::new());
-        Poly { monos }
+        Poly {
+            atoms: Vec::new(),
+            ends: vec![0],
+        }
     }
 
     /// The polynomial consisting of the single atom `t`.
     pub fn atom(t: TermId) -> Self {
-        let mut mono = Monomial::new();
-        mono.insert(t);
-        let mut monos = BTreeSet::new();
-        monos.insert(mono);
-        Poly { monos }
+        Poly {
+            atoms: vec![t],
+            ends: vec![1],
+        }
     }
 
     /// A truth constant as a polynomial.
@@ -78,13 +90,13 @@ impl Poly {
     /// `true` when this is the unit polynomial (the formula is a tautology
     /// relative to its atoms).
     pub fn is_true(&self) -> bool {
-        self.monos.len() == 1 && self.monos.iter().next().is_some_and(|m| m.is_empty())
+        self.ends == [0]
     }
 
     /// `true` when this is the zero polynomial (the formula is
     /// unsatisfiable relative to its atoms).
     pub fn is_false(&self) -> bool {
-        self.monos.is_empty()
+        self.ends.is_empty()
     }
 
     /// `Some(b)` when the polynomial is the constant `b`.
@@ -99,54 +111,106 @@ impl Poly {
     }
 
     /// Addition in GF(2): exclusive or. Equal monomials cancel.
+    ///
+    /// Both operands are sorted, so this is one linear merge.
     pub fn add(&self, other: &Poly) -> Poly {
-        let monos = self
-            .monos
-            .symmetric_difference(&other.monos)
-            .cloned()
-            .collect();
-        Poly { monos }
+        let mut out = Poly {
+            atoms: Vec::with_capacity(self.atoms.len() + other.atoms.len()),
+            ends: Vec::with_capacity(self.ends.len() + other.ends.len()),
+        };
+        let mut left = self.monomials().peekable();
+        let mut right = other.monomials().peekable();
+        loop {
+            let next = match (left.peek(), right.peek()) {
+                (Some(a), Some(b)) => match a.cmp(b) {
+                    Ordering::Less => left.next(),
+                    Ordering::Greater => right.next(),
+                    Ordering::Equal => {
+                        left.next();
+                        right.next();
+                        continue;
+                    }
+                },
+                (Some(_), None) => left.next(),
+                (None, Some(_)) => right.next(),
+                (None, None) => return out,
+            };
+            out.push(next.expect("peeked"));
+        }
     }
 
     /// Multiplication in GF(2): conjunction, distributed over xor.
     ///
-    /// Atom sets union (idempotence); duplicate product monomials cancel.
+    /// Every pairwise product (a sorted union: `and` is idempotent) goes
+    /// into one scratch buffer; sorting the products brings duplicates
+    /// together, and a product survives iff it occurs an odd number of
+    /// times.
     pub fn mul(&self, other: &Poly) -> Poly {
-        let mut acc = Poly::zero();
-        for a in &self.monos {
-            for b in &other.monos {
-                let product: Monomial = a.union(b).cloned().collect();
-                // xor-in the single-monomial polynomial.
-                if !acc.monos.remove(&product) {
-                    acc.monos.insert(product);
-                }
+        if self.is_true() || other.is_false() {
+            return other.clone();
+        }
+        if other.is_true() || self.is_false() {
+            return self.clone();
+        }
+        let pairs = self.ends.len() * other.ends.len();
+        let mut buf: Vec<TermId> = Vec::with_capacity(
+            self.atoms.len() * other.ends.len() + other.atoms.len() * self.ends.len(),
+        );
+        let mut spans: Vec<(u32, u32)> = Vec::with_capacity(pairs);
+        for a in self.monomials() {
+            for b in other.monomials() {
+                let start = offset(buf.len());
+                union_into(&mut buf, a, b);
+                spans.push((start, offset(buf.len())));
             }
         }
-        acc
+        let span = |&(s, e): &(u32, u32)| &buf[s as usize..e as usize];
+        spans.sort_unstable_by(|x, y| span(x).cmp(span(y)));
+        let mut out = Poly::default();
+        for run in spans.chunk_by(|x, y| span(x) == span(y)) {
+            if run.len() % 2 == 1 {
+                out.push(span(&run[0]));
+            }
+        }
+        out
     }
 
-    /// Negation: `1 + p`.
+    /// Negation: `1 + p`. The empty monomial sorts first, so this only
+    /// drops or prepends it.
     pub fn negate(&self) -> Poly {
-        self.add(&Poly::one())
+        let ends = match self.ends.first() {
+            Some(0) => self.ends[1..].to_vec(),
+            _ => std::iter::once(0)
+                .chain(self.ends.iter().copied())
+                .collect(),
+        };
+        Poly {
+            atoms: self.atoms.clone(),
+            ends,
+        }
     }
 
     /// All distinct atoms occurring in the polynomial, in `TermId` order.
     pub fn atoms(&self) -> Vec<TermId> {
-        let mut set = BTreeSet::new();
-        for m in &self.monos {
-            set.extend(m.iter().copied());
-        }
-        set.into_iter().collect()
+        let mut atoms = self.atoms.clone();
+        atoms.sort_unstable();
+        atoms.dedup();
+        atoms
     }
 
     /// Number of monomials.
     pub fn monomial_count(&self) -> usize {
-        self.monos.len()
+        self.ends.len()
     }
 
     /// Iterate over monomials in canonical order.
-    pub fn monomials(&self) -> impl Iterator<Item = &Monomial> {
-        self.monos.iter()
+    pub fn monomials(&self) -> impl Iterator<Item = &Monomial> + '_ {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let mono = &self.atoms[start..end as usize];
+            start = end as usize;
+            mono
+        })
     }
 
     /// Evaluate under a total assignment of atoms.
@@ -154,8 +218,7 @@ impl Poly {
     /// Used by the property-based tests to check the normal form against a
     /// brute-force truth table.
     pub fn eval(&self, assignment: &dyn Fn(TermId) -> bool) -> bool {
-        self.monos
-            .iter()
+        self.monomials()
             .filter(|m| m.iter().all(|&a| assignment(a)))
             .count()
             % 2
@@ -176,13 +239,12 @@ impl Poly {
         if let Some(b) = self.as_constant() {
             return Ok(alg.constant(store, b));
         }
-        let mut mono_terms = Vec::with_capacity(self.monos.len());
-        for mono in &self.monos {
+        let mut mono_terms = Vec::with_capacity(self.ends.len());
+        for mono in self.monomials() {
             if mono.is_empty() {
                 mono_terms.push(alg.tt(store));
             } else {
-                let atoms: Vec<TermId> = mono.iter().copied().collect();
-                mono_terms.push(alg.conj(store, &atoms)?);
+                mono_terms.push(alg.conj(store, mono)?);
             }
         }
         // Balanced xor tree: keeps later traversals at logarithmic depth
@@ -191,6 +253,48 @@ impl Poly {
             alg.xor(store, a, b)
         })
     }
+
+    /// Append `mono`, which must sort after every monomial already present.
+    fn push(&mut self, mono: &Monomial) {
+        self.atoms.extend_from_slice(mono);
+        self.ends.push(offset(self.atoms.len()));
+    }
+}
+
+/// An atom-buffer length as a stored offset. A truncated offset would
+/// silently change the polynomial, so overflow is a hard error.
+fn offset(len: usize) -> u32 {
+    u32::try_from(len).expect("polynomial exceeds u32::MAX atoms")
+}
+
+impl fmt::Debug for Poly {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.monomials()).finish()
+    }
+}
+
+/// Append the sorted union of the sorted atom lists `a` and `b` to `buf`.
+fn union_into(buf: &mut Vec<TermId>, a: &[TermId], b: &[TermId]) {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            Ordering::Less => {
+                buf.push(a[i]);
+                i += 1;
+            }
+            Ordering::Greater => {
+                buf.push(b[j]);
+                j += 1;
+            }
+            Ordering::Equal => {
+                buf.push(a[i]);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    buf.extend_from_slice(&a[i..]);
+    buf.extend_from_slice(&b[j..]);
 }
 
 /// A binary term constructor used to fold monomials into a tree.

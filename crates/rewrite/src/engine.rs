@@ -562,15 +562,12 @@ impl Normalizer {
                         next.push((pairs[i].0.clone(), ln, rn));
                     }
                 } else {
-                    let mut alg = self.alg.clone();
-                    let verdict = decide_equality(store, &mut alg, ln, rn)?;
+                    let verdict = decide_equality(store, &mut self.alg, ln, rn)?;
                     if verdict == EqVerdict::False {
-                        self.alg = alg;
                         self.infeasible = true;
                         continue;
                     }
-                    let oriented = orient_equation(store, &mut alg, ln, rn)?;
-                    self.alg = alg;
+                    let oriented = orient_equation(store, &mut self.alg, ln, rn)?;
                     for (k, (l2, r2)) in oriented.into_iter().enumerate() {
                         if l2 != r2 {
                             next.push((format!("{}#{k}", pairs[i].0), l2, r2));
@@ -981,9 +978,7 @@ impl Normalizer {
                 return Ok(Poly::one().add(&a).add(&b));
             }
             self.stats.eq_decisions += 1;
-            let mut alg = self.alg.clone();
-            let verdict = decide_equality(store, &mut alg, l, r)?;
-            self.alg = alg;
+            let verdict = decide_equality(store, &mut self.alg, l, r)?;
             return match verdict {
                 EqVerdict::True => Ok(Poly::one()),
                 EqVerdict::False => Ok(Poly::zero()),

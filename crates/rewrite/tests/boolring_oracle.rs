@@ -1,15 +1,20 @@
-//! Randomized completeness check for the Boolean-ring normalizer.
+//! Randomized completeness check for the Boolean-ring normalizer, and a
+//! differential check of the flat polynomial kernel.
 //!
 //! The paper (§2.1) leans on the completeness of `BOOL`'s equations for
 //! propositional logic: a formula rewrites to `true` iff it is a tautology.
 //! Here we generate random propositional formulas over a handful of atoms,
 //! evaluate them by brute-force truth table, and check the engine agrees —
-//! experiment E12 in DESIGN.md. Generation is SplitMix64-seeded (the
-//! offline build cannot depend on proptest), so every run is reproducible.
+//! experiment E12 in DESIGN.md. Separately, random polynomials run through
+//! both [`Poly`] and a nested-set reference polynomial, which must agree
+//! operation by operation and monomial by monomial. Generation is
+//! SplitMix64-seeded (the offline build cannot depend on proptest), so
+//! every run is reproducible.
 
 use equitls_kernel::prelude::*;
 use equitls_obs::rng::SplitMix64;
 use equitls_rewrite::prelude::*;
+use std::collections::BTreeSet;
 
 /// A formula AST for generation.
 #[derive(Debug, Clone)]
@@ -210,5 +215,128 @@ fn equivalent_formulas_share_a_normal_form() {
             norm.normalize(&mut store, n2).unwrap()
         };
         assert_eq!(n0, nn, "case {case}");
+    }
+}
+
+/// Reference polynomial over GF(2): a set of monomials, each a set of
+/// atoms. Set iteration order is the canonical order the flat kernel must
+/// reproduce exactly.
+#[derive(Default)]
+struct RefPoly(BTreeSet<BTreeSet<TermId>>);
+
+impl RefPoly {
+    fn one() -> Self {
+        RefPoly(BTreeSet::from([BTreeSet::new()]))
+    }
+
+    /// Xor in a single monomial.
+    fn toggle(&mut self, mono: BTreeSet<TermId>) {
+        if !self.0.remove(&mono) {
+            self.0.insert(mono);
+        }
+    }
+
+    fn add(&self, other: &RefPoly) -> RefPoly {
+        RefPoly(self.0.symmetric_difference(&other.0).cloned().collect())
+    }
+
+    fn mul(&self, other: &RefPoly) -> RefPoly {
+        let mut acc = RefPoly::default();
+        for a in &self.0 {
+            for b in &other.0 {
+                acc.toggle(a.union(b).copied().collect());
+            }
+        }
+        acc
+    }
+
+    fn atoms(&self) -> Vec<TermId> {
+        let set: BTreeSet<TermId> = self.0.iter().flatten().copied().collect();
+        set.into_iter().collect()
+    }
+
+    fn eval(&self, assignment: &dyn Fn(TermId) -> bool) -> bool {
+        let live = self.0.iter().filter(|m| m.iter().all(|&a| assignment(a)));
+        live.count() % 2 == 1
+    }
+
+    /// The same polynomial in the flat kernel, built monomial by monomial.
+    fn to_flat(&self) -> Poly {
+        self.0.iter().fold(Poly::zero(), |acc, mono| {
+            let product = mono.iter().fold(Poly::one(), |p, &a| p.mul(&Poly::atom(a)));
+            acc.add(&product)
+        })
+    }
+}
+
+/// The monomials of `p` in iteration order.
+fn monomial_list(p: &Poly) -> Vec<Vec<TermId>> {
+    p.monomials().map(<[TermId]>::to_vec).collect()
+}
+
+fn ref_monomial_list(p: &RefPoly) -> Vec<Vec<TermId>> {
+    p.0.iter().map(|m| m.iter().copied().collect()).collect()
+}
+
+const ORACLE_CASES: usize = 2_000;
+const MAX_ATOMS: usize = 10;
+const MAX_MONOMIALS: usize = 64;
+
+/// A random polynomial over `atoms`, with up to [`MAX_MONOMIALS`] monomials.
+fn gen_poly(rng: &mut SplitMix64, atoms: &[TermId]) -> RefPoly {
+    let mut p = RefPoly::default();
+    for _ in 0..rng.next_index(MAX_MONOMIALS + 1) {
+        let width = rng.next_index(atoms.len() + 1);
+        p.toggle((0..width).map(|_| *rng.choose(atoms)).collect());
+    }
+    p
+}
+
+/// The flat kernel agrees with the nested-set reference on every
+/// operation, on the exact monomial order, and on the term round trip.
+#[test]
+fn flat_kernel_matches_the_nested_set_reference() {
+    let mut sig = Signature::new();
+    let alg = BoolAlg::install(&mut sig).unwrap();
+    let mut store = TermStore::new(sig);
+    let pool: Vec<TermId> = (0..MAX_ATOMS)
+        .map(|_| store.fresh_constant("a", alg.sort()))
+        .collect();
+    let mut norm = Normalizer::new(alg.clone(), RuleSet::new());
+    let mut rng = SplitMix64::new(0x0E55);
+    for case in 0..ORACLE_CASES {
+        let atoms = &pool[..1 + rng.next_index(MAX_ATOMS)];
+        let (rp, rq) = (gen_poly(&mut rng, atoms), gen_poly(&mut rng, atoms));
+        let (p, q) = (rp.to_flat(), rq.to_flat());
+        assert_eq!(monomial_list(&p), ref_monomial_list(&rp), "case {case}");
+        assert_eq!(p.monomial_count(), rp.0.len(), "case {case}");
+        let pairs = [
+            (p.add(&q), rp.add(&rq), "add"),
+            (p.mul(&q), rp.mul(&rq), "mul"),
+            (p.negate(), rp.add(&RefPoly::one()), "negate"),
+        ];
+        for (got, want, op) in &pairs {
+            assert_eq!(
+                monomial_list(got),
+                ref_monomial_list(want),
+                "case {case}: {op}"
+            );
+        }
+        assert_eq!(p.atoms(), rp.atoms(), "case {case}: atoms");
+        for _ in 0..4 {
+            let bits = rng.next_u64();
+            let assignment = |t: TermId| {
+                let i = pool.iter().position(|&a| a == t).unwrap();
+                bits & (1 << i) != 0
+            };
+            assert_eq!(
+                p.eval(&assignment),
+                rp.eval(&assignment),
+                "case {case}: eval"
+            );
+        }
+        let term = p.to_term(&mut store, &alg).unwrap();
+        let back = norm.normalize_to_poly(&mut store, term).unwrap();
+        assert_eq!(back, p, "case {case}: round trip");
     }
 }

@@ -17,6 +17,18 @@ fn prove(model: &mut TlsModel, name: &str) -> ProofReport {
     verify::verify_property_opts(model, name, &VerifyOptions::default(), &Obs::noop()).unwrap()
 }
 
+/// Exact passage, rewrite and equality-decision totals of a proof. Any
+/// change to splitting, rewriting or the Boolean ring shows up here.
+fn assert_search_counts(report: &ProofReport, passages: usize, rewrites: u64, eqs: u64) {
+    let stats = report.total_rewrite_stats();
+    assert_eq!(
+        (report.total_passages(), stats.rewrites, stats.eq_decisions),
+        (passages, rewrites, eqs),
+        "{}: (passages, rewrites, eq decisions)",
+        report.invariant
+    );
+}
+
 fn on_big_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
     std::thread::Builder::new()
         .stack_size(512 * 1024 * 1024)
@@ -53,6 +65,11 @@ fn all_thirteen_auxiliary_lemmas_prove() {
                 plan.name,
                 report.open_cases()
             );
+            if plan.name == "lem-rand-ur" {
+                // The heaviest lemma: pins the search the Boolean ring
+                // must not move.
+                assert_search_counts(&report, 190, 5_536, 51_436);
+            }
         }
     });
 }
@@ -86,5 +103,6 @@ fn proof_reports_count_passages_and_splits() {
         assert!(report.total_passages() > 27, "at least one passage each");
         assert!(report.total_splits() > 0);
         assert!(report.base.outcome.is_proved());
+        assert_search_counts(&report, 139, 4_199, 13_371);
     });
 }
