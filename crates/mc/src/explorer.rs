@@ -5,18 +5,22 @@
 //! states breadth-first under a finite scope, check safety monitors in
 //! every state, and reconstruct a labeled trace on violation.
 //!
-//! ## Parallel exploration
+//! ## Windowed level expansion
 //!
-//! [`explore_with_config_jobs`] runs the search level-synchronously
-//! across `jobs` worker threads: the current frontier is partitioned
-//! into contiguous chunks, each worker expands its chunk's states into a
-//! local successor batch, and the batches are merged into the dedup index **at the level
-//! barrier, in frontier order** — exactly the order the sequential search
-//! visits them. Successor generation (`Model::successors`) is pure, so
-//! the merged result is *identical* to the sequential one for every
-//! thread count: same state count and numbering, same verdicts, same
-//! violation traces, same `states_per_depth`/`dedup_hits` accounting.
-//! `jobs = 1` bypasses the thread machinery and is the sequential path.
+//! [`explore_with_config_jobs`] runs the search level-synchronously. Each
+//! level streams through one loop in fixed windows of the frontier: one
+//! entry at `jobs = 1`, computed inline on the calling thread, and 128
+//! entries per worker otherwise, split into contiguous chunks across
+//! `jobs` scoped worker threads. Workers decode and expand their chunk's
+//! states into local successor batches; the merge thread folds the
+//! batches into the dedup index **in frontier order** — exactly the
+//! order a one-entry window visits them.
+//! Successor generation (`Model::successors`) is pure, so the merged
+//! result is *identical* for every thread count: same state count and
+//! numbering, same verdicts, same violation traces, same
+//! `states_per_depth`/`dedup_hits` accounting. Because only one window
+//! is in flight, a level's scratch memory is bounded by the window, not
+//! by the level's width.
 
 use crate::model::Model;
 use crate::visited::{
@@ -45,6 +49,12 @@ const STATE_FIXED_BYTES: u64 = 64;
 /// trips mid-level.
 const SPILL_PRESSURE: f64 = 0.7;
 
+/// Frontier entries each worker expands per window when `jobs > 1`. A
+/// window's encoded states and successor batches are the only per-level
+/// scratch the search holds; the budget's heap estimate does not count
+/// them.
+const WINDOW_PER_WORKER: usize = 128;
+
 /// A named safety monitor: `(name, predicate)`. A violation is recorded
 /// the first time the predicate returns `false`.
 pub type Monitor<'a, S> = (&'a str, &'a dyn Fn(&S) -> bool);
@@ -72,7 +82,7 @@ impl Default for Limits {
 /// an optional deterministic [`FaultPlan`] for the fault-injection tests.
 ///
 /// Budget trips and injected stop-kind faults are observed **at merge
-/// time, in frontier order** — the same position the sequential search
+/// time, in frontier order** — the same position a one-worker search
 /// would stop at — so injected faults truncate identically at every
 /// `jobs` value. Real wall-clock trips are consistent (a well-formed
 /// partial result) but naturally not bit-reproducible across runs.
@@ -218,7 +228,7 @@ impl<S> Exploration<S> {
 /// gauges, and a final states/sec gauge.
 ///
 /// Deterministic: for any `jobs`, the result (state count, verdicts,
-/// traces, per-level accounting) is identical to the sequential search —
+/// traces, per-level accounting) is identical to the one-worker search —
 /// see the module docs. Injected faults and the structural limits
 /// truncate at the identical `(parent, successor)` position for every
 /// `jobs` value; real wall-clock budget trips yield a consistent partial
@@ -250,7 +260,7 @@ struct SuccRec<S> {
     known_dup: bool,
 }
 
-/// Mutable search state shared by the sequential and parallel paths.
+/// Mutable search state of one exploration, owned by the merge thread.
 struct Search<'m, S> {
     monitors: &'m [Monitor<'m, S>],
     config: &'m ExploreConfig,
@@ -313,7 +323,7 @@ impl<S: Clone> Search<'_, S> {
     }
 
     /// The budget / fault-injection gate run **before** merging frontier
-    /// entry `idx`, in frontier order on every path. Injected stop-kind
+    /// entry `idx`, in frontier order at every `jobs` value. Injected stop-kind
     /// faults fire first (deterministic at any `jobs`), then the real
     /// budget. A memory-ceiling trip that the spill tier can absorb is
     /// deferred (flagged for the next barrier) instead of truncating.
@@ -506,22 +516,23 @@ impl<S: Clone> Search<'_, S> {
     }
 }
 
-/// Compute the successors of the state at global index `idx`, containing
-/// any panic (organic, or injected by the fault plan) as a typed
-/// [`WorkerFault`] instead of letting it poison sibling workers. A
-/// faulted state contributes no successors; the search continues.
+/// Decode the frontier state at global index `idx` from its canonical
+/// `bytes` and compute its successors, containing any panic (organic, or
+/// injected by the fault plan) as a typed [`WorkerFault`] instead of
+/// letting it poison sibling workers. A faulted state contributes no
+/// successors; the search continues.
 ///
 /// Each successor is also encoded to its canonical bytes and probed
 /// against `store` — a concurrent, read-only, definite-hit-only duplicate
 /// check that moves the encoding and most hashing work off the merge
 /// thread. The probe can only say "known" for resident entries; a
 /// spilled match is still found by the merge-thread lookup, so the dedup
-/// count is identical either way. A successor the model cannot encode
-/// breaks the [`Model::encode_state`] contract and faults its parent the
-/// same way.
+/// count is identical either way. Bytes the model cannot decode, or a
+/// successor it cannot encode, break the [`Model`] codec contract and
+/// fault the entry the same way.
 fn compute_succs<M: Model>(
     model: &M,
-    state: &M::State,
+    bytes: &[u8],
     idx: usize,
     plan: Option<&FaultPlan>,
     store: &VisitedStore,
@@ -532,8 +543,11 @@ fn compute_succs<M: Model>(
                 trigger_injected_panic(FaultSite::Successor, "", idx as u64);
             }
         }
+        let state = model
+            .decode_state(bytes)
+            .expect("Model::decode_state must decode every state encode_state produced");
         model
-            .successors(state)
+            .successors(&state)
             .into_iter()
             .map(|(label, succ)| {
                 let bytes = model
@@ -555,70 +569,63 @@ fn compute_succs<M: Model>(
     })
 }
 
-/// Expand one level sequentially: generate and merge entry by entry, so
-/// no successors are computed past the truncation point. On any stop the
-/// rest of the frontier is accounted as unexpanded (the mid-level
-/// truncation disclosure).
-fn expand_level_seq<M: Model>(
+/// One window's successor batches, one per entry of `window` in order:
+/// inline on the calling thread when one worker suffices, otherwise on
+/// up to `jobs` scoped workers over contiguous chunks of the window.
+/// Workers share `store` read-only (probes take each shard's stripe lock
+/// briefly); the merge thread is the only writer, after they join.
+fn expand_window<M>(
     model: &M,
-    search: &mut Search<'_, M::State>,
-    frontier: &[usize],
-    depth: usize,
-    limits: &Limits,
-    obs: &Obs,
-) -> Option<StopReason> {
-    for (pos, &idx) in frontier.iter().enumerate() {
-        if let Some(stop) = search.pre_merge_stop(idx) {
-            search.unexpanded += frontier.len() - pos;
-            return Some(stop);
-        }
-        let current = match search.state_at(model, idx, obs) {
-            Ok(state) => state,
-            Err(e) => {
-                let stop = search.spill_failure(e);
-                search.unexpanded += frontier.len() - pos;
-                return Some(stop);
-            }
-        };
-        let gen_start = search.timed.then(Instant::now);
-        let succs = match compute_succs(
-            model,
-            &current,
-            idx,
-            search.config.fault_plan.as_ref(),
-            &search.visited,
-        ) {
-            Ok(succs) => succs,
-            Err(fault) => {
-                search.faults.push(fault);
-                Vec::new()
-            }
-        };
-        let merge_start = search.timed.then(Instant::now);
-        if let (Some(g), Some(m)) = (gen_start, merge_start) {
-            search.succ_time += m.duration_since(g);
-        }
-        let stop = search.merge_entry(model, idx, succs, depth, limits, obs);
-        if let Some(m) = merge_start {
-            search.dedup_time += m.elapsed();
-        }
-        if let Some(stop) = stop {
-            search.unexpanded += frontier.len() - pos;
-            return Some(stop);
-        }
+    window: &[usize],
+    bytes: &[Vec<u8>],
+    jobs: usize,
+    plan: Option<&FaultPlan>,
+    store: &VisitedStore,
+) -> Vec<Result<Vec<SuccRec<M::State>>, WorkerFault>>
+where
+    M: Model + Sync,
+    M::State: Send + Sync,
+{
+    let expand = |(&idx, bytes): (&usize, &Vec<u8>)| compute_succs(model, bytes, idx, plan, store);
+    let workers = jobs.min(window.len());
+    if workers <= 1 {
+        return window.iter().zip(bytes).map(expand).collect();
     }
-    None
+    let chunk_len = window.len().div_ceil(workers);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = window
+            .chunks(chunk_len)
+            .zip(bytes.chunks(chunk_len))
+            .map(|(idxs, bytes)| {
+                scope.spawn(move || idxs.iter().zip(bytes).map(expand).collect::<Vec<_>>())
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("explorer worker panicked"))
+            .collect()
+    })
 }
 
-/// Expand one level on `jobs` scoped worker threads, then merge the
-/// batches at the barrier in frontier order. Returns `Some(reason)` on
-/// truncation — detected at the same `(parent, successor)` position the
-/// sequential expansion would stop at, so the accounting agrees. Worker
-/// panics are contained *inside* each worker ([`compute_succs`]), and the
-/// resulting faults are recorded at merge time in frontier order, so a
-/// poisoned entry never disturbs its siblings and the fault list is
-/// identical at every `jobs` value.
-fn expand_level_par<M>(
+/// Expand one BFS level in fixed windows of the frontier — one entry at
+/// `jobs = 1`, [`WINDOW_PER_WORKER`] entries per worker otherwise — so
+/// the scratch memory of a level is one window's states and successor
+/// batches, however wide the level. For each window the merge thread
+/// fetches the encoded states (the only place a spilled shard reloads,
+/// in frontier order), the workers decode and expand them
+/// ([`expand_window`]), and the merge thread merges the batches in
+/// frontier order — exactly the order a one-entry window visits them.
+///
+/// Returns `Some(reason)` on truncation, detected at the same
+/// `(parent, successor)` position at every `jobs` value, with the entry
+/// the stop landed on and everything after it disclosed as unexpanded.
+/// At most one window of successors is computed past that point. Worker
+/// panics are contained inside each worker ([`compute_succs`]) and
+/// recorded at merge time in frontier order, so the fault list is
+/// identical at every `jobs` value. A failed fetch stops the level at
+/// its entry once the entries before it are merged, as a one-entry
+/// window would.
+fn expand_level<M>(
     model: &M,
     search: &mut Search<'_, M::State>,
     frontier: &[usize],
@@ -631,93 +638,68 @@ where
     M: Model + Sync,
     M::State: Send + Sync,
 {
-    if jobs <= 1 || frontier.len() < 2 {
-        return expand_level_seq(model, search, frontier, depth, limits, obs);
-    }
-    // Fetch every frontier state up front on the merge thread — the one
-    // place a spilled shard may need reloading, kept out of the workers
-    // so reloads stay deterministic (frontier order) at every `jobs`.
-    let mut frontier_states: Vec<M::State> = Vec::with_capacity(frontier.len());
-    for (pos, &idx) in frontier.iter().enumerate() {
-        match search.state_at(model, idx, obs) {
-            Ok(state) => frontier_states.push(state),
-            Err(e) => {
-                let stop = search.spill_failure(e);
-                search.unexpanded += frontier.len() - pos;
-                return Some(stop);
+    let window_len = if jobs <= 1 {
+        1
+    } else {
+        jobs * WINDOW_PER_WORKER
+    };
+    let mut pos = 0;
+    for window in frontier.chunks(window_len) {
+        let mut bytes = Vec::with_capacity(window.len());
+        let mut fetch_error = None;
+        for &idx in window {
+            match search.visited.fetch(idx, obs) {
+                Ok(b) => bytes.push(b),
+                Err(e) => {
+                    fetch_error = Some(e);
+                    break;
+                }
             }
         }
-    }
-    // One successor result per frontier entry, grouped by worker chunk.
-    type Batch<S> = Vec<Result<Vec<SuccRec<S>>, WorkerFault>>;
-    let workers = jobs.min(frontier.len());
-    let chunk_len = frontier.len().div_ceil(workers);
-    let gen_start = search.timed.then(Instant::now);
-    let batches: Vec<Batch<M::State>> = {
+        let ready = &window[..bytes.len()];
+        let gen_start = search.timed.then(Instant::now);
         let plan = search.config.fault_plan.as_ref();
-        // Workers share the store read-only: probes take each shard's
-        // stripe lock briefly, and the merge thread below is the only
-        // writer — after this scope joins.
-        let store = &search.visited;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = frontier
-                .chunks(chunk_len)
-                .zip(frontier_states.chunks(chunk_len))
-                .map(|(chunk, states)| {
-                    scope.spawn(move || {
-                        chunk
-                            .iter()
-                            .zip(states)
-                            .map(|(&idx, state)| compute_succs(model, state, idx, plan, store))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("explorer worker panicked"))
-                .collect()
-        })
-    };
-    // Phase accounting is wall-clock per phase: the scoped-thread block
-    // above is pure successor generation, the merge loop below is pure
-    // dedup/monitor work on the main thread.
-    let merge_start = search.timed.then(Instant::now);
-    if let (Some(g), Some(m)) = (gen_start, merge_start) {
-        search.succ_time += m.duration_since(g);
-    }
-    let mut stop = None;
-    let mut merged = 0usize;
-    'merge: for (chunk, batch) in frontier.chunks(chunk_len).zip(batches) {
-        for (&idx, succs) in chunk.iter().zip(batch) {
-            if let Some(reason) = search.pre_merge_stop(idx) {
-                stop = Some(reason);
-                break 'merge;
-            }
-            let succs = match succs {
-                Ok(succs) => succs,
-                Err(fault) => {
+        let batches = expand_window(model, ready, &bytes, jobs, plan, &search.visited);
+        drop(bytes);
+        // Phase accounting is wall-clock per phase: the expansion above
+        // is pure successor generation, the merge below is pure
+        // dedup/monitor work on the merge thread.
+        let merge_start = search.timed.then(Instant::now);
+        if let (Some(g), Some(m)) = (gen_start, merge_start) {
+            search.succ_time += m.duration_since(g);
+        }
+        let mut stop = None;
+        for (&idx, succs) in ready.iter().zip(batches) {
+            stop = search.pre_merge_stop(idx).or_else(|| {
+                let succs = succs.unwrap_or_else(|fault| {
                     search.faults.push(fault);
                     Vec::new()
-                }
-            };
-            if let Some(reason) = search.merge_entry(model, idx, succs, depth, limits, obs) {
-                stop = Some(reason);
-                break 'merge;
+                });
+                search.merge_entry(model, idx, succs, depth, limits, obs)
+            });
+            if stop.is_some() {
+                break;
             }
-            merged += 1;
+            pos += 1;
+        }
+        // A one-entry window gates the entry before its fetch fails, so a
+        // budget stop at that entry still takes precedence.
+        if let (None, Some(e)) = (&stop, fetch_error) {
+            stop = Some(
+                search
+                    .pre_merge_stop(frontier[pos])
+                    .unwrap_or_else(|| search.spill_failure(e)),
+            );
+        }
+        if let Some(m) = merge_start {
+            search.dedup_time += m.elapsed();
+        }
+        if stop.is_some() {
+            search.unexpanded += frontier.len() - pos;
+            return stop;
         }
     }
-    if stop.is_some() {
-        // The same disclosure the sequential path makes: the entry the
-        // stop landed on and everything after it were never (fully)
-        // expanded.
-        search.unexpanded += frontier.len() - merged;
-    }
-    if let Some(m) = merge_start {
-        search.dedup_time += m.elapsed();
-    }
-    stop
+    None
 }
 
 /// Everything the BFS driver needs to start (or restart) at a level
@@ -1134,9 +1116,9 @@ fn checkpoint_at_barrier<S: Clone>(
 }
 
 /// The level-synchronous BFS driver, from either starting point (a fresh
-/// search, or a decoded checkpoint). Each level is expanded on `jobs`
-/// worker threads (`0` = available parallelism); one worker takes the
-/// sequential path.
+/// search, or a decoded checkpoint). Each level is expanded by
+/// [`expand_level`] on `jobs` worker threads (`0` = available
+/// parallelism).
 fn explore_driver<M>(
     model: &M,
     monitors: &[Monitor<'_, M::State>],
@@ -1219,7 +1201,7 @@ where
         let level_faults = search.faults.len();
         let (succ_before, dedup_before) = (search.succ_time, search.dedup_time);
         let dedup_hits_before = search.dedup_hits;
-        stop = expand_level_par(model, &mut search, &frontier, depth, limits, jobs, obs);
+        stop = expand_level(model, &mut search, &frontier, depth, limits, jobs, obs);
         states_per_depth.push(search.len() - level_start);
         obs.gauge("mc.frontier", search.next_frontier.len() as f64);
         obs.counter("mc.states", search.next_frontier.len() as u64);
@@ -1829,6 +1811,121 @@ mod tests {
             assert_eq!(par.faults, seq.faults, "jobs {jobs}");
             assert_eq!(par.states_per_depth, seq.states_per_depth, "jobs {jobs}");
             assert_eq!(par.violations.len(), seq.violations.len(), "jobs {jobs}");
+        }
+    }
+
+    /// A two-level fan wider than three windows at `jobs = 4`: the root
+    /// reaches `(1, i)` for every `i < width`, and each `(1, i)` reaches
+    /// one new state `(2, i)` plus the duplicate `(2, 0)`. Counts every
+    /// successor computation.
+    struct Fan {
+        width: u16,
+        calls: std::sync::atomic::AtomicUsize,
+    }
+
+    impl Model for Fan {
+        type State = (u8, u16);
+
+        fn initial(&self) -> (u8, u16) {
+            (0, 0)
+        }
+
+        fn successors(&self, &(level, i): &(u8, u16)) -> Vec<(String, (u8, u16))> {
+            self.calls
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            match level {
+                0 => (0..self.width)
+                    .map(|j| (format!("fan{j}"), (1, j)))
+                    .collect(),
+                1 => vec![("keep".into(), (2, i)), ("merge".into(), (2, 0))],
+                _ => Vec::new(),
+            }
+        }
+
+        fn encode_state(&self, &(level, i): &(u8, u16)) -> Option<Vec<u8>> {
+            let [hi, lo] = i.to_be_bytes();
+            Some(vec![level, hi, lo])
+        }
+
+        fn decode_state(&self, bytes: &[u8]) -> Option<(u8, u16)> {
+            match bytes {
+                [level, hi, lo] => Some((*level, u16::from_be_bytes([*hi, *lo]))),
+                _ => None,
+            }
+        }
+    }
+
+    #[test]
+    fn a_stop_in_a_later_window_is_identical_and_wastes_at_most_one_window() {
+        use equitls_rewrite::budget::Fault;
+        use std::sync::atomic::Ordering;
+        const WIDTH: usize = 2000;
+        const { assert!(WIDTH > 3 * 4 * WINDOW_PER_WORKER) };
+        // Both stops land on depth-1 frontier position 1100 (global state
+        // index 1101), inside the third window at jobs 4: an injected
+        // deadline, and a state cap that refuses that entry's new state.
+        let stop_pos = 1100;
+        assert_eq!(stop_pos / (4 * WINDOW_PER_WORKER), 2);
+        let deadline = ExploreConfig {
+            fault_plan: Some(FaultPlan::new().with_fault(Fault::new(
+                FaultSite::Successor,
+                FaultKind::DeadlineExpiry,
+                stop_pos as u64 + 1,
+            ))),
+            ..Default::default()
+        };
+        let cases = [
+            (
+                "deadline",
+                deadline,
+                full_limits(),
+                StopReason::DeadlineExceeded,
+            ),
+            (
+                "cap",
+                ExploreConfig::default(),
+                Limits {
+                    max_states: 1 + WIDTH + stop_pos,
+                    max_depth: 16,
+                },
+                StopReason::StateCapReached,
+            ),
+        ];
+        for (tag, config, limits, reason) in cases {
+            let run = |jobs: usize| {
+                let fan = Fan {
+                    width: WIDTH as u16,
+                    calls: Default::default(),
+                };
+                let result = bfs_with(&fan, &[], &limits, &config, jobs);
+                (result, fan.calls.load(Ordering::Relaxed))
+            };
+            let (seq, seq_calls) = run(1);
+            assert_eq!(seq.stop_reason, Some(reason), "{tag}");
+            assert_eq!(seq.states_per_depth, [1, WIDTH, stop_pos], "{tag}");
+            // The dropped depth-1 remainder plus the enqueued depth-2 states.
+            assert_eq!(seq.unexpanded, (WIDTH - stop_pos) + stop_pos, "{tag}");
+            // The root, then at most the depth-1 entries up to the stop.
+            assert!(seq_calls <= 1 + stop_pos + 1, "{tag}: {seq_calls} calls");
+            for jobs in [2, 4] {
+                let (par, calls) = run(jobs);
+                assert_eq!(par.states, seq.states, "{tag} jobs {jobs}");
+                assert_eq!(par.stop_reason, seq.stop_reason, "{tag} jobs {jobs}");
+                assert_eq!(par.unexpanded, seq.unexpanded, "{tag} jobs {jobs}");
+                assert_eq!(
+                    par.states_per_depth, seq.states_per_depth,
+                    "{tag} jobs {jobs}"
+                );
+                assert_eq!(par.dedup_hits, seq.dedup_hits, "{tag} jobs {jobs}");
+                if jobs == 2 {
+                    // Whole-level batching would expand all WIDTH
+                    // entries; the window bounds the waste.
+                    assert!(
+                        calls <= seq_calls + jobs * WINDOW_PER_WORKER,
+                        "{tag}: {calls} successor calls at jobs 2"
+                    );
+                }
+            }
         }
     }
 

@@ -70,6 +70,14 @@ test "$(find "$SPILL_DIR" -name '*.vshard' | wc -l)" -ge 1
 sed -E "$STRIP_DURATION" /tmp/equitls_check_spill_full.txt \
     | grep -v '^  spill:' \
     | diff - /tmp/equitls_check_spill_base.txt
+# One worker runs the same windowed expansion loop: same baseline, once
+# the header's worker count is set to the baseline's.
+SPILL_DIR_J1="$(mktemp -d /tmp/equitls_check_spill_XXXXXX)"
+$MC --jobs 1 --max-mem-mb 16 --spill-dir "$SPILL_DIR_J1" \
+    | sed -E "$STRIP_DURATION" | grep -v '^  spill:' \
+    | sed -E 's/scope, 1 worker threads\)/scope, 2 worker threads)/' \
+    | diff - /tmp/equitls_check_spill_base.txt
+rm -rf "$SPILL_DIR_J1"
 # A byte-flipped shard fails the resume with a typed error and exit 2 …
 VSHARD="$(find "$SPILL_DIR" -name '*.vshard' | sort | tail -1)"
 python3 - "$VSHARD" <<'EOF'

@@ -266,3 +266,54 @@ fn injected_spill_write_fault_never_changes_the_verdicts() {
         let _ = std::fs::remove_dir_all(&dir);
     });
 }
+
+#[test]
+fn spill_read_fault_stops_identically_at_jobs_1_2_4() {
+    on_big_stack(|| {
+        let (scope, limits) = small_scope();
+        // Each shard in turn fails every read-back. Wherever the first
+        // failed reload lands — a frontier fetch, or a dedup lookup while
+        // merging — the search stops there, typed, with the entries
+        // before it merged and the rest disclosed, at every jobs value.
+        let mut stopped = Vec::new();
+        for shard in 0..8 {
+            let plan = FaultPlan::new().with_fault(
+                Fault::new(FaultSite::SpillRead, FaultKind::IoError, shard).in_scope("visited"),
+            );
+            let run = |jobs: usize| {
+                let dir = tmp_spill_dir(&format!("rfault_s{shard}_j{jobs}"));
+                let result = check_scope_config_obs(
+                    &scope,
+                    &limits,
+                    jobs,
+                    &spill_config(&dir, Some(plan.clone())),
+                    &Obs::noop(),
+                );
+                let _ = std::fs::remove_dir_all(&dir);
+                result
+            };
+            let seq = run(1);
+            if seq.stop_reason == Some(StopReason::SpillFailed) {
+                stopped.push(shard);
+                let site = format!("spill:shard{shard}");
+                assert!(
+                    seq.faults.iter().any(|f| f.site == site),
+                    "shard {shard}: typed fault recorded, got {:?}",
+                    seq.faults
+                );
+            }
+            for jobs in [2, 4] {
+                let par = run(jobs);
+                let ctx = format!("shard {shard} jobs={jobs}");
+                assert_same_exploration(&par, &seq, &ctx);
+                assert_eq!(par.faults, seq.faults, "faults {ctx}");
+            }
+        }
+        // Shard 7 is never read back in this scope, so it never fails.
+        assert_eq!(
+            stopped,
+            [0, 1, 2, 3, 4, 5, 6],
+            "shards whose read-back stops"
+        );
+    });
+}
