@@ -433,8 +433,8 @@ impl<'a> Prover<'a> {
         self.search(
             &mut norm, goal, pre_state, lemmas, 0, &mut trail, &mut stats, &mut open,
         )?;
-        // Branch clones were absorbed back into `norm`, so its counters
-        // cover the whole obligation.
+        // Every branch ran in a scope of `norm`, so its counters cover the
+        // whole obligation.
         let rewrite_stats = norm.stats();
         stats.metrics.rewrites = rewrite_stats.rewrites;
         norm.emit_profile();
@@ -529,8 +529,7 @@ impl<'a> Prover<'a> {
                         // TRUE branch: assume each conjunct, equalities
                         // first so their orientations reach the rest.
                         {
-                            let mut branch = norm.clone();
-                            branch.reset_stats();
+                            norm.push_scope();
                             let mut feasible = true;
                             let mut stop: Option<String> = None;
                             let mut ordered = atoms.clone();
@@ -545,7 +544,7 @@ impl<'a> Prover<'a> {
                                 (!is_eq, self.spec.store().size(a))
                             });
                             for &atom in &ordered {
-                                match self.assume_atom(&mut branch, atom, true) {
+                                match self.assume_atom(norm, atom, true) {
                                     Ok(true) => {}
                                     Ok(false) => {
                                         feasible = false;
@@ -565,7 +564,7 @@ impl<'a> Prover<'a> {
                                 self.leaf_open(stats, open, trail, &residual);
                             } else if feasible {
                                 self.search(
-                                    &mut branch,
+                                    norm,
                                     goal,
                                     pre_state,
                                     lemmas,
@@ -577,17 +576,16 @@ impl<'a> Prover<'a> {
                             } else {
                                 self.leaf_vacuous(stats);
                             }
-                            norm.absorb(&branch);
+                            norm.pop_scope();
                             trail.pop();
                         }
                         // FALSE branch: the whole condition is false.
                         {
-                            let mut branch = norm.clone();
-                            branch.reset_stats();
-                            let feasible = match self.assume_term(&mut branch, cond, false) {
+                            norm.push_scope();
+                            let feasible = match self.assume_term(norm, cond, false) {
                                 Ok(f) => f,
                                 Err(e) if is_budget_error(&e) => {
-                                    norm.absorb(&branch);
+                                    norm.pop_scope();
                                     self.leaf_open(stats, open, trail, &budget_residual(&e));
                                     return Ok(());
                                 }
@@ -598,7 +596,7 @@ impl<'a> Prover<'a> {
                             });
                             if feasible {
                                 self.search(
-                                    &mut branch,
+                                    norm,
                                     goal,
                                     pre_state,
                                     lemmas,
@@ -610,7 +608,7 @@ impl<'a> Prover<'a> {
                             } else {
                                 self.leaf_vacuous(stats);
                             }
-                            norm.absorb(&branch);
+                            norm.pop_scope();
                             trail.pop();
                         }
                         Ok(())
@@ -619,12 +617,11 @@ impl<'a> Prover<'a> {
                         stats.metrics.splits += 1;
                         self.obs.counter("prover.split:atom", 1);
                         for value in [true, false] {
-                            let mut branch = norm.clone();
-                            branch.reset_stats();
-                            let feasible = match self.assume_atom(&mut branch, atom, value) {
+                            norm.push_scope();
+                            let feasible = match self.assume_atom(norm, atom, value) {
                                 Ok(f) => f,
                                 Err(e) if is_budget_error(&e) => {
-                                    norm.absorb(&branch);
+                                    norm.pop_scope();
                                     self.leaf_open(stats, open, trail, &budget_residual(&e));
                                     continue;
                                 }
@@ -636,7 +633,7 @@ impl<'a> Prover<'a> {
                             });
                             if feasible {
                                 self.search(
-                                    &mut branch,
+                                    norm,
                                     goal,
                                     pre_state,
                                     lemmas,
@@ -648,7 +645,7 @@ impl<'a> Prover<'a> {
                             } else {
                                 self.leaf_vacuous(stats);
                             }
-                            norm.absorb(&branch);
+                            norm.pop_scope();
                             trail.pop();
                         }
                         Ok(())
@@ -704,7 +701,7 @@ impl<'a> Prover<'a> {
             return Ok((Leaf::Proved, blocked, Vec::new()));
         }
         if lemmas.is_empty() {
-            let leaf = Leaf::Open(self.render_residual(norm, n)?);
+            let leaf = Leaf::Open(self.render_residual(n));
             return Ok((leaf, blocked, Vec::new()));
         }
         let goal_poly = norm.normalize_to_poly(self.spec.store_mut(), n)?;
@@ -785,7 +782,7 @@ impl<'a> Prover<'a> {
             return Ok((Leaf::Vacuous, blocked, atom_pool));
         }
         if used == 0 {
-            let leaf = Leaf::Open(self.render_residual(norm, n)?);
+            let leaf = Leaf::Open(self.render_residual(n));
             return Ok((leaf, blocked, atom_pool));
         }
         // goal2 = sih implies goal = 1 + sih + sih·goal, all in the ring.
@@ -793,17 +790,13 @@ impl<'a> Prover<'a> {
         if goal2.is_true() {
             return Ok((Leaf::Proved, blocked, atom_pool));
         }
-        let leaf = Leaf::Open(self.render_residual(norm, n)?);
+        let leaf = Leaf::Open(self.render_residual(n));
         Ok((leaf, blocked, atom_pool))
     }
 
-    fn render_residual(&mut self, _norm: &mut Normalizer, n: TermId) -> Result<String, CoreError> {
-        let rendered = self.spec.store().display(n).to_string();
-        Ok(if rendered.len() > 400 {
-            format!("{}…", &rendered[..400])
-        } else {
-            rendered
-        })
+    /// The residual goal of an open case, rendered and truncated.
+    fn render_residual(&self, n: TermId) -> String {
+        truncate_residual(self.spec.store().display(n).to_string())
     }
 
     /// Candidate terms per sort, harvested from goal atoms.
@@ -1409,6 +1402,23 @@ fn run_tasks(ctx: &TaskCtx<'_>, tasks: &[Task<'_>]) -> Result<Vec<StepReport>, C
 
 /// A recoverable rewriting stop: fuel ran out or the shared budget
 /// tripped. Both leave the current passage open; neither aborts the run.
+/// Longest residual an open case keeps, in bytes.
+const RESIDUAL_LIMIT: usize = 400;
+
+/// Cut `rendered` to at most [`RESIDUAL_LIMIT`] bytes plus an ellipsis,
+/// backing off to a char boundary: operator names may be any Unicode
+/// identifier, so byte 400 can fall inside a character.
+fn truncate_residual(rendered: String) -> String {
+    if rendered.len() <= RESIDUAL_LIMIT {
+        return rendered;
+    }
+    let mut end = RESIDUAL_LIMIT;
+    while !rendered.is_char_boundary(end) {
+        end -= 1;
+    }
+    format!("{}…", &rendered[..end])
+}
+
 fn is_budget_error(e: &CoreError) -> bool {
     matches!(
         e,
@@ -1554,6 +1564,60 @@ mod tests {
         assert!(!report.is_proved());
         let open = report.open_cases();
         assert!(open.iter().any(|c| c.0 == "lock1"), "open: {open:?}");
+    }
+
+    #[test]
+    fn residuals_are_cut_at_a_char_boundary() {
+        // "x" then 2-byte characters: byte 400 falls inside one.
+        let rendered = format!("x{}", "α".repeat(300));
+        assert!(!rendered.is_char_boundary(RESIDUAL_LIMIT));
+        let cut = truncate_residual(rendered);
+        assert_eq!(cut, format!("x{}…", "α".repeat(199)));
+        assert_eq!(truncate_residual("short".into()), "short");
+    }
+
+    #[test]
+    fn a_non_ascii_residual_stays_an_open_case() {
+        // Observers with Unicode names make a long non-ASCII residual; over
+        // three paddings, byte 400 lands inside a 3-byte character in at
+        // least one. Each must report an open case, not a worker fault.
+        for pad in 0..3 {
+            let mut spec = Spec::new().unwrap();
+            spec.begin_module("WIDE");
+            spec.hidden_sort("Sys").unwrap();
+            spec.op("init", &[], "Sys", OpAttrs::defined()).unwrap();
+            spec.action("tick", &["Sys"], "Sys").unwrap();
+            let names: Vec<String> = (0..4)
+                .map(|i| format!("{}{}{i}", "x".repeat(pad), "∀".repeat(40)))
+                .collect();
+            for name in &names {
+                spec.observer(name, &["Sys"], "Bool").unwrap();
+            }
+            let ots = Ots::from_spec(&mut spec, "Sys", "init").unwrap();
+            let alg = spec.alg().clone();
+            let sys_sort = spec.sort_id("Sys").unwrap();
+            let p = spec.store_mut().declare_var("P", sys_sort).unwrap();
+            let pv = spec.store_mut().var(p);
+            let mut body = alg.ff(spec.store_mut());
+            for name in &names {
+                let atom = spec.app(name, &[pv]).unwrap();
+                body = alg.or(spec.store_mut(), body, atom).unwrap();
+            }
+            let mut invs = InvariantSet::new();
+            invs.push(Invariant::new(&spec, "wide", p, vec![], body).unwrap());
+            let mut prover = Prover::new(&mut spec, &ots, &invs);
+            let report = prover.prove_inductive("wide", &Hints::new()).unwrap();
+            assert!(
+                report.faults().is_empty(),
+                "pad {pad}: {:?}",
+                report.faults()
+            );
+            let open = report.open_cases();
+            assert!(
+                open.iter().any(|(_, case)| case.residual.ends_with('…')),
+                "pad {pad}: {open:?}"
+            );
+        }
     }
 
     #[test]

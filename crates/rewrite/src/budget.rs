@@ -115,8 +115,8 @@ pub fn resolve_jobs(jobs: usize) -> usize {
 ///
 /// Cloning a `Budget` shares the cancellation token (and copies the deadline
 /// and ceiling), so one budget value can be handed to the prover, to every
-/// `Normalizer` clone, and to the explorer, and a single trip is observed
-/// everywhere. Heap usage is *estimated* by the engines from their arena and
+/// obligation's `Normalizer`, and to the explorer, and a single trip is
+/// observed everywhere. Heap usage is *estimated* by the engines from their arena and
 /// state counts — there are no allocator hooks — so the ceiling is a
 /// good-faith tripwire, not a hard rlimit.
 #[derive(Debug, Clone, Default)]

@@ -22,7 +22,22 @@
 //! bit-identical to the linear scan it replaces
 //! ([`Normalizer::set_indexing`] restores the scan for comparison). The
 //! memo is one bounded map, cleared when it overflows (see
-//! [`Normalizer::set_cache_capacity`]).
+//! [`Normalizer::set_cache_capacity`]). Beside it sits a polynomial
+//! cache: every canonical Boolean form the ring layer rebuilds keeps its
+//! [`Poly`], so a connective over already-normal children reads its
+//! operands' polynomials instead of re-parsing them (and re-deciding
+//! their equality atoms). The two caches share one lifetime: they are
+//! filled, cleared and disabled together.
+//!
+//! ## Scopes
+//!
+//! The prover explores case splits the way CafeOBJ's `open … close`
+//! passages do (PAPER §2.4): [`Normalizer::push_scope`] opens a passage
+//! on the one normalizer, the branch adds its assumptions, and
+//! [`Normalizer::pop_scope`] closes it, restoring the assumptions, the
+//! infeasibility flag, the Boolean vocabulary and both caches exactly as
+//! they were at the push. Statistics, profiles and the fault-injection
+//! call counter are *not* scoped: they accumulate over the whole session.
 //!
 //! ## Blocked conditions
 //!
@@ -46,7 +61,6 @@ use equitls_kernel::term::Term;
 use equitls_obs::sink::Obs;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -176,19 +190,29 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 1 << 20;
 
 /// A rewriting session: rules + assumptions + caches.
 ///
-/// Cloning a normalizer clones its assumptions and caches, which is how the
-/// prover explores case splits: one clone per branch, each extended with
-/// that branch's assumption.
-#[derive(Debug, Clone)]
+/// The prover explores case splits on one normalizer, inside nested
+/// scopes ([`Normalizer::push_scope`] / [`Normalizer::pop_scope`]): each
+/// branch pushes a scope, adds its assumptions, and pops back to exactly
+/// the parent's state.
+#[derive(Debug)]
 pub struct Normalizer {
     alg: BoolAlg,
     rules: RuleSet,
     assumptions: RuleSet,
     /// Memoized normal forms, bounded by `cache_capacity`.
     memo: HashMap<TermId, TermId>,
+    /// Polynomials of the canonical Boolean forms in `memo` (keys are the
+    /// rebuilt terms that normalized to themselves). Cleared with the memo.
+    polys: HashMap<TermId, Poly>,
     cache_capacity: usize,
+    /// Open scopes, innermost last.
+    scopes: Vec<Scope>,
+    /// While [`Normalizer::refresh_assumptions`] re-normalizes assumption
+    /// *i* under the others, `Some(i)`: rule *i* (and any trivial `l → l`
+    /// rule) is skipped when collecting assumption candidates.
+    refresh_mask: Option<usize>,
     /// Discrimination-tree index over `rules`, built lazily on first
-    /// root-matching attempt and shared by clones.
+    /// root-matching attempt and shared with the rule set it indexes.
     index: Option<Arc<PathIndex>>,
     use_index: bool,
     index_scratch: Vec<TermId>,
@@ -208,27 +232,55 @@ pub struct Normalizer {
     fault: Option<FaultHook>,
 }
 
-/// Fault-injection bookkeeping for one rewriting session. Clones (the
-/// prover's per-branch normalizers) share the call counter, so "the *N*-th
-/// rewrite call of this obligation" is well-defined across branch clones —
-/// and, because each obligation's search is sequential, deterministic at
-/// every `jobs` value.
-#[derive(Debug, Clone)]
+/// Fault-injection bookkeeping for one rewriting session. The call
+/// counter is not scoped: the prover searches every case split of an
+/// obligation on one normalizer, so "the *N*-th rewrite call of this
+/// obligation" counts across branches — and, because each obligation's
+/// search is sequential, is deterministic at every `jobs` value.
+#[derive(Debug)]
 struct FaultHook {
     plan: FaultPlan,
     scope: String,
-    calls: Arc<AtomicU64>,
+    calls: u64,
 }
 
 impl FaultHook {
     /// Advance the rewrite-call counter and return the call index paired
     /// with the fault planned for it, if any.
-    fn tick(&self) -> Option<(u64, FaultKind)> {
-        let n = self.calls.fetch_add(1, Ordering::Relaxed);
+    fn tick(&mut self) -> Option<(u64, FaultKind)> {
+        let n = self.calls;
+        self.calls += 1;
         self.plan
             .fault_for(FaultSite::Rewrite, &self.scope, n)
             .map(|kind| (n, kind))
     }
+}
+
+/// What [`Normalizer::pop_scope`] restores.
+#[derive(Debug)]
+struct Scope {
+    assumptions: RuleSet,
+    infeasible: bool,
+    alg: BoolAlg,
+    caches: ScopeCaches,
+}
+
+/// How a scope gets its parent's caches back.
+#[derive(Debug)]
+enum ScopeCaches {
+    /// No clear since the push: the live caches are the parent's plus the
+    /// entries logged here, each with the value it displaced (undone in
+    /// reverse at the pop).
+    Logged {
+        memo: Vec<(TermId, Option<TermId>)>,
+        polys: Vec<(TermId, Option<Poly>)>,
+    },
+    /// The scope's first clear moved the parent's caches aside, exactly as
+    /// they were at the push.
+    Stashed {
+        memo: HashMap<TermId, TermId>,
+        polys: HashMap<TermId, Poly>,
+    },
 }
 
 /// Default recursion depth bound (guards the stack before fuel runs out).
@@ -249,7 +301,10 @@ impl Normalizer {
             rules,
             assumptions: RuleSet::new(),
             memo: HashMap::new(),
+            polys: HashMap::new(),
             cache_capacity: DEFAULT_CACHE_CAPACITY,
+            scopes: Vec::new(),
+            refresh_mask: None,
             index: None,
             use_index: true,
             index_scratch: Vec::new(),
@@ -290,7 +345,7 @@ impl Normalizer {
         self.fault = Some(FaultHook {
             plan,
             scope: scope.into(),
-            calls: Arc::new(AtomicU64::new(0)),
+            calls: 0,
         });
     }
 
@@ -302,26 +357,117 @@ impl Normalizer {
     /// Override the memo-cache capacity (entries; see
     /// [`DEFAULT_CACHE_CAPACITY`]). An insert into a full cache clears it
     /// first, and [`RewriteStats::cache_evictions`] counts the clear. A
-    /// capacity of 0 disables memoization.
+    /// capacity of 0 disables memoization, the polynomial cache included:
+    /// every normalization then runs from scratch.
     pub fn set_cache_capacity(&mut self, capacity: usize) {
         self.cache_capacity = capacity;
         if self.memo.len() > capacity {
-            self.memo.clear();
+            self.clear_caches();
             self.stats.cache_evictions += 1;
         }
     }
 
-    /// Memoize `value` as the normal form of `key`, clearing the cache
-    /// first when it is full.
+    /// Memoize `value` as the normal form of `key`, clearing the caches
+    /// first when the memo is full.
     fn cache_insert(&mut self, key: TermId, value: TermId) {
         if self.cache_capacity == 0 {
             return;
         }
         if self.memo.len() >= self.cache_capacity {
-            self.memo.clear();
+            self.clear_caches();
             self.stats.cache_evictions += 1;
         }
-        self.memo.insert(key, value);
+        let old = self.memo.insert(key, value);
+        if old != Some(value) {
+            if let Some(ScopeCaches::Logged { memo, .. }) =
+                self.scopes.last_mut().map(|s| &mut s.caches)
+            {
+                memo.push((key, old));
+            }
+        }
+    }
+
+    /// Cache `poly` as the polynomial of the canonical form `key` (which
+    /// the caller has just memoized as its own normal form).
+    fn poly_insert(&mut self, key: TermId, poly: Poly) {
+        if self.cache_capacity == 0 {
+            return;
+        }
+        let old = self.polys.insert(key, poly);
+        if let Some(ScopeCaches::Logged { polys, .. }) =
+            self.scopes.last_mut().map(|s| &mut s.caches)
+        {
+            polys.push((key, old));
+        }
+    }
+
+    /// Empty both caches. Inside a scope that has not cleared yet, the
+    /// parent's caches are first restored (undoing the scope's log) and
+    /// then moved aside whole for [`Normalizer::pop_scope`].
+    fn clear_caches(&mut self) {
+        if let Some(scope) = self.scopes.last_mut() {
+            if let ScopeCaches::Logged { memo, polys } = &mut scope.caches {
+                undo_log(&mut self.memo, memo);
+                undo_log(&mut self.polys, polys);
+                scope.caches = ScopeCaches::Stashed {
+                    memo: std::mem::take(&mut self.memo),
+                    polys: std::mem::take(&mut self.polys),
+                };
+                return;
+            }
+        }
+        self.memo.clear();
+        self.polys.clear();
+    }
+
+    /// Open a scope: a case-split branch (CafeOBJ's `open`). Everything a
+    /// branch may change — assumptions, [`Normalizer::is_infeasible`], the
+    /// Boolean vocabulary and both caches — is restored by the matching
+    /// [`Normalizer::pop_scope`]. Scopes nest.
+    ///
+    /// Until the scope's first cache clear (normally its first
+    /// [`Normalizer::assume`]), new cache entries are logged and undone at
+    /// the pop; the first clear moves the parent's caches aside in O(1).
+    /// Either way the parent, and a sibling branch pushed after the pop,
+    /// sees exactly the caches it had before, so which entries later
+    /// normalizations hit — and therefore which conditions they report
+    /// blocked — does not depend on what a sibling branch did.
+    pub fn push_scope(&mut self) {
+        self.scopes.push(Scope {
+            assumptions: self.assumptions.clone(),
+            infeasible: self.infeasible,
+            alg: self.alg.clone(),
+            caches: ScopeCaches::Logged {
+                memo: Vec::new(),
+                polys: Vec::new(),
+            },
+        });
+    }
+
+    /// Close the innermost scope (CafeOBJ's `close`), restoring the state
+    /// saved by [`Normalizer::push_scope`].
+    ///
+    /// # Panics
+    ///
+    /// When no scope is open.
+    pub fn pop_scope(&mut self) {
+        let scope = self.scopes.pop().expect("pop_scope without push_scope");
+        self.assumptions = scope.assumptions;
+        self.infeasible = scope.infeasible;
+        self.alg = scope.alg;
+        match scope.caches {
+            ScopeCaches::Logged {
+                mut memo,
+                mut polys,
+            } => {
+                undo_log(&mut self.memo, &mut memo);
+                undo_log(&mut self.polys, &mut polys);
+            }
+            ScopeCaches::Stashed { memo, polys } => {
+                self.memo = memo;
+                self.polys = polys;
+            }
+        }
     }
 
     /// Attach an observability handle; counters and gauges flow to its
@@ -395,30 +541,6 @@ impl Normalizer {
         }
     }
 
-    /// Fold another normalizer's counters and per-rule profiles into this
-    /// one. The prover explores case splits on clones; resetting each
-    /// clone's stats at the branch point and absorbing it afterwards gives
-    /// the root normalizer exact whole-obligation totals without double
-    /// counting.
-    pub fn absorb(&mut self, other: &Normalizer) {
-        self.stats = self.stats.merged(other.stats);
-        self.counters = self.counters.merged(other.counters);
-        for (label, p) in &other.profiles {
-            let entry = self
-                .profiles
-                .entry(label.clone())
-                .or_insert_with(|| RuleProfile {
-                    label: label.clone(),
-                    ..RuleProfile::default()
-                });
-            entry.attempts += p.attempts;
-            entry.failures += p.failures;
-            entry.fires += p.fires;
-            entry.blocked += p.blocked;
-            entry.time += p.time;
-        }
-    }
-
     /// Reset the statistics counters (and per-rule profiles) to zero,
     /// e.g. between proof obligations so each [`RewriteStats`] snapshot
     /// covers exactly one obligation.
@@ -463,7 +585,7 @@ impl Normalizer {
     }
 
     /// Add an assumption equation `lhs = rhs`, used as a highest-priority
-    /// rewrite rule. Clears the memo cache.
+    /// rewrite rule. Clears the caches.
     ///
     /// # Errors
     ///
@@ -476,7 +598,7 @@ impl Normalizer {
         rhs: TermId,
     ) -> Result<(), RewriteError> {
         self.assumptions.add(store, label, lhs, rhs, None, None)?;
-        self.memo.clear();
+        self.clear_caches();
         Ok(())
     }
 
@@ -520,22 +642,17 @@ impl Normalizer {
             }
             let mut changed = false;
             let mut next: Vec<(String, TermId, TermId)> = Vec::with_capacity(pairs.len());
-            for i in 0..pairs.len() {
-                // Normalize pair i under all other (current-round) pairs.
-                let mut others = RuleSet::new();
-                for (j, (label, l, r)) in pairs.iter().enumerate() {
-                    if j != i && l != r {
-                        others.add(store, label.clone(), *l, *r, None, None)?;
-                    }
-                }
-                std::mem::swap(&mut self.assumptions, &mut others);
-                self.memo.clear();
+            for (i, (label, l, r)) in pairs.iter().enumerate() {
+                // Normalize pair i under all other (current-round) pairs:
+                // the mask hides rule i from the candidate scan.
+                self.refresh_mask = Some(i);
+                self.clear_caches();
                 self.fuel = self.fuel_limit;
-                let ln = self.norm(store, pairs[i].1);
-                let rn = self.norm(store, pairs[i].2);
-                std::mem::swap(&mut self.assumptions, &mut others);
+                let ln = self.norm(store, *l);
+                let rn = self.norm(store, *r);
+                self.refresh_mask = None;
                 let (ln, rn) = (ln?, rn?);
-                if ln != pairs[i].1 || rn != pairs[i].2 {
+                if ln != *l || rn != *r {
                     changed = true;
                 }
                 if ln == rn {
@@ -557,9 +674,9 @@ impl Normalizer {
                     }
                     // Never install a truth constant as a left-hand side.
                     if self.alg.as_constant(store, ln).is_some() {
-                        next.push((pairs[i].0.clone(), rn, ln));
+                        next.push((label.clone(), rn, ln));
                     } else {
-                        next.push((pairs[i].0.clone(), ln, rn));
+                        next.push((label.clone(), ln, rn));
                     }
                 } else {
                     let verdict = decide_equality(store, &mut self.alg, ln, rn)?;
@@ -570,7 +687,7 @@ impl Normalizer {
                     let oriented = orient_equation(store, &mut self.alg, ln, rn)?;
                     for (k, (l2, r2)) in oriented.into_iter().enumerate() {
                         if l2 != r2 {
-                            next.push((format!("{}#{k}", pairs[i].0), l2, r2));
+                            next.push((format!("{label}#{k}"), l2, r2));
                         }
                     }
                 }
@@ -585,7 +702,7 @@ impl Normalizer {
                 rebuilt.add(store, label.clone(), *l, *r, None, None)?;
             }
             self.assumptions = rebuilt;
-            self.memo.clear();
+            self.clear_caches();
             if !changed {
                 break;
             }
@@ -669,11 +786,13 @@ impl Normalizer {
     }
 
     /// Estimate of this session's heap footprint (bytes): hash-consed term
-    /// arena plus memo cache. Coarse by design — the budget's memory
-    /// ceiling is a tripwire on arena growth, not an allocator audit.
+    /// arena plus the live memo and polynomial caches. Coarse by design —
+    /// the budget's memory ceiling is a tripwire on arena growth, not an
+    /// allocator audit.
     fn heap_estimate(&self, store: &TermStore) -> u64 {
         let memo = self.memo.len() as u64;
-        (store.term_count() as u64) * 96 + memo * 40
+        let polys = self.polys.len() as u64;
+        (store.term_count() as u64) * 96 + memo * 40 + polys * 96
     }
 
     /// Check the shared budget, translating a trip into a typed error.
@@ -684,11 +803,10 @@ impl Normalizer {
     }
 
     fn consume_fuel(&mut self, store: &TermStore, t: TermId) -> Result<(), RewriteError> {
-        if let Some(hook) = &self.fault {
+        if let Some(hook) = &mut self.fault {
             match hook.tick() {
                 Some((n, FaultKind::Panic)) => {
-                    let scope = hook.scope.clone();
-                    trigger_injected_panic(FaultSite::Rewrite, &scope, n);
+                    trigger_injected_panic(FaultSite::Rewrite, &hook.scope, n);
                 }
                 Some((_, FaultKind::FuelStarvation)) => self.fuel = 0,
                 Some((_, FaultKind::DeadlineExpiry)) => {
@@ -773,9 +891,11 @@ impl Normalizer {
                 }
             }
             // The rebuilt canonical form is normal by construction (atoms
-            // are normal, connectives are canonical); record it so the
-            // equivalence class converges without re-walking.
+            // are normal, connectives are canonical); record it, and its
+            // polynomial, so the equivalence class converges without
+            // re-walking and an enclosing connective need not re-parse it.
             self.cache_insert(rebuilt, rebuilt);
+            self.poly_insert(rebuilt, poly);
             return Ok(rebuilt);
         }
         Ok(cur)
@@ -798,10 +918,12 @@ impl Normalizer {
         let profiling = self.profiling;
         // Assumption rules are always linear-scanned: the set is small,
         // changes at every case split, and has highest priority.
+        let mask = self.refresh_mask;
         let mut candidates: Vec<(TermId, TermId, Option<TermId>, Option<String>)> = self
             .assumptions
-            .candidates(op)
-            .map(|r| (r.lhs, r.rhs, r.cond, profiling.then(|| r.label.clone())))
+            .rules_for_op(op)
+            .filter(|&(i, r)| mask.is_none_or(|m| i != m && r.lhs != r.rhs))
+            .map(|(_, r)| (r.lhs, r.rhs, r.cond, profiling.then(|| r.label.clone())))
             .collect();
         if self.use_index && !self.rules.is_empty() {
             // Specification rules come from the discrimination tree. The
@@ -872,8 +994,8 @@ impl Normalizer {
     }
 
     /// The discrimination-tree index over the specification rules,
-    /// building it on first use. Clones share the built index through the
-    /// `Arc` (the rule set is fixed for the life of a session).
+    /// building it on first use (the rule set is fixed for the life of a
+    /// session).
     fn ensure_index(&mut self, store: &TermStore) -> Arc<PathIndex> {
         if let Some(index) = &self.index {
             return index.clone();
@@ -921,8 +1043,12 @@ impl Normalizer {
             || op == self.alg.false_op()
     }
 
-    /// Convert an argument-normalized Bool term to its polynomial.
+    /// Convert an argument-normalized Bool term to its polynomial. A
+    /// canonical form the ring layer already rebuilt is a cache hit.
     fn poly_of(&mut self, store: &mut TermStore, t: TermId) -> Result<Poly, RewriteError> {
+        if let Some(p) = self.polys.get(&t) {
+            return Ok(p.clone());
+        }
         self.consume_fuel(store, t)?;
         let op = match store.op_of(t) {
             Some(op) => op,
@@ -1009,6 +1135,16 @@ impl Normalizer {
             return self.poly_of(store, n);
         }
         Ok(Poly::atom(atom))
+    }
+}
+
+/// Undo a scope's cache log, newest entry first.
+fn undo_log<V>(cache: &mut HashMap<TermId, V>, log: &mut Vec<(TermId, Option<V>)>) {
+    for (key, old) in log.drain(..).rev() {
+        match old {
+            Some(v) => cache.insert(key, v),
+            None => cache.remove(&key),
+        };
     }
 }
 
@@ -1656,6 +1792,128 @@ mod tests {
         norm.set_cache_capacity(1);
         assert_eq!(norm.stats().cache_evictions, 2);
         assert!(norm.memo.is_empty());
+    }
+
+    /// `p(a)`, `q(a)` and the conjunction `p(a) and (a = c)` over an
+    /// arbitrary constant `a`: enough for a scope to change assumptions,
+    /// normal forms, both caches and the infeasibility flag.
+    fn scope_world() -> (TermStore, BoolAlg, [TermId; 5]) {
+        let mut sig = Signature::new();
+        let mut alg = BoolAlg::install(&mut sig).unwrap();
+        let s = sig.add_visible_sort("S").unwrap();
+        let c = sig.add_constant("c", s, OpAttrs::constructor()).unwrap();
+        let p = sig
+            .add_op("p", &[s], alg.sort(), OpAttrs::defined())
+            .unwrap();
+        let q = sig
+            .add_op("q", &[s], alg.sort(), OpAttrs::defined())
+            .unwrap();
+        let mut store = TermStore::new(sig);
+        let a = store.fresh_constant("a", s);
+        let cv = store.constant(c);
+        let pa = store.app(p, &[a]).unwrap();
+        let qa = store.app(q, &[a]).unwrap();
+        let eq = alg.eq(&mut store, a, cv).unwrap();
+        let goal = alg.and(&mut store, pa, eq).unwrap();
+        (store, alg, [a, cv, pa, qa, goal])
+    }
+
+    #[test]
+    fn pop_scope_restores_assumptions_infeasibility_and_normal_forms() {
+        let (mut store, alg, [_, _, pa, qa, goal]) = scope_world();
+        let mut norm = Normalizer::new(alg.clone(), RuleSet::new());
+        let tt = alg.tt(&mut store);
+        let ff = alg.ff(&mut store);
+        norm.assume(&store, "q(a)", qa, tt).unwrap();
+        let before = norm.normalize(&mut store, goal).unwrap();
+        let assumed_before = norm.assumptions().len();
+
+        norm.push_scope();
+        norm.assume(&store, "p(a)", pa, tt).unwrap();
+        norm.assume(&store, "not p(a)", pa, ff).unwrap();
+        norm.refresh_assumptions(&mut store).unwrap();
+        assert!(norm.is_infeasible(), "p(a) = true and p(a) = false");
+        norm.pop_scope();
+
+        assert!(!norm.is_infeasible());
+        assert_eq!(norm.assumptions().len(), assumed_before);
+        assert_eq!(norm.normalize(&mut store, goal).unwrap(), before);
+        assert!(
+            norm.proves(&mut store, qa).unwrap(),
+            "the parent's assumption"
+        );
+        assert!(
+            !norm.proves(&mut store, pa).unwrap(),
+            "the branch's is gone"
+        );
+    }
+
+    #[test]
+    fn a_scope_that_never_clears_leaves_the_parents_caches_exactly() {
+        let (mut store, alg, [_, _, pa, qa, goal]) = scope_world();
+        let mut norm = Normalizer::new(alg.clone(), RuleSet::new());
+        norm.normalize(&mut store, goal).unwrap();
+        assert!(!norm.polys.is_empty(), "the ring layer cached a polynomial");
+        let (memo, polys) = (norm.memo.clone(), norm.polys.clone());
+
+        norm.push_scope();
+        // New entries only: no assumption, so no clear.
+        let more = alg.or(&mut store, qa, pa).unwrap();
+        norm.normalize(&mut store, more).unwrap();
+        norm.normalize_to_poly(&mut store, goal).unwrap();
+        assert!(norm.memo.len() > memo.len());
+        assert!(matches!(
+            norm.scopes.last().map(|s| &s.caches),
+            Some(ScopeCaches::Logged { .. })
+        ));
+        norm.pop_scope();
+
+        assert_eq!(norm.memo, memo);
+        assert_eq!(norm.polys, polys);
+    }
+
+    #[test]
+    fn nested_scopes_restore_each_level() {
+        let (mut store, alg, [a, cv, pa, qa, goal]) = scope_world();
+        let mut norm = Normalizer::new(alg.clone(), RuleSet::new());
+        let tt = alg.tt(&mut store);
+        let root_nf = norm.normalize(&mut store, goal).unwrap();
+        let root_caches = (norm.memo.clone(), norm.polys.clone());
+
+        norm.push_scope();
+        norm.assume(&store, "a=c", a, cv).unwrap();
+        let outer_nf = norm.normalize(&mut store, goal).unwrap();
+        assert_ne!(outer_nf, root_nf, "a = c decides the equality atom");
+        let outer_caches = (norm.memo.clone(), norm.polys.clone());
+        let outer_assumed = norm.assumptions().len();
+
+        // An inner scope that logs, then one that clears.
+        norm.push_scope();
+        norm.normalize(&mut store, qa).unwrap();
+        norm.push_scope();
+        norm.assume(&store, "p(a)", pa, tt).unwrap();
+        norm.refresh_assumptions(&mut store).unwrap();
+        assert!(norm.proves(&mut store, goal).unwrap());
+        norm.pop_scope();
+        norm.pop_scope();
+
+        assert_eq!((norm.memo.clone(), norm.polys.clone()), outer_caches);
+        assert_eq!(norm.assumptions().len(), outer_assumed);
+        assert_eq!(norm.normalize(&mut store, goal).unwrap(), outer_nf);
+
+        norm.pop_scope();
+        assert_eq!((norm.memo.clone(), norm.polys.clone()), root_caches);
+        assert!(norm.assumptions().is_empty());
+        assert_eq!(norm.normalize(&mut store, goal).unwrap(), root_nf);
+    }
+
+    #[test]
+    fn zero_capacity_caches_no_polynomials() {
+        let (mut store, alg, [_, _, _, _, goal]) = scope_world();
+        let mut norm = Normalizer::new(alg, RuleSet::new());
+        norm.set_cache_capacity(0);
+        norm.normalize_to_poly(&mut store, goal).unwrap();
+        assert!(norm.memo.is_empty() && norm.polys.is_empty());
     }
 
     /// A world with same-head rule families and a conditional rule, so

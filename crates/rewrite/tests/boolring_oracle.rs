@@ -7,7 +7,10 @@
 //! evaluate them by brute-force truth table, and check the engine agrees —
 //! experiment E12 in DESIGN.md. Separately, random polynomials run through
 //! both [`Poly`] and a nested-set reference polynomial, which must agree
-//! operation by operation and monomial by monomial. Generation is
+//! operation by operation and monomial by monomial. Last, the cached
+//! normalizer (memo plus polynomial cache, case splits in scopes) is run
+//! against a from-scratch one on formulas with equality atoms over
+//! arbitrary constants and constructors. Generation is
 //! SplitMix64-seeded (the offline build cannot depend on proptest), so
 //! every run is reproducible.
 
@@ -339,4 +342,187 @@ fn flat_kernel_matches_the_nested_set_reference() {
         let back = norm.normalize_to_poly(&mut store, term).unwrap();
         assert_eq!(back, p, "case {case}: round trip");
     }
+}
+
+/// The vocabulary of the cache differential: a visible sort with two
+/// constant constructors and a pairing constructor, a Bool-valued
+/// observer, arbitrary constants of the sort, and Bool atoms.
+struct EqWorld {
+    store: TermStore,
+    alg: BoolAlg,
+    ctors: [TermId; 2],
+    pair: OpId,
+    observe: OpId,
+    arbitrary: Vec<TermId>,
+    bools: Vec<TermId>,
+}
+
+fn eq_world() -> EqWorld {
+    let mut sig = Signature::new();
+    let mut alg = BoolAlg::install(&mut sig).unwrap();
+    let s = sig.add_visible_sort("S").unwrap();
+    let c = sig.add_constant("c", s, OpAttrs::constructor()).unwrap();
+    let d = sig.add_constant("d", s, OpAttrs::constructor()).unwrap();
+    let pair = sig
+        .add_op("pair", &[s, s], s, OpAttrs::constructor())
+        .unwrap();
+    let observe = sig
+        .add_op("ok", &[s], alg.sort(), OpAttrs::defined())
+        .unwrap();
+    let mut store = TermStore::new(sig);
+    let ctors = [store.constant(c), store.constant(d)];
+    // Declare `_=_` on S before any normalizer copies the vocabulary.
+    alg.eq(&mut store, ctors[0], ctors[1]).unwrap();
+    let arbitrary = (0..4).map(|_| store.fresh_constant("a", s)).collect();
+    let bools = (0..3)
+        .map(|_| store.fresh_constant("b", alg.sort()))
+        .collect();
+    EqWorld {
+        store,
+        alg,
+        ctors,
+        pair,
+        observe,
+        arbitrary,
+        bools,
+    }
+}
+
+/// A random data term: an arbitrary constant, a constant constructor, or
+/// a pair of smaller terms.
+fn gen_data(rng: &mut SplitMix64, w: &mut EqWorld, depth: usize) -> TermId {
+    match rng.next_below(if depth == 0 { 2 } else { 3 }) {
+        0 => *rng.choose(&w.arbitrary),
+        1 => *rng.choose(&w.ctors),
+        _ => {
+            let l = gen_data(rng, w, depth - 1);
+            let r = gen_data(rng, w, depth - 1);
+            w.store.app(w.pair, &[l, r]).unwrap()
+        }
+    }
+}
+
+/// A random Bool term whose leaves are equality atoms, observer atoms,
+/// Bool atoms and truth constants.
+fn gen_eq_formula(rng: &mut SplitMix64, w: &mut EqWorld, depth: usize) -> TermId {
+    if depth == 0 || rng.next_below(4) == 0 {
+        return match rng.next_below(6) {
+            0 => w.alg.constant(&mut w.store, rng.next_bool()),
+            1 => *rng.choose(&w.bools),
+            2 => {
+                let x = gen_data(rng, w, 1);
+                w.store.app(w.observe, &[x]).unwrap()
+            }
+            _ => {
+                let (x, y) = (gen_data(rng, w, 2), gen_data(rng, w, 2));
+                w.alg.eq(&mut w.store, x, y).unwrap()
+            }
+        };
+    }
+    let a = gen_eq_formula(rng, w, depth - 1);
+    let op = rng.next_below(6);
+    if op == 0 {
+        return w.alg.not(&mut w.store, a).unwrap();
+    }
+    let b = gen_eq_formula(rng, w, depth - 1);
+    let alg = &w.alg;
+    let store = &mut w.store;
+    match op {
+        1 => alg.and(store, a, b),
+        2 => alg.or(store, a, b),
+        3 => alg.xor(store, a, b),
+        4 => alg.implies(store, a, b),
+        _ => alg.iff(store, a, b),
+    }
+    .unwrap()
+}
+
+/// An assumption a case split could make: an arbitrary constant equals a
+/// constructor term, or a Bool atom (normalized first, as the prover
+/// does) has a truth value.
+fn gen_assumption(
+    rng: &mut SplitMix64,
+    w: &mut EqWorld,
+    norm: &mut Normalizer,
+) -> Option<(TermId, TermId)> {
+    if rng.next_bool() {
+        let lhs = *rng.choose(&w.arbitrary);
+        let rhs = match rng.next_below(3) {
+            0 | 1 => *rng.choose(&w.ctors),
+            _ => {
+                let (x, y) = (*rng.choose(&w.ctors), *rng.choose(&w.ctors));
+                w.store.app(w.pair, &[x, y]).unwrap()
+            }
+        };
+        return Some((lhs, rhs));
+    }
+    let atom = match rng.next_below(3) {
+        0 => *rng.choose(&w.bools),
+        1 => {
+            let x = gen_data(rng, w, 1);
+            w.store.app(w.observe, &[x]).unwrap()
+        }
+        _ => {
+            let (x, y) = (*rng.choose(&w.arbitrary), gen_data(rng, w, 1));
+            w.alg.eq(&mut w.store, x, y).unwrap()
+        }
+    };
+    let lhs = norm.normalize(&mut w.store, atom).unwrap();
+    if w.alg.as_constant(&w.store, lhs).is_some() || w.store.op_of(lhs).is_none() {
+        return None; // decided already, or a bare Bool variable
+    }
+    let rhs = w.alg.constant(&mut w.store, rng.next_bool());
+    Some((lhs, rhs))
+}
+
+/// `t`'s polynomial from both normalizers, which must agree.
+fn agree(cached: &mut Normalizer, scratch: &mut Normalizer, w: &mut EqWorld, t: TermId) -> Poly {
+    let got = cached.normalize_to_poly(&mut w.store, t).unwrap();
+    let want = scratch.normalize_to_poly(&mut w.store, t).unwrap();
+    assert_eq!(got, want, "{}", w.store.display(t));
+    got
+}
+
+/// The polynomial cache and scoped case splits never change an answer:
+/// one long-lived caching normalizer and a capacity-0 one (no memo, no
+/// polynomial cache) agree on `normalize_to_poly` for every formula,
+/// before an assumption, inside a scope that makes it, and after the pop
+/// — including a formula first normalized inside the scope, whose cached
+/// forms must not leak out of it.
+#[test]
+fn cached_polynomials_match_a_from_scratch_normalizer() {
+    let mut w = eq_world();
+    let mut cached = Normalizer::new(w.alg.clone(), RuleSet::new());
+    let mut scratch = Normalizer::new(w.alg.clone(), RuleSet::new());
+    scratch.set_cache_capacity(0);
+    let mut rng = SplitMix64::new(0x0F66);
+    let mut assumed = 0;
+    for case in 0..ORACLE_CASES {
+        let term = gen_eq_formula(&mut rng, &mut w, 4);
+        let before = agree(&mut cached, &mut scratch, &mut w, term);
+        let inner = gen_eq_formula(&mut rng, &mut w, 4);
+        cached.push_scope();
+        scratch.push_scope();
+        // Up to two assumptions: the scope's first clear sets the parent's
+        // caches aside, the second clears the scope's own.
+        for _ in 0..2 {
+            let Some((lhs, rhs)) = gen_assumption(&mut rng, &mut w, &mut scratch) else {
+                continue;
+            };
+            assumed += 1;
+            cached.assume(&w.store, "case", lhs, rhs).unwrap();
+            scratch.assume(&w.store, "case", lhs, rhs).unwrap();
+            agree(&mut cached, &mut scratch, &mut w, term);
+            agree(&mut cached, &mut scratch, &mut w, inner);
+        }
+        cached.pop_scope();
+        scratch.pop_scope();
+        let after = cached.normalize_to_poly(&mut w.store, term).unwrap();
+        assert_eq!(after, before, "case {case}: after the pop");
+        agree(&mut cached, &mut scratch, &mut w, inner);
+    }
+    assert!(
+        cached.stats().cache_hits > 0 && assumed > ORACLE_CASES,
+        "the differential must exercise the caches and the scopes"
+    );
 }

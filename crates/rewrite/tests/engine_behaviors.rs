@@ -159,7 +159,7 @@ fn cache_is_coherent_across_assumption_changes() {
 }
 
 #[test]
-fn normalizer_clone_isolates_assumptions() {
+fn normalizer_scope_isolates_assumptions() {
     let mut w = world();
     let p = w
         .store
@@ -169,12 +169,17 @@ fn normalizer_clone_isolates_assumptions() {
     let a = w.store.fresh_constant("a", w.s);
     let pa = w.store.app(p, &[a]).unwrap();
     let tt = w.alg.tt(&mut w.store);
-    let base = Normalizer::new(w.alg.clone(), RuleSet::new());
-    let mut branch_true = base.clone();
-    let mut branch_open = base.clone();
-    branch_true.assume(&w.store, "pa", pa, tt).unwrap();
-    assert!(branch_true.proves(&mut w.store, pa).unwrap());
-    assert!(!branch_open.proves(&mut w.store, pa).unwrap());
+    let mut norm = Normalizer::new(w.alg.clone(), RuleSet::new());
+    // The `true` branch assumes p(a) inside its scope…
+    norm.push_scope();
+    norm.assume(&w.store, "pa", pa, tt).unwrap();
+    assert!(norm.proves(&mut w.store, pa).unwrap());
+    norm.pop_scope();
+    // …and its sibling, opened on the same normalizer, does not see it.
+    norm.push_scope();
+    assert!(!norm.proves(&mut w.store, pa).unwrap());
+    norm.pop_scope();
+    assert!(norm.assumptions().is_empty());
 }
 
 #[test]

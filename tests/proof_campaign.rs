@@ -68,7 +68,7 @@ fn all_thirteen_auxiliary_lemmas_prove() {
             if plan.name == "lem-rand-ur" {
                 // The heaviest lemma: pins the search the Boolean ring
                 // must not move.
-                assert_search_counts(&report, 190, 5_536, 51_436);
+                assert_search_counts(&report, 190, 5_536, 2_779);
             }
         }
     });
@@ -103,6 +103,6 @@ fn proof_reports_count_passages_and_splits() {
         assert!(report.total_passages() > 27, "at least one passage each");
         assert!(report.total_splits() > 0);
         assert!(report.base.outcome.is_proved());
-        assert_search_counts(&report, 139, 4_199, 13_371);
+        assert_search_counts(&report, 139, 4_199, 2_453);
     });
 }
