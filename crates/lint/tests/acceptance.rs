@@ -7,8 +7,8 @@
 //!   as a counterexample equation — negative control;
 //! * a looping rule is denied outright — negative control.
 //!
-//! * the incremental cache round-trips through disk: cold analyzes, warm
-//!   replays every pass with an identical report;
+//! * a duplicated equation in a parsed module is reported once, with its
+//!   source span, and the finding clears when the copy is deleted;
 //! * SARIF output of a spec report survives a parse round-trip with its
 //!   spans and stable rule ids.
 //!
@@ -17,15 +17,13 @@
 
 use equitls_kernel::signature::Signature;
 use equitls_kernel::term::TermStore;
-use equitls_lint::cache::LintCache;
 use equitls_lint::confluence::{check_confluence, critical_pairs};
 use equitls_lint::termination::orient_rules;
 use equitls_lint::{
-    analyze_spec, lint_system, sarif, AnalysisOptions, LintCode, LintConfig, LintReport, Severity,
-    PASSES,
+    analyze_spec, analyze_system, sarif, AnalysisOptions, LintCode, LintConfig, LintReport,
+    Severity,
 };
 use equitls_obs::json::{parse, JsonValue};
-use equitls_obs::sink::Obs;
 use equitls_rewrite::bool_alg::BoolAlg;
 use equitls_rewrite::bool_rules::hd_bool_rules;
 use equitls_rewrite::rule::RuleSet;
@@ -64,6 +62,7 @@ fn hd_bool_is_terminating_and_locally_confluent() {
         "HD BOOL has overlaps (e.g. and-zero vs and-idempotent)"
     );
     let config = LintConfig::new();
+    let options = AnalysisOptions::default();
     let mut report = LintReport::new("BOOL");
     let outcome = check_confluence(&mut store, &alg, &rules, &config, &mut report);
     assert_eq!(outcome.unjoinable, 0, "{report}");
@@ -77,7 +76,7 @@ fn hd_bool_is_terminating_and_locally_confluent() {
     );
 
     // And the composed lint agrees: nothing at warn level or above.
-    let report = lint_system(&store, &alg, &rules, "BOOL", &config);
+    let report = analyze_system(&store, &alg, &rules, "BOOL", &config, &options);
     assert!(!report.has_deny(), "{report}");
     assert_eq!(report.count(Severity::Warn), 0, "{report}");
 }
@@ -97,7 +96,8 @@ fn a_non_confluent_pair_is_denied_with_its_counterexample() {
         .unwrap();
 
     let config = LintConfig::new();
-    let report = lint_system(&store, &alg, &rules, "ambiguous", &config);
+    let options = AnalysisOptions::default();
+    let report = analyze_system(&store, &alg, &rules, "ambiguous", &config, &options);
     assert!(report.has_deny(), "{report}");
     let denies = report.with_code(LintCode::UnjoinableCriticalPair);
     assert!(
@@ -123,7 +123,8 @@ fn a_looping_rule_is_denied() {
     rules.add(&store, "diverge", tt, not_t, None, None).unwrap();
 
     let config = LintConfig::new();
-    let report = lint_system(&store, &alg, &rules, "looping", &config);
+    let options = AnalysisOptions::default();
+    let report = analyze_system(&store, &alg, &rules, "looping", &config, &options);
     assert!(report.has_deny(), "{report}");
     let denies = report.with_code(LintCode::TerminationLoop);
     assert_eq!(denies.len(), 1, "{report}");
@@ -142,8 +143,9 @@ fn severity_overrides_are_recorded_not_silenced() {
     rules.add(&store, "diverge", tt, not_t, None, None).unwrap();
 
     let mut config = LintConfig::new();
+    let options = AnalysisOptions::default();
     config.allow(LintCode::TerminationLoop, "exercised as a fixture");
-    let report = lint_system(&store, &alg, &rules, "looping", &config);
+    let report = analyze_system(&store, &alg, &rules, "looping", &config, &options);
     assert!(!report.has_deny(), "{report}");
     let hits = report.with_code(LintCode::TerminationLoop);
     assert_eq!(hits.len(), 1);
@@ -168,43 +170,21 @@ mod! NATDUP {
 "#;
 
 #[test]
-fn incremental_cache_survives_disk_and_replays_identically() {
+fn a_duplicate_rule_carries_its_span_and_clears_when_deleted() {
     let mut spec = Spec::new().unwrap();
     spec.load_module(NAT_MODULE).unwrap();
     let config = LintConfig::new();
     let options = AnalysisOptions::default();
-    let obs = Obs::noop();
-    let path = std::env::temp_dir().join(format!(
-        "equitls_lint_acceptance_{}.snap",
-        std::process::id()
-    ));
-
-    let mut cache = LintCache::new();
-    let cold = analyze_spec(&spec, "NATDUP", &config, &options, Some(&mut cache));
-    assert_eq!(cold.passes_analyzed, PASSES.len());
-    cache.save(&path, &obs).unwrap();
-
-    // A separate process would start here: load the snapshot, analyze the
-    // unchanged spec, and replay everything — spans included.
-    let mut reloaded = LintCache::load(&path, &obs).unwrap();
-    let warm = analyze_spec(&spec, "NATDUP", &config, &options, Some(&mut reloaded));
-    assert_eq!(warm.passes_reused, PASSES.len());
-    assert_eq!(warm.passes_analyzed, 0);
-    assert_eq!(format!("{}", cold.report), format!("{}", warm.report));
-    let dups = warm.report.with_code(LintCode::DuplicateRule);
-    assert_eq!(dups.len(), 1, "{}", warm.report);
-    assert!(dups[0].span.is_some(), "spans replay from the cache");
-
-    // Changing the rule set invalidates the rule-dependent passes.
+    let report = analyze_spec(&spec, "NATDUP", &config, &options);
+    let dups = report.with_code(LintCode::DuplicateRule);
+    assert_eq!(dups.len(), 1, "{report}");
+    assert!(dups[0].span.is_some(), "parsed equations carry spans");
     let mut changed = Spec::new().unwrap();
     changed
         .load_module(&NAT_MODULE.replace("  eq [dup-s-copy] : dup(s(X)) = s(s(dup(X))) .\n", ""))
         .unwrap();
-    let edited = analyze_spec(&changed, "NATDUP", &config, &options, Some(&mut reloaded));
-    assert_eq!(edited.passes_reused, 0, "every pass hashes the rule set");
-    assert!(edited.report.with_code(LintCode::DuplicateRule).is_empty());
-
-    let _ = std::fs::remove_file(&path);
+    let edited = analyze_spec(&changed, "NATDUP", &config, &options);
+    assert!(edited.with_code(LintCode::DuplicateRule).is_empty());
 }
 
 #[test]
@@ -212,7 +192,7 @@ fn sarif_round_trip_keeps_spans_and_stable_rule_ids() {
     let mut spec = Spec::new().unwrap();
     spec.load_module(NAT_MODULE).unwrap();
     let config = LintConfig::new();
-    let report = equitls_lint::lint_spec(&spec, "NATDUP", &config);
+    let report = analyze_spec(&spec, "NATDUP", &config, &AnalysisOptions::default());
     let dup_span = report.with_code(LintCode::DuplicateRule)[0]
         .span
         .expect("parsed equation has a span");

@@ -26,16 +26,14 @@ pub const VERSION: u32 = 1;
 const HEADER_LEN: usize = 4 + 4 + 1 + 8 + 8 + 4;
 
 /// What a snapshot holds. The tag is stored in the header so a file can
-/// never be decoded as the wrong kind of state.
+/// never be decoded as the wrong kind of state. Tags are never reused:
+/// tag 3 belonged to a retired lint cache and now reads as unknown.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SnapshotKind {
     /// The mc explorer's BFS progress (states, frontier, tallies).
     Explorer,
     /// The prover's per-obligation outcome ledger.
     ProverLedger,
-    /// The lint analyzer's incremental pass cache: per-(target, pass)
-    /// input fingerprints and stored diagnostics.
-    LintCache,
     /// The serve daemon's job journal: accepted jobs in admission order
     /// with their completed responses, replayed on restart so a killed
     /// daemon resumes its queue.
@@ -52,7 +50,6 @@ impl SnapshotKind {
         match self {
             SnapshotKind::Explorer => 1,
             SnapshotKind::ProverLedger => 2,
-            SnapshotKind::LintCache => 3,
             SnapshotKind::JobJournal => 4,
             SnapshotKind::VisitedShard => 5,
         }
@@ -62,7 +59,6 @@ impl SnapshotKind {
         match tag {
             1 => Some(SnapshotKind::Explorer),
             2 => Some(SnapshotKind::ProverLedger),
-            3 => Some(SnapshotKind::LintCache),
             4 => Some(SnapshotKind::JobJournal),
             5 => Some(SnapshotKind::VisitedShard),
             _ => None,
@@ -350,6 +346,25 @@ mod tests {
             })
         );
         let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn retired_tag_is_malformed_and_live_tags_keep_their_numbers() {
+        use SnapshotKind::{Explorer, JobJournal, ProverLedger, VisitedShard};
+        let path = tmp_file("retired.snap");
+        let obs = Obs::noop();
+        write_snapshot(&path, Explorer, b"cache", &obs).unwrap();
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[8] = 3;
+        fs::write(&path, &bytes).unwrap();
+        let unknown = PersistError::Malformed("unknown snapshot kind tag 3".to_string());
+        assert_eq!(peek_meta(&path), Err(unknown.clone()));
+        assert_eq!(read_snapshot(&path, Explorer, &obs), Err(unknown));
+        let _ = fs::remove_file(&path);
+
+        let live = [Explorer, ProverLedger, JobJournal, VisitedShard];
+        assert_eq!(live.map(SnapshotKind::tag), [1, 2, 4, 5]);
+        assert_eq!([1, 2, 4, 5].map(SnapshotKind::from_tag), live.map(Some));
     }
 
     #[test]

@@ -231,8 +231,7 @@ pub enum FaultSite {
     /// The start of a named prover obligation (`at` is ignored / 0).
     Obligation,
     /// The *N*-th persist-layer snapshot write attempted by the scoped
-    /// writer (prover ledger, explorer checkpoint, lint cache, serve job
-    /// journal). Injection sits *above* `equitls-persist`: the writer
+    /// writer (prover ledger, explorer checkpoint, serve job journal). Injection sits *above* `equitls-persist`: the writer
     /// consults its plan before touching the filesystem, so a fired fault
     /// models the whole write/rename/fsync sequence failing atomically —
     /// the previous snapshot (if any) stays intact, exactly the guarantee

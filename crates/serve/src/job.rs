@@ -371,8 +371,7 @@ fn run_lint(request: &JobRequest, warm: &WarmState) -> JsonValue {
         jobs: request.jobs.max(1),
         ..AnalysisOptions::default()
     };
-    let outcome = analyze_spec(&pristine.spec, target, &LintConfig::new(), &options, None);
-    let report = outcome.report;
+    let report = analyze_spec(&pristine.spec, target, &LintConfig::new(), &options);
     let findings = report
         .diagnostics
         .iter()

@@ -4,7 +4,7 @@
 //! cargo run --release -p equitls-tls --bin tls-lint
 //! cargo run --release -p equitls-tls --bin tls-lint -- --json
 //! cargo run --release -p equitls-tls --bin tls-lint -- bool fixtures
-//! cargo run --release -p equitls-tls --bin tls-lint -- --jobs 4 --cache lint.snap
+//! cargo run --release -p equitls-tls --bin tls-lint -- --jobs 4
 //! cargo run --release -p equitls-tls --bin tls-lint -- --sarif out.sarif --graph deps.dot
 //! ```
 //!
@@ -19,12 +19,9 @@
 //!
 //! Flags:
 //!
-//! * `--jobs N` — worker threads for critical-pair joinability. The report
-//!   is identical at every level (each pair is judged independently).
-//! * `--cache PATH` — incremental analysis: load a pass-result snapshot,
-//!   skip passes whose fingerprinted inputs are unchanged, save back.
-//!   Stats go to stderr so stdout is byte-identical cold vs. warm; a
-//!   corrupt cache is reported on stderr and the run continues cold.
+//! * `--jobs N` — worker threads for critical-pair joinability (`0` = all
+//!   cores). The report is identical at every level (each pair is judged
+//!   independently).
 //! * `--sarif PATH` — write every report as one SARIF 2.1.0 log.
 //! * `--graph PATH` — write the first spec target's operator dependency
 //!   graph as Graphviz DOT (for the TLS models the reachability roots are
@@ -36,18 +33,16 @@
 //! errors. `--json` prints one JSON object with per-target reports
 //! (rendered by `equitls-obs`, no external dependencies).
 
-use equitls_core::prelude::InvariantSet;
+use equitls_core::prelude::{resolve_jobs, InvariantSet};
 use equitls_kernel::op::OpKind;
 use equitls_kernel::prelude::OpId;
 use equitls_kernel::signature::Signature;
 use equitls_kernel::term::{Term, TermStore};
-use equitls_lint::cache::LintCache;
 use equitls_lint::{
-    analyze_spec, analyze_system, deps, sarif, AnalysisOptions, AnalysisOutcome, LintCode,
-    LintConfig, LintReport, Severity,
+    analyze_spec, analyze_system, deps, sarif, AnalysisOptions, LintCode, LintConfig, LintReport,
+    Severity,
 };
 use equitls_obs::json::JsonValue;
-use equitls_obs::sink::Obs;
 use equitls_rewrite::bool_alg::BoolAlg;
 use equitls_rewrite::bool_rules::hd_bool_rules;
 use equitls_spec::spec::Spec;
@@ -100,8 +95,6 @@ struct TargetOutcome {
     expectation: Expectation,
     /// DOT rendering of the dependency graph, for `--graph`.
     dot: Option<String>,
-    passes_analyzed: usize,
-    passes_reused: usize,
 }
 
 impl TargetOutcome {
@@ -116,13 +109,11 @@ impl TargetOutcome {
         }
     }
 
-    fn from_analysis(outcome: AnalysisOutcome, expectation: Expectation) -> Self {
+    fn from_analysis(report: LintReport, expectation: Expectation) -> Self {
         TargetOutcome {
-            report: outcome.report,
+            report,
             expectation,
             dot: None,
-            passes_analyzed: outcome.passes_analyzed,
-            passes_reused: outcome.passes_reused,
         }
     }
 }
@@ -155,43 +146,37 @@ fn spec_dot(spec: &Spec, roots: &[OpId], name: &str) -> String {
     deps::to_dot(spec.store(), &graph, name)
 }
 
-fn lint_bool(options: &AnalysisOptions, cache: Option<&mut LintCache>) -> TargetOutcome {
+fn lint_bool(options: &AnalysisOptions) -> TargetOutcome {
     let mut sig = Signature::new();
     let alg = BoolAlg::install(&mut sig).expect("fresh signature");
     let mut store = TermStore::new(sig);
     let rules = hd_bool_rules(&mut store, &alg).expect("HD BOOL builds");
-    let outcome = analyze_system(
+    let report = analyze_system(
         &store,
         &alg,
         &rules,
         "BOOL (Hsiang-Dershowitz)",
         &LintConfig::new(),
         options,
-        cache,
     );
-    TargetOutcome::from_analysis(outcome, Expectation::Clean)
+    TargetOutcome::from_analysis(report, Expectation::Clean)
 }
 
-fn lint_eq_procedure(options: &AnalysisOptions, cache: Option<&mut LintCache>) -> TargetOutcome {
+fn lint_eq_procedure(options: &AnalysisOptions) -> TargetOutcome {
     let mut spec = Spec::new().expect("fresh spec");
     spec.load_module(EQ_PROCEDURE).expect("EQPROC parses");
-    let outcome = analyze_spec(
+    let report = analyze_spec(
         &spec,
         "equality procedure (EQPROC)",
         &LintConfig::new(),
         options,
-        cache,
     );
-    let mut outcome = TargetOutcome::from_analysis(outcome, Expectation::Clean);
+    let mut outcome = TargetOutcome::from_analysis(report, Expectation::Clean);
     outcome.dot = Some(spec_dot(&spec, &[], "EQPROC"));
     outcome
 }
 
-fn lint_model(
-    variant: bool,
-    options: &AnalysisOptions,
-    cache: Option<&mut LintCache>,
-) -> TargetOutcome {
+fn lint_model(variant: bool, options: &AnalysisOptions) -> TargetOutcome {
     let (model, label) = if variant {
         (TlsModel::variant().expect("variant model"), "TLS (variant)")
     } else {
@@ -227,41 +212,31 @@ fn lint_model(
         jobs: options.jobs,
         roots: roots.clone(),
     };
-    let outcome = analyze_spec(&model.spec, label, &config, &model_options, cache);
-    let mut outcome = TargetOutcome::from_analysis(outcome, Expectation::Clean);
+    let report = analyze_spec(&model.spec, label, &config, &model_options);
+    let mut outcome = TargetOutcome::from_analysis(report, Expectation::Clean);
     outcome.dot = Some(spec_dot(&model.spec, &roots, label));
     outcome
 }
 
-fn lint_fixtures(
-    options: &AnalysisOptions,
-    mut cache: Option<&mut LintCache>,
-) -> Vec<TargetOutcome> {
+fn lint_fixtures(options: &AnalysisOptions) -> Vec<TargetOutcome> {
     LintFixture::all()
         .into_iter()
         .map(|fixture| {
             let spec = fixture.load().expect("fixture loads");
-            let outcome = analyze_spec(
-                &spec,
-                fixture.name(),
-                &fixture.config(),
-                options,
-                cache.as_deref_mut(),
-            );
-            TargetOutcome::from_analysis(outcome, Expectation::DeniedWith(fixture.expected_code()))
+            let report = analyze_spec(&spec, fixture.name(), &fixture.config(), options);
+            TargetOutcome::from_analysis(report, Expectation::DeniedWith(fixture.expected_code()))
         })
         .collect()
 }
 
 const TARGET_NAMES: [&str; 5] = ["bool", "eq", "standard", "variant", "fixtures"];
 
-const USAGE: &str = "usage: tls-lint [--json] [--jobs N] [--cache PATH] [--sarif PATH] \
+const USAGE: &str = "usage: tls-lint [--json] [--jobs N (0 = all cores)] [--sarif PATH] \
                      [--graph PATH] [TARGET...]";
 
 struct Cli {
     json: bool,
     jobs: usize,
-    cache: Option<PathBuf>,
     sarif: Option<PathBuf>,
     graph: Option<PathBuf>,
     selected: Vec<String>,
@@ -271,7 +246,6 @@ fn parse_cli() -> Cli {
     let mut cli = Cli {
         json: false,
         jobs: 1,
-        cache: None,
         sarif: None,
         graph: None,
         selected: Vec::new(),
@@ -294,13 +268,12 @@ fn parse_cli() -> Cli {
                 cli.jobs = args
                     .next()
                     .and_then(|v| v.parse::<usize>().ok())
-                    .filter(|&n| n >= 1)
+                    .map(resolve_jobs)
                     .unwrap_or_else(|| {
-                        eprintln!("--jobs needs a positive integer\n{USAGE}");
+                        eprintln!("--jobs needs a thread count (0 = all cores)\n{USAGE}");
                         std::process::exit(2);
                     });
             }
-            "--cache" => path_flag("--cache", &mut cli.cache, &mut args),
             "--sarif" => path_flag("--sarif", &mut cli.sarif, &mut args),
             "--graph" => path_flag("--graph", &mut cli.graph, &mut args),
             other if other.starts_with("--") => {
@@ -327,56 +300,22 @@ fn run() {
         jobs: cli.jobs,
         roots: Vec::new(),
     };
-    let obs = Obs::noop();
-
-    // A corrupt or unreadable cache must never take the gate down: warn
-    // on stderr and run cold.
-    let mut cache = match &cli.cache {
-        None => None,
-        Some(path) if path.exists() => match LintCache::load(path, &obs) {
-            Ok(cache) => Some(cache),
-            Err(err) => {
-                eprintln!(
-                    "tls-lint: warning: lint cache {} is unusable ({err}); running cold",
-                    path.display()
-                );
-                Some(LintCache::new())
-            }
-        },
-        Some(_) => Some(LintCache::new()),
-    };
 
     let mut outcomes = Vec::new();
     if want("bool") {
-        outcomes.push(lint_bool(&options, cache.as_mut()));
+        outcomes.push(lint_bool(&options));
     }
     if want("eq") {
-        outcomes.push(lint_eq_procedure(&options, cache.as_mut()));
+        outcomes.push(lint_eq_procedure(&options));
     }
     if want("standard") {
-        outcomes.push(lint_model(false, &options, cache.as_mut()));
+        outcomes.push(lint_model(false, &options));
     }
     if want("variant") {
-        outcomes.push(lint_model(true, &options, cache.as_mut()));
+        outcomes.push(lint_model(true, &options));
     }
     if want("fixtures") {
-        outcomes.extend(lint_fixtures(&options, cache.as_mut()));
-    }
-
-    if let (Some(cache), Some(path)) = (&cache, &cli.cache) {
-        let analyzed: usize = outcomes.iter().map(|o| o.passes_analyzed).sum();
-        let reused: usize = outcomes.iter().map(|o| o.passes_reused).sum();
-        eprintln!("tls-lint: lint cache: {reused} passes reused, {analyzed} analyzed");
-        // A failed cache write degrades the *next* run to cold — this
-        // run's findings are already complete, so warn and continue
-        // rather than abort the campaign.
-        if let Err(err) = cache.save(path, &obs) {
-            obs.counter("persist.snapshot_failed", 1);
-            eprintln!(
-                "tls-lint: warning: cannot write lint cache {} ({err}); next run starts cold",
-                path.display()
-            );
-        }
+        outcomes.extend(lint_fixtures(&options));
     }
 
     if let Some(path) = &cli.sarif {

@@ -321,10 +321,11 @@ mod tests {
 
     #[test]
     fn lint_fixtures_are_denied_for_the_seeded_reason() {
-        use equitls_lint::lint_spec;
+        use equitls_lint::{analyze_spec, AnalysisOptions};
+        let options = AnalysisOptions::default();
         for fixture in LintFixture::all() {
             let spec = fixture.load().unwrap();
-            let report = lint_spec(&spec, fixture.name(), &fixture.config());
+            let report = analyze_spec(&spec, fixture.name(), &fixture.config(), &options);
             assert!(report.has_deny(), "{}: {report}", fixture.name());
             let hits = report.with_code(fixture.expected_code());
             assert!(
