@@ -3,6 +3,11 @@
 //! **E12** (printed tables):
 //!
 //! * Boolean-ring tautology decision throughput, by formula size;
+//! * ring products by operand shape (`boolring-product/<shape>`): the
+//!   7-atom `lem-rand-ur` shape through the truth-table kernel, and a
+//!   14-atom shape of the same size on the pairwise path. Their
+//!   per-product times also go into `BENCH_rewriting.json`
+//!   (`ring_products`);
 //! * the ablation DESIGN.md calls out: ring normal form vs. naive
 //!   truth-table enumeration, by atom count;
 //! * protocol-term normalization: reducing gleaning collections over
@@ -38,18 +43,23 @@
 //!
 //! * `BENCH_SAMPLES`  — timed repetitions per E19 leg (default 5; best-of-N);
 //! * `BENCH_OUT`      — output path (default `<repo>/BENCH_rewriting.json`);
-//! * `BENCH_SMOKE=1`  — E19 only, tiny workload, temp-dir output (CI smoke);
+//! * `BENCH_SMOKE=1`  — one product per ring shape plus E19, tiny workload,
+//!   temp-dir output (CI smoke);
 //! * `BENCH_FANOUT_N` — fan-out network size (default 48; smoke 4);
 //! * `BENCH_GIT_REV`, `BENCH_HOSTNAME` — provenance stamps.
 
 use equitls_bench::harness::bench;
 use equitls_bench::{bool_world, random_formula, truth_table_tautology};
+use equitls_kernel::term::TermId;
 use equitls_obs::json::JsonValue;
+use equitls_obs::rng::SplitMix64;
 use equitls_obs::sink::Obs;
 use equitls_obs::summary::rate_per_sec;
+use equitls_rewrite::boolring::{TABLE_MUL_MAX_ATOMS, TABLE_MUL_MIN_PAIRS};
 use equitls_rewrite::prelude::*;
 use equitls_tls::verify::{self, VerifyOptions};
 use equitls_tls::TlsModel;
+use std::collections::BTreeSet;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -67,6 +77,63 @@ fn bench_ring_throughput() {
             }
         });
     }
+}
+
+/// A random polynomial of exactly `monomials` distinct monomials over
+/// `atoms`, each atom in each monomial with probability one half.
+fn random_poly(rng: &mut SplitMix64, atoms: &[TermId], monomials: usize) -> Poly {
+    let mut masks = BTreeSet::new();
+    while masks.len() < monomials {
+        masks.insert(rng.next_u64() & ((1 << atoms.len()) - 1));
+    }
+    masks.iter().fold(Poly::zero(), |acc, &mask| {
+        let mono = atoms
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| mask >> i & 1 == 1)
+            .fold(Poly::one(), |m, (_, &a)| m.mul(&Poly::atom(a)));
+        acc.add(&mono)
+    })
+}
+
+/// Ring products by operand shape. `lem-rand-ur` is the shape that
+/// dominated that lemma's goal normalization: 61 × 61 monomials over 7
+/// atoms, inside the truth-table kernel's range. The 14-atom shape has the
+/// same monomial counts but too many atoms for truth tables, so it stays
+/// on the pairwise path. Each sample multiplies `operands` pairs.
+fn bench_ring_products(samples: usize, operands: usize) -> Vec<JsonValue> {
+    println!("== boolring-product (operand pairs per sample: {operands})");
+    let mut rows = Vec::new();
+    for (shape, atom_count, monomials) in [("lem-rand-ur", 7, 61), ("14-atoms", 14, 61)] {
+        let (_, _, atoms) = bool_world(atom_count);
+        let mut rng = SplitMix64::new(0x5EED ^ atom_count as u64);
+        let pairs: Vec<_> = (0..operands)
+            .map(|_| {
+                let p = random_poly(&mut rng, &atoms, monomials);
+                (p, random_poly(&mut rng, &atoms, monomials))
+            })
+            .collect();
+        let table =
+            atom_count <= TABLE_MUL_MAX_ATOMS && monomials * monomials >= TABLE_MUL_MIN_PAIRS;
+        let kernel = if table { "truth-table" } else { "pairwise" };
+        let best = bench(&format!("boolring-product/{shape}"), samples, || {
+            for (p, q) in &pairs {
+                black_box(p.mul(q));
+            }
+        });
+        rows.push(obj(vec![
+            ("shape", JsonValue::String(shape.to_string())),
+            ("atoms", num(atom_count as f64)),
+            ("monomials", num(monomials as f64)),
+            ("kernel", JsonValue::String(kernel.to_string())),
+            ("products", num(operands as f64)),
+            (
+                "us_per_product",
+                num(best.as_secs_f64() * 1e6 / operands as f64),
+            ),
+        ]));
+    }
+    rows
 }
 
 fn bench_ring_vs_truth_table() {
@@ -385,11 +452,16 @@ fn main() {
     let worker = std::thread::Builder::new()
         .stack_size(512 * 1024 * 1024)
         .spawn(move || {
-            if !smoke {
+            // Smoke multiplies one pair per shape, once.
+            let products = if smoke {
+                bench_ring_products(1, 1)
+            } else {
                 bench_ring_throughput();
+                let products = bench_ring_products(20, 16);
                 bench_ring_vs_truth_table();
                 bench_gleaning_reduction();
-            }
+                products
+            };
             let campaign = bench_campaign(samples, smoke);
             let fanout = bench_fanout(samples, smoke);
             let stamp = |var: &str| {
@@ -405,6 +477,7 @@ fn main() {
                 ("cores", num(cores as f64)),
                 ("samples", num(samples as f64)),
                 ("smoke", JsonValue::Bool(smoke)),
+                ("ring_products", JsonValue::Array(products)),
                 ("campaign", JsonValue::Array(campaign)),
                 ("fanout", fanout),
             ]);

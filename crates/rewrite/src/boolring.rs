@@ -141,10 +141,14 @@ impl Poly {
 
     /// Multiplication in GF(2): conjunction, distributed over xor.
     ///
-    /// Every pairwise product (a sorted union: `and` is idempotent) goes
-    /// into one scratch buffer; sorting the products brings duplicates
-    /// together, and a product survives iff it occurs an odd number of
-    /// times.
+    /// Two kernels compute the same product, monomial for monomial. When
+    /// the operands form at least [`TABLE_MUL_MIN_PAIRS`] monomial pairs
+    /// over at most [`TABLE_MUL_MAX_ATOMS`] distinct atoms between them,
+    /// the product goes through truth tables (see `mul_table`). Every
+    /// other product expands every monomial pair: each pairwise product
+    /// (a sorted union: `and` is idempotent) goes into one scratch buffer;
+    /// sorting the products brings duplicates together, and a product
+    /// survives iff it occurs an odd number of times.
     pub fn mul(&self, other: &Poly) -> Poly {
         if self.is_true() || other.is_false() {
             return other.clone();
@@ -153,6 +157,11 @@ impl Poly {
             return self.clone();
         }
         let pairs = self.ends.len() * other.ends.len();
+        if pairs >= TABLE_MUL_MIN_PAIRS {
+            if let Some(vars) = few_atoms(self, other) {
+                return mul_table(self, other, &vars);
+            }
+        }
         let mut buf: Vec<TermId> = Vec::with_capacity(
             self.atoms.len() * other.ends.len() + other.atoms.len() * self.ends.len(),
         );
@@ -270,6 +279,146 @@ fn offset(len: usize) -> u32 {
 impl fmt::Debug for Poly {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_set().entries(self.monomials()).finish()
+    }
+}
+
+/// The most distinct atoms, across both operands, for which [`Poly::mul`]
+/// multiplies through truth tables. A table over `n` atoms has `2^n` bits,
+/// so at this cutoff each operand's table is 64 words (512 bytes). At 12
+/// atoms and 16 pairs the two kernels still run about even; the TLS
+/// campaign's few larger products (13–25 atoms) are mostly tiny.
+pub const TABLE_MUL_MAX_ATOMS: usize = 12;
+
+/// The fewest monomial pairs (the product of the operands' monomial
+/// counts) for which [`Poly::mul`] multiplies through truth tables. From
+/// 16 pairs up the table kernel is at least as fast at every atom count
+/// up to [`TABLE_MUL_MAX_ATOMS`]; at 9 pairs it already loses from 9
+/// atoms up.
+pub const TABLE_MUL_MIN_PAIRS: usize = 16;
+
+/// `u64` words in a truth table over [`TABLE_MUL_MAX_ATOMS`] atoms.
+const TABLE_WORDS: usize = (1 << TABLE_MUL_MAX_ATOMS) / 64;
+
+/// `MOBIUS_HIGH[i]` has bit `b` set iff bit `i` of `b` is set: the table
+/// positions that absorb their partner `b - 2^i` in transform step `i < 6`.
+const MOBIUS_HIGH: [u64; 6] = [
+    0xAAAA_AAAA_AAAA_AAAA,
+    0xCCCC_CCCC_CCCC_CCCC,
+    0xF0F0_F0F0_F0F0_F0F0,
+    0xFF00_FF00_FF00_FF00,
+    0xFFFF_0000_FFFF_0000,
+    0xFFFF_FFFF_0000_0000,
+];
+
+/// The sorted union of `p`'s and `q`'s atoms, or `None` as soon as it
+/// exceeds [`TABLE_MUL_MAX_ATOMS`].
+fn few_atoms(p: &Poly, q: &Poly) -> Option<Vec<TermId>> {
+    let mut vars = Vec::with_capacity(TABLE_MUL_MAX_ATOMS);
+    for &a in p.atoms.iter().chain(&q.atoms) {
+        if let Err(i) = vars.binary_search(&a) {
+            if vars.len() == TABLE_MUL_MAX_ATOMS {
+                return None;
+            }
+            vars.insert(i, a);
+        }
+    }
+    Some(vars)
+}
+
+/// The product of `p` and `q`, whose atoms are all in the sorted list
+/// `vars`, through truth tables.
+///
+/// A monomial is a subset of `vars`: bit `i` of its mask stands for
+/// `vars[i]`. An operand's table has bit `m` set iff monomial `m` occurs
+/// in it (its algebraic normal form). The GF(2) Möbius transform turns
+/// that into the operand's truth table, where bit `m` is the value under
+/// the assignment making exactly the atoms of `m` true. A product of
+/// functions is the AND of their truth tables, and the transform is its
+/// own inverse, so transforming the AND back gives the product's
+/// monomials. They are read out in preorder of the subset tree (each
+/// subset's children add one atom above its largest), which is exactly
+/// the lexicographic order of sorted slices: the result is identical to
+/// the pairwise kernel's.
+fn mul_table(p: &Poly, q: &Poly, vars: &[TermId]) -> Poly {
+    let n = vars.len();
+    let words = (1usize << n).div_ceil(64);
+    let (mut left, mut right) = ([0u64; TABLE_WORDS], [0u64; TABLE_WORDS]);
+    let (left, right) = (&mut left[..words], &mut right[..words]);
+    for (poly, table) in [(p, &mut *left), (q, &mut *right)] {
+        for mono in poly.monomials() {
+            let mask = mono.iter().fold(0usize, |m, a| {
+                m | 1 << vars.binary_search(a).expect("atom is in the union")
+            });
+            table[mask / 64] |= 1 << (mask % 64);
+        }
+        mobius(table, n);
+    }
+    for (l, r) in left.iter_mut().zip(right.iter()) {
+        *l &= r;
+    }
+    mobius(left, n);
+    let mut masks: Vec<u32> = Vec::new();
+    for (w, &word) in left.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            masks.push(offset(w * 64) + bits.trailing_zeros());
+            bits &= bits - 1;
+        }
+    }
+    masks.sort_unstable_by(|&a, &b| preorder_cmp(a, b));
+    let width = masks.iter().map(|m| m.count_ones() as usize).sum();
+    let mut out = Poly {
+        atoms: Vec::with_capacity(width),
+        ends: Vec::with_capacity(masks.len()),
+    };
+    for mask in masks {
+        let mut bits = mask;
+        while bits != 0 {
+            out.atoms.push(vars[bits.trailing_zeros() as usize]);
+            bits &= bits - 1;
+        }
+        out.ends.push(offset(out.atoms.len()));
+    }
+    out
+}
+
+/// The GF(2) Möbius transform of a table over `n` atoms, in place: bit `m`
+/// becomes the xor of the bits of every subset of `m`. Step `i` xors each
+/// position with bit `i` set with its partner without it: a shift inside
+/// a word for `i < 6`, a whole-word xor above.
+fn mobius(table: &mut [u64], n: usize) {
+    for (i, &high) in MOBIUS_HIGH.iter().enumerate().take(n) {
+        for w in table.iter_mut() {
+            *w ^= (*w << (1 << i)) & high;
+        }
+    }
+    for i in 6..n {
+        let step = 1 << (i - 6);
+        for j in (0..table.len()).filter(|j| j & step != 0) {
+            table[j] ^= table[j ^ step];
+        }
+    }
+}
+
+/// The order of two monomial masks as sorted atom slices. Below their
+/// lowest differing atom `d` they agree; the one holding `d` sorts first
+/// unless the other has no atom above `d`, i.e. is its prefix.
+fn preorder_cmp(a: u32, b: u32) -> Ordering {
+    let diff = a ^ b;
+    if diff == 0 {
+        return Ordering::Equal;
+    }
+    let low = diff & diff.wrapping_neg();
+    let above = !(low | (low - 1));
+    let (holder_first, other) = if a & low != 0 {
+        (Ordering::Less, b)
+    } else {
+        (Ordering::Greater, a)
+    };
+    if other & above != 0 {
+        holder_first
+    } else {
+        holder_first.reverse()
     }
 }
 

@@ -7,7 +7,9 @@
 //! evaluate them by brute-force truth table, and check the engine agrees —
 //! experiment E12 in DESIGN.md. Separately, random polynomials run through
 //! both [`Poly`] and a nested-set reference polynomial, which must agree
-//! operation by operation and monomial by monomial. Last, the cached
+//! operation by operation and monomial by monomial; their products run
+//! through both of `Poly::mul`'s kernels (truth tables for few atoms,
+//! pairwise expansion otherwise). Last, the cached
 //! normalizer (memo plus polynomial cache, case splits in scopes) is run
 //! against a from-scratch one on formulas with equality atoms over
 //! arbitrary constants and constructors. Generation is
@@ -16,6 +18,7 @@
 
 use equitls_kernel::prelude::*;
 use equitls_obs::rng::SplitMix64;
+use equitls_rewrite::boolring::{TABLE_MUL_MAX_ATOMS, TABLE_MUL_MIN_PAIRS};
 use equitls_rewrite::prelude::*;
 use std::collections::BTreeSet;
 
@@ -282,21 +285,66 @@ fn ref_monomial_list(p: &RefPoly) -> Vec<Vec<TermId>> {
 }
 
 const ORACLE_CASES: usize = 2_000;
-const MAX_ATOMS: usize = 10;
-const MAX_MONOMIALS: usize = 64;
+/// Past [`TABLE_MUL_MAX_ATOMS`], so products run through both kernels.
+const MAX_ATOMS: usize = 16;
+const MAX_MONOMIALS: usize = 128;
+/// Explicit cases at each of the two atom counts around the cutoff.
+const EDGE_CASES: usize = 50;
 
-/// A random polynomial over `atoms`, with up to [`MAX_MONOMIALS`] monomials.
+/// A random polynomial over `atoms`, with up to [`MAX_MONOMIALS`]
+/// monomials. Smaller sizes are likelier (the bound itself is drawn
+/// first), which keeps the reference products affordable.
 fn gen_poly(rng: &mut SplitMix64, atoms: &[TermId]) -> RefPoly {
     let mut p = RefPoly::default();
-    for _ in 0..rng.next_index(MAX_MONOMIALS + 1) {
+    let bound = rng.next_index(MAX_MONOMIALS + 1);
+    for _ in 0..rng.next_index(bound + 1) {
         let width = rng.next_index(atoms.len() + 1);
         p.toggle((0..width).map(|_| *rng.choose(atoms)).collect());
     }
     p
 }
 
+/// Which kernel `Poly::mul` runs for `p * q`, by the size rule beside
+/// [`TABLE_MUL_MAX_ATOMS`]. Constant operands short-circuit before either.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+enum Kernel {
+    Constant,
+    FewPairs,
+    Table,
+    ManyAtoms,
+}
+
+fn kernel_for(p: &RefPoly, q: &RefPoly) -> Kernel {
+    let constant = |r: &RefPoly| r.0.len() <= 1 && r.0.iter().all(BTreeSet::is_empty);
+    let union: BTreeSet<TermId> = p.atoms().into_iter().chain(q.atoms()).collect();
+    if constant(p) || constant(q) {
+        Kernel::Constant
+    } else if p.0.len() * q.0.len() < TABLE_MUL_MIN_PAIRS {
+        Kernel::FewPairs
+    } else if union.len() <= TABLE_MUL_MAX_ATOMS {
+        Kernel::Table
+    } else {
+        Kernel::ManyAtoms
+    }
+}
+
+/// A pair of polynomials over exactly `atoms`, with enough monomial pairs
+/// for the table kernel.
+fn gen_edge_pair(rng: &mut SplitMix64, atoms: &[TermId]) -> (RefPoly, RefPoly) {
+    loop {
+        let (p, q) = (gen_poly(rng, atoms), gen_poly(rng, atoms));
+        let union: BTreeSet<TermId> = p.atoms().into_iter().chain(q.atoms()).collect();
+        if union.len() == atoms.len() && p.0.len() * q.0.len() >= TABLE_MUL_MIN_PAIRS {
+            return (p, q);
+        }
+    }
+}
+
 /// The flat kernel agrees with the nested-set reference on every
 /// operation, on the exact monomial order, and on the term round trip.
+/// Products run on both sides of the truth-table cutoff: random atom
+/// counts up to [`MAX_ATOMS`], plus explicit pairs over exactly
+/// [`TABLE_MUL_MAX_ATOMS`] and one more atom.
 #[test]
 fn flat_kernel_matches_the_nested_set_reference() {
     let mut sig = Signature::new();
@@ -307,9 +355,17 @@ fn flat_kernel_matches_the_nested_set_reference() {
         .collect();
     let mut norm = Normalizer::new(alg.clone(), RuleSet::new());
     let mut rng = SplitMix64::new(0x0E55);
-    for case in 0..ORACLE_CASES {
-        let atoms = &pool[..1 + rng.next_index(MAX_ATOMS)];
-        let (rp, rq) = (gen_poly(&mut rng, atoms), gen_poly(&mut rng, atoms));
+    let edges = [TABLE_MUL_MAX_ATOMS, TABLE_MUL_MAX_ATOMS + 1];
+    let mut kernels = std::collections::BTreeMap::<Kernel, usize>::new();
+    for case in 0..ORACLE_CASES + edges.len() * EDGE_CASES {
+        let (rp, rq) = match case.checked_sub(ORACLE_CASES) {
+            None => {
+                let atoms = &pool[..1 + rng.next_index(MAX_ATOMS)];
+                (gen_poly(&mut rng, atoms), gen_poly(&mut rng, atoms))
+            }
+            Some(edge) => gen_edge_pair(&mut rng, &pool[..edges[edge / EDGE_CASES]]),
+        };
+        *kernels.entry(kernel_for(&rp, &rq)).or_default() += 1;
         let (p, q) = (rp.to_flat(), rq.to_flat());
         assert_eq!(monomial_list(&p), ref_monomial_list(&rp), "case {case}");
         assert_eq!(p.monomial_count(), rp.0.len(), "case {case}");
@@ -341,6 +397,14 @@ fn flat_kernel_matches_the_nested_set_reference() {
         let term = p.to_term(&mut store, &alg).unwrap();
         let back = norm.normalize_to_poly(&mut store, term).unwrap();
         assert_eq!(back, p, "case {case}: round trip");
+    }
+    // Each side of the cutoff gets at least a tenth of the cases.
+    for kernel in [Kernel::Table, Kernel::ManyAtoms] {
+        let share = kernels.get(&kernel).copied().unwrap_or(0);
+        assert!(
+            share * 10 >= ORACLE_CASES,
+            "{kernel:?} ran {share} products: {kernels:?}"
+        );
     }
 }
 

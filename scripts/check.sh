@@ -249,17 +249,20 @@ echo "== bench smoke =="
 BENCH_SMOKE=1 cargo bench -q -p equitls-bench --bench parallel
 BENCH_SMOKE=1 cargo bench -q -p equitls-bench --bench serve
 
-echo "== rewriting bench smoke: indexed must not lose to linear scan =="
-# A fixed tiny workload through both engine legs. Wall times jitter, so
-# the gate is deliberately loose (indexed within 1.5x of linear on the
-# fan-out normalize loop); the structural assertions are exact — the
-# index must be bit-identical and must actually prune.
+echo "== rewriting bench smoke: ring products run; indexed must not lose to linear scan =="
+# A fixed tiny workload: one ring product per operand shape (no timing
+# gate; both shapes must be reported), then both engine legs. Wall times
+# jitter, so the leg gate is deliberately loose (indexed within 1.5x of
+# linear on the fan-out normalize loop); the structural assertions are
+# exact — the index must be bit-identical and must actually prune.
 REWRITING_JSON="$(mktemp -u /tmp/equitls_check_XXXXXX.rewriting.json)"
 BENCH_SMOKE=1 BENCH_OUT="$REWRITING_JSON" \
     cargo bench -q -p equitls-bench --bench rewriting
 python3 - "$REWRITING_JSON" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
+kernels = {row["shape"]: row["kernel"] for row in doc["ring_products"]}
+assert kernels == {"lem-rand-ur": "truth-table", "14-atoms": "pairwise"}, kernels
 legs = {leg["leg"]: leg for leg in doc["fanout"]["legs"]}
 linear, indexed = legs["linear"], legs["indexed"]
 assert indexed["normalize_ms"] <= 1.5 * linear["normalize_ms"], (
