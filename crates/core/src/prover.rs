@@ -78,10 +78,11 @@ pub struct ProverConfig {
     /// the predicate holds only for values built by that constructor.
     pub witnesses: HashMap<OpId, OpId>,
     /// Worker threads for independent proof obligations (`0` = available
-    /// parallelism). Results are identical for every value: each
-    /// obligation — at any jobs count, including 1 — runs on its own
-    /// clone of the pristine [`Spec`], so term arenas never cross threads
-    /// and no obligation sees another's fresh constants or assumptions.
+    /// parallelism). Results are identical for every value: each worker
+    /// runs its obligations on its own clone of the caller's [`Spec`],
+    /// rolled back to the clone's starting state after every obligation,
+    /// so term arenas never cross threads and no obligation sees
+    /// another's fresh constants or assumptions.
     pub jobs: usize,
     /// Shared resource budget (deadline, heap ceiling, cancel token).
     /// Every obligation's normalizer checks it; a trip leaves the
@@ -246,9 +247,11 @@ impl<'a> Prover<'a> {
     ///
     /// The base case and each action's inductive case are independent
     /// obligations; with `ProverConfig::jobs > 1` they are distributed
-    /// across worker threads. Each obligation clones the caller's [`Spec`]
-    /// (at every jobs value, including 1), so the report is byte-identical
-    /// for any thread count and the caller's spec is left untouched.
+    /// across worker threads. Each worker clones the caller's [`Spec`]
+    /// once and closes every obligation by rolling that clone back to the
+    /// mark taken before it (at every jobs value, including 1), so the
+    /// report is byte-identical for any thread count and the caller's spec
+    /// is left untouched.
     ///
     /// # Errors
     ///
@@ -267,15 +270,14 @@ impl<'a> Prover<'a> {
             .get(invariant)
             .ok_or_else(|| CoreError::UnknownInvariant(invariant.to_string()))?
             .clone();
-        // Build the discrimination-tree index once on the pristine rule
-        // set: every obligation's spec clone then shares it by `Arc`
-        // instead of rebuilding per worker.
+        // Build the discrimination-tree index once on the caller's rule
+        // set: every worker's spec clone then shares it by `Arc` instead
+        // of rebuilding it.
         if !self.config.linear_scan {
             self.spec.rules().path_index(self.spec.store());
         }
-        let pristine = self.spec.clone();
         let ctx = TaskCtx {
-            spec: &pristine,
+            spec: self.spec,
             ots: self.ots,
             invariants: self.invariants,
             config: &self.config,
@@ -300,7 +302,8 @@ impl<'a> Prover<'a> {
     /// obligation, so `ProverConfig::jobs` has nothing to distribute here;
     /// campaigns parallelize across properties instead (each property's
     /// obligation is independent). Like [`Prover::prove_inductive`], the
-    /// obligation runs on a clone of the caller's [`Spec`].
+    /// obligation runs on one clone of the caller's [`Spec`], which is left
+    /// untouched.
     ///
     /// # Errors
     ///
@@ -316,16 +319,15 @@ impl<'a> Prover<'a> {
             .get(invariant)
             .ok_or_else(|| CoreError::UnknownInvariant(invariant.to_string()))?
             .clone();
-        // Build the discrimination-tree index once on the pristine rule
-        // set: every obligation's spec clone then shares it by `Arc`
-        // instead of rebuilding per worker.
+        // Build the discrimination-tree index once on the caller's rule
+        // set: every worker's spec clone then shares it by `Arc` instead
+        // of rebuilding it.
         if !self.config.linear_scan {
             self.spec.rules().path_index(self.spec.store());
         }
-        let pristine = self.spec.clone();
         let hints = Hints::new();
         let ctx = TaskCtx {
-            spec: &pristine,
+            spec: self.spec,
             ots: self.ots,
             invariants: self.invariants,
             config: &self.config,
@@ -1069,8 +1071,8 @@ impl<'a> Prover<'a> {
                 let args = self.spec.store().args(a);
                 let (l, r) = (args[0], args[1]);
                 let store = self.spec.store();
-                let orientable = (store.is_arbitrary_constant(l) && !occurs_in(store, l, r))
-                    || (store.is_arbitrary_constant(r) && !occurs_in(store, r, l))
+                let orientable = (store.is_arbitrary_constant(l) && !store.occurs_in(l, r))
+                    || (store.is_arbitrary_constant(r) && !store.occurs_in(r, l))
                     || (equitls_rewrite::assumption::is_value(store, l)
                         != equitls_rewrite::assumption::is_value(store, r));
                 if orientable {
@@ -1109,8 +1111,10 @@ enum Task<'t> {
 }
 
 /// Everything a worker needs to run one obligation. `spec` is the
-/// pristine snapshot every task clones from — the sole way term arenas
-/// stay thread-local without locking.
+/// caller's specification: each worker clones it once, runs its
+/// obligations on that clone and rolls the clone back after each one
+/// ([`run_task`]), so term arenas stay thread-local without locking and
+/// every obligation starts from the caller's state.
 struct TaskCtx<'c> {
     spec: &'c Spec,
     ots: &'c Ots,
@@ -1159,12 +1163,18 @@ fn budget_skipped_report(name: &str, reason: StopReason) -> StepReport {
     }
 }
 
-/// Run one obligation with panic containment and budget gating.
+/// Run one obligation on the worker's `spec` with panic containment and
+/// budget gating.
+///
+/// The obligation runs as a proof passage: `spec` is marked before it and
+/// rolled back after it — on success, error and caught panic alike — so
+/// the next obligation sees exactly the terms, ids and fresh names a new
+/// clone of the caller's spec would have.
 ///
 /// A panic anywhere in the obligation — injected or real — is caught here
 /// and recorded as a typed [`CaseOutcome::Fault`], so one bad obligation
 /// never poisons its siblings or the worker pool, at any `jobs` value.
-fn run_task(ctx: &TaskCtx<'_>, task: &Task<'_>) -> Result<StepReport, CoreError> {
+fn run_task(ctx: &TaskCtx<'_>, spec: &mut Spec, task: &Task<'_>) -> Result<StepReport, CoreError> {
     let name = task_name(task);
     // Budget gate: once the shared budget is tripped, remaining
     // obligations are skipped with a well-formed open report instead of
@@ -1188,7 +1198,12 @@ fn run_task(ctx: &TaskCtx<'_>, task: &Task<'_>) -> Result<StepReport, CoreError>
         }
     }
     let started = Instant::now();
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_task_inner(ctx, task))) {
+    let mark = spec.mark();
+    let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        run_task_inner(ctx, spec, task)
+    }));
+    spec.rollback(mark);
+    match caught {
         Ok(result) => result,
         Err(payload) => {
             ctx.obs.counter("prover.worker_fault", 1);
@@ -1207,10 +1222,14 @@ fn run_task(ctx: &TaskCtx<'_>, task: &Task<'_>) -> Result<StepReport, CoreError>
     }
 }
 
-/// Run one obligation on a fresh clone of the pristine spec.
-fn run_task_inner(ctx: &TaskCtx<'_>, task: &Task<'_>) -> Result<StepReport, CoreError> {
-    let mut local = ctx.spec.clone();
-    let mut prover = Prover::new(&mut local, ctx.ots, ctx.invariants)
+/// Run one obligation on `spec`, leaving its fresh constants and terms
+/// behind for [`run_task`] to roll back.
+fn run_task_inner(
+    ctx: &TaskCtx<'_>,
+    spec: &mut Spec,
+    task: &Task<'_>,
+) -> Result<StepReport, CoreError> {
+    let mut prover = Prover::new(spec, ctx.ots, ctx.invariants)
         .with_config(ctx.config.clone())
         .with_obs(ctx.obs.clone());
     match task {
@@ -1321,6 +1340,7 @@ fn open_ledger(ctx: &TaskCtx<'_>) -> Result<Option<Mutex<LedgerWriter>>, CoreErr
 /// re-runs and the fresh report is recorded.
 fn run_or_reuse(
     ctx: &TaskCtx<'_>,
+    spec: &mut Spec,
     task: &Task<'_>,
     writer: Option<&Mutex<LedgerWriter>>,
 ) -> Result<StepReport, CoreError> {
@@ -1340,7 +1360,7 @@ fn run_or_reuse(
             }
         }
     }
-    let result = run_task(ctx, task);
+    let result = run_task(ctx, spec, task);
     if let (Ok(report), Some(writer)) = (&result, writer) {
         writer
             .lock()
@@ -1351,19 +1371,21 @@ fn run_or_reuse(
 }
 
 /// Run `tasks` on `config.jobs` workers and return the reports in task
-/// order. Workers pull the next task off a shared atomic index; results
-/// land in per-task slots, so the output order (and, with several
-/// failures, which error is reported — the lowest-index one) never
-/// depends on scheduling. With `config.checkpoint_path` set, every
-/// finished obligation lands in the ledger and a final snapshot is forced
-/// when the tasks are done.
+/// order. Each worker clones the caller's spec once, on its first task,
+/// and runs every task it takes on that clone. Workers pull the next task
+/// off a shared atomic index; results land in per-task slots, so the
+/// output order (and, with several failures, which error is reported —
+/// the lowest-index one) never depends on scheduling. With
+/// `config.checkpoint_path` set, every finished obligation lands in the
+/// ledger and a final snapshot is forced when the tasks are done.
 fn run_tasks(ctx: &TaskCtx<'_>, tasks: &[Task<'_>]) -> Result<Vec<StepReport>, CoreError> {
     let writer = open_ledger(ctx)?;
     let jobs = resolve_jobs(ctx.config.jobs).min(tasks.len().max(1));
     let reports: Result<Vec<StepReport>, CoreError> = if jobs <= 1 {
+        let mut spec = ctx.spec.clone();
         tasks
             .iter()
-            .map(|t| run_or_reuse(ctx, t, writer.as_ref()))
+            .map(|t| run_or_reuse(ctx, &mut spec, t, writer.as_ref()))
             .collect()
     } else {
         let next = AtomicUsize::new(0);
@@ -1374,13 +1396,17 @@ fn run_tasks(ctx: &TaskCtx<'_>, tasks: &[Task<'_>]) -> Result<Vec<StepReport>, C
                 std::thread::Builder::new()
                     .name(format!("prover-{w}"))
                     .stack_size(WORKER_STACK_BYTES)
-                    .spawn_scoped(scope, || loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= tasks.len() {
-                            break;
+                    .spawn_scoped(scope, || {
+                        let mut spec = None;
+                        loop {
+                            let i = next.fetch_add(1, Ordering::Relaxed);
+                            if i >= tasks.len() {
+                                break;
+                            }
+                            let spec = spec.get_or_insert_with(|| ctx.spec.clone());
+                            let result = run_or_reuse(ctx, spec, &tasks[i], writer.as_ref());
+                            *slots[i].lock().expect("result slot") = Some(result);
                         }
-                        let result = run_or_reuse(ctx, &tasks[i], writer.as_ref());
-                        *slots[i].lock().expect("result slot") = Some(result);
                     })
                     .expect("spawn prover worker");
             }
@@ -1400,8 +1426,6 @@ fn run_tasks(ctx: &TaskCtx<'_>, tasks: &[Task<'_>]) -> Result<Vec<StepReport>, C
     reports
 }
 
-/// A recoverable rewriting stop: fuel ran out or the shared budget
-/// tripped. Both leave the current passage open; neither aborts the run.
 /// Longest residual an open case keeps, in bytes.
 const RESIDUAL_LIMIT: usize = 400;
 
@@ -1419,6 +1443,8 @@ fn truncate_residual(rendered: String) -> String {
     format!("{}…", &rendered[..end])
 }
 
+/// A recoverable rewriting stop: fuel ran out or the shared budget
+/// tripped. Both leave the current passage open; neither aborts the run.
 fn is_budget_error(e: &CoreError) -> bool {
     matches!(
         e,
@@ -1434,25 +1460,7 @@ fn is_budget_error(e: &CoreError) -> bool {
 /// carries the offending term, the limit, and an engine-counter snapshot;
 /// it is truncated on a char boundary so pathological terms stay readable.
 fn budget_residual(e: &CoreError) -> String {
-    let rendered = e.to_string();
-    let mut cut = rendered.len().min(400);
-    while !rendered.is_char_boundary(cut) {
-        cut -= 1;
-    }
-    if cut < rendered.len() {
-        format!("({}…)", &rendered[..cut])
-    } else {
-        format!("({rendered})")
-    }
-}
-
-fn occurs_in(store: &equitls_kernel::term::TermStore, needle: TermId, hay: TermId) -> bool {
-    hay == needle
-        || store
-            .args(hay)
-            .to_vec()
-            .iter()
-            .any(|&a| occurs_in(store, needle, a))
+    format!("({})", truncate_residual(e.to_string()))
 }
 
 /// A chosen case split.
@@ -1574,6 +1582,25 @@ mod tests {
         let cut = truncate_residual(rendered);
         assert_eq!(cut, format!("x{}…", "α".repeat(199)));
         assert_eq!(truncate_residual("short".into()), "short");
+
+        // A budget stop renders its error and cuts it the same way.
+        let stop = |term: &str| {
+            CoreError::Rewrite(RewriteError::BudgetExceeded {
+                reason: StopReason::Cancelled,
+                term: term.to_string(),
+            })
+        };
+        let mut term = "α".repeat(300);
+        if stop(&term).to_string().is_char_boundary(RESIDUAL_LIMIT) {
+            term.insert(0, 'x');
+        }
+        let rendered = stop(&term).to_string();
+        assert!(!rendered.is_char_boundary(RESIDUAL_LIMIT));
+        assert_eq!(
+            budget_residual(&stop(&term)),
+            format!("({}…)", &rendered[..RESIDUAL_LIMIT - 1])
+        );
+        assert_eq!(budget_residual(&stop("t")), format!("({})", stop("t")));
     }
 
     #[test]

@@ -17,11 +17,13 @@
 //! * [`signature`] — a registry of sorts and operators with well-formedness
 //!   checks,
 //! * [`term`] — hash-consed terms stored in a [`term::TermStore`] arena,
+//!   with mark/rollback for proof passages,
 //! * [`subst`] — substitutions mapping variables to terms,
 //! * [`matching`] — first-order matching of rule patterns against subjects,
 //! * [`unify`] — syntactic unification and position utilities for
 //!   critical-pair analysis,
-//! * [`display`] — human-readable CafeOBJ-flavoured printing.
+//! * [`display`] — human-readable CafeOBJ-flavoured printing,
+//! * [`fxhash`] — the fast hasher for tables keyed by dense ids.
 //!
 //! # Example
 //!
@@ -55,6 +57,7 @@
 
 pub mod display;
 pub mod error;
+pub mod fxhash;
 pub mod matching;
 pub mod op;
 pub mod signature;
@@ -70,10 +73,10 @@ pub mod prelude {
     pub use crate::error::KernelError;
     pub use crate::matching::{match_term, MatchOutcome};
     pub use crate::op::{OpAttrs, OpDecl, OpId, OpKind};
-    pub use crate::signature::Signature;
+    pub use crate::signature::{SigMark, Signature};
     pub use crate::sort::{SortId, SortKind};
     pub use crate::subst::Subst;
-    pub use crate::term::{Term, TermId, TermStore, VarDecl, VarId};
+    pub use crate::term::{StoreMark, Term, TermId, TermStore, VarDecl, VarId};
     pub use crate::unify::{
         apply_to_fixpoint, function_positions, replace_at, unify, UnifyOutcome,
     };

@@ -25,12 +25,19 @@ use std::collections::HashMap;
 /// assert_eq!(sig.sort_by_name("Bool"), Some(bool_sort));
 /// # Ok::<(), KernelError>(())
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Signature {
     sorts: Vec<SortDecl>,
     ops: Vec<OpDecl>,
     sort_names: HashMap<String, SortId>,
     op_names: HashMap<String, Vec<OpId>>,
+}
+
+/// A position in a [`Signature`]'s history, taken by [`Signature::mark`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SigMark {
+    sorts: usize,
+    ops: usize,
 }
 
 impl Signature {
@@ -193,6 +200,42 @@ impl Signature {
     /// Number of declared operators.
     pub fn op_count(&self) -> usize {
         self.ops.len()
+    }
+
+    /// Record the signature's current size, to [`Signature::rollback`] to.
+    pub fn mark(&self) -> SigMark {
+        SigMark {
+            sorts: self.sorts.len(),
+            ops: self.ops.len(),
+        }
+    }
+
+    /// Remove every sort and operator declared since `mark`, newest first,
+    /// together with their name-table entries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mark` lies beyond the signature's current size.
+    pub fn rollback(&mut self, mark: SigMark) {
+        assert!(
+            mark.sorts <= self.sorts.len() && mark.ops <= self.ops.len(),
+            "Signature::rollback past the signature's current size"
+        );
+        while self.ops.len() > mark.ops {
+            let decl = self.ops.pop().expect("len > mark");
+            // The newest op is the last id of its overload set.
+            let overloads = self
+                .op_names
+                .get_mut(&decl.name)
+                .expect("declared ops are named");
+            overloads.pop();
+            if overloads.is_empty() {
+                self.op_names.remove(&decl.name);
+            }
+        }
+        for decl in self.sorts.drain(mark.sorts..) {
+            self.sort_names.remove(&decl.name);
+        }
     }
 
     /// All constants (nullary constructors) of the given sort.

@@ -5,13 +5,13 @@
 //! preserves hash-consing: identical instantiated subterms intern to the
 //! same [`TermId`].
 
+use crate::fxhash::FxHashMap;
 use crate::term::{Term, TermId, TermStore, VarId};
-use std::collections::HashMap;
 
 /// A finite map from variables to terms.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Subst {
-    map: HashMap<VarId, TermId>,
+    map: FxHashMap<VarId, TermId>,
 }
 
 impl Subst {

@@ -20,11 +20,13 @@
 //! variables.
 
 use crate::error::KernelError;
+use crate::fxhash::{FxHashMap, FxHasher};
 use crate::op::{OpId, OpKind};
-use crate::signature::Signature;
+use crate::signature::{SigMark, Signature};
 use crate::sort::SortId;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::Hasher;
 
 /// Identifier of an interned term inside a [`TermStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -73,17 +75,78 @@ pub enum Term {
 
 /// Arena of interned terms plus the signature they are built over.
 ///
+/// The intern table maps a 64-bit hash of `(op, args)` (or of a variable)
+/// to the newest [`TermId`] with that hash; `chain[id]` links each id to
+/// the next older one sharing its hash. A lookup hashes the argument slice
+/// and compares it against `nodes`, so only a miss allocates.
+///
+/// A store can be opened and closed like a proof passage:
+/// [`TermStore::mark`] records its size and [`TermStore::rollback`] pops
+/// everything added since, so a store reused across obligations hands out
+/// exactly the ids and fresh names a new clone would.
+///
 /// See the [crate-level documentation](crate) for an end-to-end example.
 #[derive(Debug, Clone)]
 pub struct TermStore {
     sig: Signature,
     nodes: Vec<Term>,
     sorts: Vec<SortId>,
-    intern: HashMap<Term, TermId>,
+    intern: FxHashMap<u64, u32>,
+    chain: Vec<u32>,
     vars: Vec<VarDecl>,
     var_names: HashMap<String, VarId>,
     fresh_counter: u64,
-    intern_hits: u64,
+}
+
+/// A position in a [`TermStore`]'s history, taken by [`TermStore::mark`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StoreMark {
+    nodes: usize,
+    vars: usize,
+    fresh_counter: u64,
+    sig: SigMark,
+}
+
+/// End of an intern chain.
+const NO_TERM: u32 = u32::MAX;
+
+#[cfg(test)]
+thread_local! {
+    /// Test hook: hash every node to 0, so distinct terms share one chain.
+    static COLLIDE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// The intern-table hash of `op(args…)`.
+fn app_hash(op: OpId, args: &[TermId]) -> u64 {
+    #[cfg(test)]
+    if COLLIDE.with(|c| c.get()) {
+        return 0;
+    }
+    let mut h = FxHasher::default();
+    h.write_u32(op.0);
+    for a in args {
+        h.write_u32(a.0);
+    }
+    h.finish()
+}
+
+/// The intern-table hash of a variable occurrence.
+fn var_hash(v: VarId) -> u64 {
+    #[cfg(test)]
+    if COLLIDE.with(|c| c.get()) {
+        return 0;
+    }
+    let mut h = FxHasher::default();
+    h.write_u32(NO_TERM);
+    h.write_u32(v.0);
+    h.finish()
+}
+
+fn node_hash(node: &Term) -> u64 {
+    match node {
+        Term::App { op, args } => app_hash(*op, args),
+        Term::Var(v) => var_hash(*v),
+    }
 }
 
 impl TermStore {
@@ -93,11 +156,11 @@ impl TermStore {
             sig,
             nodes: Vec::new(),
             sorts: Vec::new(),
-            intern: HashMap::new(),
+            intern: FxHashMap::default(),
+            chain: Vec::new(),
             vars: Vec::new(),
             var_names: HashMap::new(),
             fresh_counter: 0,
-            intern_hits: 0,
         }
     }
 
@@ -115,16 +178,28 @@ impl TermStore {
         &mut self.sig
     }
 
-    fn intern_node(&mut self, node: Term, sort: SortId) -> TermId {
-        if let Some(&id) = self.intern.get(&node) {
-            self.intern_hits += 1;
-            return id;
+    /// The existing id of the node hashing to `hash` that `is_node`
+    /// accepts.
+    fn lookup(&self, hash: u64, is_node: impl Fn(&Term) -> bool) -> Option<TermId> {
+        let mut cur = *self.intern.get(&hash)?;
+        while cur != NO_TERM {
+            if is_node(&self.nodes[cur as usize]) {
+                return Some(TermId(cur));
+            }
+            cur = self.chain[cur as usize];
         }
-        let id = TermId(self.nodes.len() as u32);
-        self.nodes.push(node.clone());
+        None
+    }
+
+    /// Append a node known to be absent and link it at the head of its
+    /// hash chain.
+    fn push_node(&mut self, hash: u64, node: Term, sort: SortId) -> TermId {
+        let id = self.nodes.len() as u32;
+        let older = self.intern.insert(hash, id).unwrap_or(NO_TERM);
+        self.chain.push(older);
+        self.nodes.push(node);
         self.sorts.push(sort);
-        self.intern.insert(node, id);
-        id
+        TermId(id)
     }
 
     /// Intern the application `op(args…)`.
@@ -154,13 +229,22 @@ impl TermStore {
                 });
             }
         }
-        Ok(self.intern_node(
-            Term::App {
-                op,
-                args: args.to_vec(),
-            },
-            result,
-        ))
+        let hash = app_hash(op, args);
+        let found = self.lookup(
+            hash,
+            |node| matches!(node, Term::App { op: o, args: a } if *o == op && a[..] == *args),
+        );
+        Ok(match found {
+            Some(id) => id,
+            None => self.push_node(
+                hash,
+                Term::App {
+                    op,
+                    args: args.to_vec(),
+                },
+                result,
+            ),
+        })
     }
 
     /// Intern the constant `op`.
@@ -208,7 +292,11 @@ impl TermStore {
     /// Intern a variable occurrence.
     pub fn var(&mut self, var: VarId) -> TermId {
         let sort = self.vars[var.index()].sort;
-        self.intern_node(Term::Var(var), sort)
+        let hash = var_hash(var);
+        match self.lookup(hash, |node| *node == Term::Var(var)) {
+            Some(id) => id,
+            None => self.push_node(hash, Term::Var(var), sort),
+        }
     }
 
     /// Declare a brand-new constant with a unique generated name and intern
@@ -289,22 +377,59 @@ impl TermStore {
         self.nodes.len()
     }
 
-    /// Number of hash-cons lookups that returned an existing term — the
-    /// sharing the intern table bought. Together with
-    /// [`TermStore::term_count`] (the misses) this gives the table's
-    /// hit rate; higher layers surface both as gauges.
-    pub fn intern_hits(&self) -> u64 {
-        self.intern_hits
+    /// Record the store's current size, to [`TermStore::rollback`] to.
+    pub fn mark(&self) -> StoreMark {
+        StoreMark {
+            nodes: self.nodes.len(),
+            vars: self.vars.len(),
+            fresh_counter: self.fresh_counter,
+            sig: self.sig.mark(),
+        }
+    }
+
+    /// Pop every term, variable, sort and operator added since `mark`,
+    /// unlink them from the lookup tables and restore the fresh-name
+    /// counter — the `close` of a proof passage. Afterwards the store
+    /// issues the same ids and fresh names it would have at the mark.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mark` lies beyond the store's current size (it was taken
+    /// on another store, or a rollback already went past it).
+    pub fn rollback(&mut self, mark: StoreMark) {
+        assert!(
+            mark.nodes <= self.nodes.len() && mark.vars <= self.vars.len(),
+            "TermStore::rollback past the store's current size"
+        );
+        // Newest first: each popped id is the head of its hash chain.
+        while self.nodes.len() > mark.nodes {
+            let node = self.nodes.pop().expect("len > mark");
+            let older = self.chain.pop().expect("one chain link per node");
+            let hash = node_hash(&node);
+            if older == NO_TERM {
+                self.intern.remove(&hash);
+            } else {
+                self.intern.insert(hash, older);
+            }
+        }
+        self.sorts.truncate(mark.nodes);
+        for decl in self.vars.drain(mark.vars..) {
+            self.var_names.remove(&decl.name);
+        }
+        self.fresh_counter = mark.fresh_counter;
+        self.sig.rollback(mark.sig);
+    }
+
+    /// `true` when `needle` occurs in `hay` (or is `hay`).
+    pub fn occurs_in(&self, needle: TermId, hay: TermId) -> bool {
+        hay == needle || self.args(hay).iter().any(|&a| self.occurs_in(needle, a))
     }
 
     /// `true` when `t` contains no variables.
     pub fn is_ground(&self, t: TermId) -> bool {
         match self.node(t) {
             Term::Var(_) => false,
-            Term::App { args, .. } => {
-                let args = args.clone();
-                args.iter().all(|&a| self.is_ground(a))
-            }
+            Term::App { args, .. } => args.iter().all(|&a| self.is_ground(a)),
         }
     }
 
@@ -334,10 +459,7 @@ impl TermStore {
     pub fn size(&self, t: TermId) -> usize {
         match self.node(t) {
             Term::Var(_) => 1,
-            Term::App { args, .. } => {
-                let args = args.clone();
-                1 + args.iter().map(|&a| self.size(a)).sum::<usize>()
-            }
+            Term::App { args, .. } => 1 + args.iter().map(|&a| self.size(a)).sum::<usize>(),
         }
     }
 
@@ -345,10 +467,7 @@ impl TermStore {
     pub fn depth(&self, t: TermId) -> usize {
         match self.node(t) {
             Term::Var(_) => 1,
-            Term::App { args, .. } => {
-                let args = args.clone();
-                1 + args.iter().map(|&a| self.depth(a)).max().unwrap_or(0)
-            }
+            Term::App { args, .. } => 1 + args.iter().map(|&a| self.depth(a)).max().unwrap_or(0),
         }
     }
 
@@ -402,6 +521,9 @@ impl fmt::Display for TermStore {
         )
     }
 }
+
+#[cfg(test)]
+mod rollback_tests;
 
 #[cfg(test)]
 mod tests {

@@ -54,16 +54,7 @@ pub fn is_value(store: &TermStore, t: TermId) -> bool {
     if !store.is_constructor_headed(t) {
         return false;
     }
-    store.args(t).to_vec().iter().all(|&a| is_value(store, a))
-}
-
-fn occurs_in(store: &TermStore, needle: TermId, hay: TermId) -> bool {
-    hay == needle
-        || store
-            .args(hay)
-            .to_vec()
-            .iter()
-            .any(|&a| occurs_in(store, needle, a))
+    store.args(t).iter().all(|&a| is_value(store, a))
 }
 
 fn orient_into(
@@ -96,11 +87,11 @@ fn orient_into(
         push_unique(out, (from, to));
         return Ok(());
     }
-    if store.is_arbitrary_constant(lhs) && !occurs_in(store, lhs, rhs) {
+    if store.is_arbitrary_constant(lhs) && !store.occurs_in(lhs, rhs) {
         push_unique(out, (lhs, rhs));
         return Ok(());
     }
-    if store.is_arbitrary_constant(rhs) && !occurs_in(store, rhs, lhs) {
+    if store.is_arbitrary_constant(rhs) && !store.occurs_in(rhs, lhs) {
         push_unique(out, (rhs, lhs));
         return Ok(());
     }
@@ -111,11 +102,11 @@ fn orient_into(
     // irreducible.
     let lhs_value = is_value(store, lhs);
     let rhs_value = is_value(store, rhs);
-    if rhs_value && !lhs_value && !occurs_in(store, lhs, rhs) {
+    if rhs_value && !lhs_value && !store.occurs_in(lhs, rhs) {
         push_unique(out, (lhs, rhs));
         return Ok(());
     }
-    if lhs_value && !rhs_value && !occurs_in(store, rhs, lhs) {
+    if lhs_value && !rhs_value && !store.occurs_in(rhs, lhs) {
         push_unique(out, (rhs, lhs));
         return Ok(());
     }

@@ -11,8 +11,8 @@
 //! CafeOBJ overloads `_=_` at every visible sort, and the TLS specification
 //! compares principals, messages, pre-master secrets and more.
 
+use equitls_kernel::fxhash::FxHashMap;
 use equitls_kernel::prelude::*;
-use std::collections::HashMap;
 
 /// Handle to the `BOOL` vocabulary inside a signature.
 ///
@@ -29,7 +29,7 @@ pub struct BoolAlg {
     imp: OpId,
     iff: OpId,
     ite: OpId,
-    eq_ops: HashMap<SortId, OpId>,
+    eq_ops: FxHashMap<SortId, OpId>,
 }
 
 impl BoolAlg {
@@ -66,7 +66,7 @@ impl BoolAlg {
             imp,
             iff,
             ite,
-            eq_ops: HashMap::new(),
+            eq_ops: FxHashMap::default(),
         };
         // `_=_` at Bool itself behaves as iff.
         alg.ensure_eq(sig, sort)?;
@@ -89,7 +89,7 @@ impl BoolAlg {
             sig.op_by_name(name)
                 .ok_or_else(|| KernelError::UnknownOp(name.into()))
         };
-        let mut eq_ops = HashMap::new();
+        let mut eq_ops = FxHashMap::default();
         for (id, decl) in sig.ops() {
             if decl.name == "_=_" && decl.args.len() == 2 && decl.args[0] == decl.args[1] {
                 eq_ops.insert(decl.args[0], id);

@@ -55,6 +55,7 @@ use crate::budget::{trigger_injected_panic, Budget, FaultKind, FaultPlan, FaultS
 use crate::equality::{decide_equality, EqVerdict};
 use crate::error::RewriteError;
 use crate::rule::{PathIndex, RuleSet};
+use equitls_kernel::fxhash::FxHashMap;
 use equitls_kernel::matching::{match_term, MatchOutcome};
 use equitls_kernel::prelude::*;
 use equitls_kernel::term::Term;
@@ -197,13 +198,15 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 1 << 20;
 #[derive(Debug)]
 pub struct Normalizer {
     alg: BoolAlg,
-    rules: RuleSet,
+    /// Specification rules, behind an `Arc` so a spec and every
+    /// normalizer made from it share one copy.
+    rules: Arc<RuleSet>,
     assumptions: RuleSet,
     /// Memoized normal forms, bounded by `cache_capacity`.
-    memo: HashMap<TermId, TermId>,
+    memo: FxHashMap<TermId, TermId>,
     /// Polynomials of the canonical Boolean forms in `memo` (keys are the
     /// rebuilt terms that normalized to themselves). Cleared with the memo.
-    polys: HashMap<TermId, Poly>,
+    polys: FxHashMap<TermId, Poly>,
     cache_capacity: usize,
     /// Open scopes, innermost last.
     scopes: Vec<Scope>,
@@ -278,8 +281,8 @@ enum ScopeCaches {
     /// The scope's first clear moved the parent's caches aside, exactly as
     /// they were at the push.
     Stashed {
-        memo: HashMap<TermId, TermId>,
-        polys: HashMap<TermId, Poly>,
+        memo: FxHashMap<TermId, TermId>,
+        polys: FxHashMap<TermId, Poly>,
     },
 }
 
@@ -294,14 +297,15 @@ pub const DEFAULT_MAX_DEPTH: u32 = 300;
 
 impl Normalizer {
     /// Create a normalizer over the given Boolean vocabulary and
-    /// specification rules.
-    pub fn new(alg: BoolAlg, rules: RuleSet) -> Self {
+    /// specification rules. Passing an `Arc<RuleSet>` shares the rules
+    /// instead of copying them.
+    pub fn new(alg: BoolAlg, rules: impl Into<Arc<RuleSet>>) -> Self {
         Normalizer {
             alg,
-            rules,
+            rules: rules.into(),
             assumptions: RuleSet::new(),
-            memo: HashMap::new(),
-            polys: HashMap::new(),
+            memo: FxHashMap::default(),
+            polys: FxHashMap::default(),
             cache_capacity: DEFAULT_CACHE_CAPACITY,
             scopes: Vec::new(),
             refresh_mask: None,
@@ -1139,7 +1143,7 @@ impl Normalizer {
 }
 
 /// Undo a scope's cache log, newest entry first.
-fn undo_log<V>(cache: &mut HashMap<TermId, V>, log: &mut Vec<(TermId, Option<V>)>) {
+fn undo_log<V>(cache: &mut FxHashMap<TermId, V>, log: &mut Vec<(TermId, Option<V>)>) {
     for (key, old) in log.drain(..).rev() {
         match old {
             Some(v) => cache.insert(key, v),

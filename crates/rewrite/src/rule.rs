@@ -7,9 +7,9 @@
 //! their left-hand side for fast candidate lookup.
 
 use crate::error::RewriteError;
+use equitls_kernel::fxhash::FxHashMap;
 use equitls_kernel::prelude::*;
 use equitls_kernel::term::Term;
-use std::collections::HashMap;
 
 /// Why a candidate equation cannot be used as a rewrite rule.
 ///
@@ -131,15 +131,17 @@ pub struct Rule {
 }
 
 /// A collection of rules indexed by left-hand-side head symbol.
+///
+/// A specification's rule base is held behind an `Arc` by the `Spec` and
+/// by every `Normalizer` made from it, so handing the rules to a new
+/// obligation copies nothing.
 #[derive(Debug, Clone, Default)]
 pub struct RuleSet {
     rules: Vec<Rule>,
-    by_head: HashMap<OpId, Vec<usize>>,
-    /// The discrimination-tree index, built on first use and shared by
-    /// clones of this set (a clone copies the initialized `OnceLock`, so
-    /// cloning an indexed set — what `Spec::normalizer` and per-obligation
-    /// spec clones do — costs one `Arc` bump, not a rebuild). Mutators
-    /// reset it.
+    by_head: FxHashMap<OpId, Vec<usize>>,
+    /// The discrimination-tree index, built on first use. A clone copies
+    /// the initialized `OnceLock`, so cloning an indexed set costs one
+    /// `Arc` bump, not a rebuild. Mutators reset it.
     index: std::sync::OnceLock<std::sync::Arc<PathIndex>>,
 }
 
@@ -324,10 +326,10 @@ struct PathNode {
 #[derive(Debug, Clone, Default)]
 pub struct PathIndex {
     /// Per-head-operator tree roots.
-    roots: HashMap<OpId, usize>,
+    roots: FxHashMap<OpId, usize>,
     nodes: Vec<PathNode>,
     /// Per-head rule totals, for hit/prune accounting.
-    head_totals: HashMap<OpId, usize>,
+    head_totals: FxHashMap<OpId, usize>,
 }
 
 impl PathIndex {

@@ -90,5 +90,5 @@ pub mod prelude {
     };
     pub use crate::passage::ProofPassage;
     pub use crate::render::{render_module, render_spec_module, render_term};
-    pub use crate::spec::{ModuleInfo, QuarantinedEquation, Spec};
+    pub use crate::spec::{ModuleInfo, QuarantinedEquation, Spec, SpecMark};
 }

@@ -36,8 +36,8 @@ pub struct ProofPassage<'a> {
 }
 
 impl<'a> ProofPassage<'a> {
-    /// Open a passage: clone the specification's rule base into a fresh
-    /// normalizer.
+    /// Open a passage: a fresh normalizer sharing the specification's
+    /// rule base.
     pub fn open(spec: &'a mut Spec) -> Self {
         let norm = spec.normalizer();
         ProofPassage {

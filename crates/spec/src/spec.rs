@@ -11,6 +11,7 @@ use crate::error::SpecError;
 use equitls_kernel::prelude::*;
 use equitls_rewrite::prelude::*;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Metadata about one declared module (for listing and rendering).
 #[derive(Debug, Clone, Default)]
@@ -53,6 +54,13 @@ pub struct QuarantinedEquation {
     pub rendered: String,
 }
 
+/// A position in a [`Spec`]'s history, taken by [`Spec::mark`].
+#[derive(Debug, Clone)]
+pub struct SpecMark {
+    store: StoreMark,
+    alg: BoolAlg,
+}
+
 /// A specification under construction: signature + store + rules + modules.
 ///
 /// # Example
@@ -81,7 +89,9 @@ pub struct QuarantinedEquation {
 pub struct Spec {
     store: TermStore,
     alg: BoolAlg,
-    rules: RuleSet,
+    /// Shared with every normalizer made from this spec; cloning the spec
+    /// or making a normalizer bumps a count instead of copying the rules.
+    rules: Arc<RuleSet>,
     modules: Vec<ModuleInfo>,
     equation_spans: HashMap<String, SourceSpan>,
     quarantined: Vec<QuarantinedEquation>,
@@ -109,7 +119,7 @@ impl Spec {
         Ok(Spec {
             store,
             alg,
-            rules: RuleSet::new(),
+            rules: Arc::new(RuleSet::new()),
             modules: vec![bool_module],
             equation_spans: HashMap::new(),
             quarantined: Vec::new(),
@@ -376,8 +386,7 @@ impl Spec {
     /// [`SpecError::Rewrite`] for malformed rules.
     pub fn eq(&mut self, label: &str, lhs: TermId, rhs: TermId) -> Result<(), SpecError> {
         let bool_sort = self.alg.sort();
-        self.rules
-            .add(&self.store, label, lhs, rhs, None, Some(bool_sort))?;
+        Arc::make_mut(&mut self.rules).add(&self.store, label, lhs, rhs, None, Some(bool_sort))?;
         self.current_module().equations.push(label.to_string());
         Ok(())
     }
@@ -395,8 +404,14 @@ impl Spec {
         cond: TermId,
     ) -> Result<(), SpecError> {
         let bool_sort = self.alg.sort();
-        self.rules
-            .add(&self.store, label, lhs, rhs, Some(cond), Some(bool_sort))?;
+        Arc::make_mut(&mut self.rules).add(
+            &self.store,
+            label,
+            lhs,
+            rhs,
+            Some(cond),
+            Some(bool_sort),
+        )?;
         self.current_module().equations.push(label.to_string());
         Ok(())
     }
@@ -447,9 +462,33 @@ impl Spec {
         self.equation_spans.get(label).copied()
     }
 
-    /// A fresh normalizer over this specification's rules.
+    /// A fresh normalizer over this specification's rules (shared, not
+    /// copied).
     pub fn normalizer(&self) -> Normalizer {
-        Normalizer::new(self.alg.clone(), self.rules.clone())
+        Normalizer::new(self.alg.clone(), Arc::clone(&self.rules))
+    }
+
+    /// Open a proof passage's scope: record the term store, signature and
+    /// Boolean vocabulary as they are now, to [`Spec::rollback`] to.
+    pub fn mark(&self) -> SpecMark {
+        SpecMark {
+            store: self.store.mark(),
+            alg: self.alg.clone(),
+        }
+    }
+
+    /// Close the scope opened by `mark`: drop every term, variable, sort
+    /// and operator declared since (fresh constants included, so their
+    /// names repeat) and restore the Boolean vocabulary. Rules, modules
+    /// and other metadata are not rolled back; proof passages never add
+    /// them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mark` lies beyond the store's current size.
+    pub fn rollback(&mut self, mark: SpecMark) {
+        self.store.rollback(mark.store);
+        self.alg = mark.alg;
     }
 
     /// Reduce a term to normal form with a throwaway normalizer — the
@@ -459,7 +498,7 @@ impl Spec {
     ///
     /// Rewriting errors (fuel).
     pub fn red(&mut self, t: TermId) -> Result<TermId, SpecError> {
-        let mut norm = Normalizer::new(self.alg.clone(), self.rules.clone());
+        let mut norm = self.normalizer();
         let result = norm.normalize(&mut self.store, t)?;
         Ok(result)
     }

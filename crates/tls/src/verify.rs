@@ -229,7 +229,8 @@ pub fn plan(name: &str) -> Option<&'static ProofPlan> {
 /// point to the prover. `VerifyOptions::default()` runs one worker with
 /// no budget; `opts.jobs` fans obligations out over worker threads
 /// (`0` = available parallelism) with an identical report, because each
-/// obligation runs on its own clone of the model's spec. `obs` receives
+/// worker runs on its own clone of the model's spec and rolls it back
+/// after every obligation. `obs` receives
 /// a span per proof obligation, rewrite counters, and (when
 /// `opts.profile_rules` is on) per-rule match/fire/time profiles;
 /// worker obligations share it, so a trace interleaves obligation spans

@@ -13,6 +13,7 @@
 //! Plus the check-suite smoke: a 2-second deadline on the §5 scope check
 //! (which finishes far sooner) leaves results identical at jobs 1/2/4.
 
+use equitls::core::prelude::{Hints, ProofReport, Prover, ProverConfig};
 use equitls::mc::prelude::*;
 use equitls::obs::sink::Obs;
 use equitls::tls::concrete::Scope;
@@ -97,6 +98,70 @@ fn injected_prover_panic_yields_identical_reports_at_jobs_1_and_4() {
             assert_eq!(a.action, b.action, "step order");
             assert_eq!(a.outcome, b.outcome, "verdict for {}", a.action);
             assert_eq!(a.metrics, b.metrics, "tallies for {}", a.action);
+        }
+    });
+}
+
+/// `lem-src-honest` on the standard model with proof scores recorded, at
+/// `jobs`, under `plan`.
+fn src_honest_with_scores(jobs: usize, plan: Option<FaultPlan>) -> ProofReport {
+    let mut model = TlsModel::standard().expect("model builds");
+    let config = ProverConfig {
+        jobs,
+        record_scores: true,
+        fault_plan: plan,
+        ..verify::prover_config(&model)
+    };
+    let mut prover =
+        Prover::new(&mut model.spec, &model.ots, &model.invariants).with_config(config);
+    prover
+        .prove_inductive("lem-src-honest", &Hints::new())
+        .expect("engine ok")
+}
+
+#[test]
+fn rewrite_panic_midway_through_an_obligation_leaves_every_sibling_as_a_clean_run() {
+    on_big_stack(|| {
+        // Each worker runs its obligations on one spec, rolled back after
+        // each; a panic deep inside `kexch` — after it has built terms and
+        // fresh constants — must leave nothing behind for the next one.
+        let clean = src_honest_with_scores(1, None);
+        assert!(clean.is_proved());
+        let victim = clean
+            .steps
+            .iter()
+            .find(|s| s.action == "kexch")
+            .expect("kexch obligation");
+        let midway = victim.rewrite_stats.rewrites / 2;
+        assert!(midway > 100, "kexch is long enough to fail midway");
+        let plan = FaultPlan::new()
+            .with_fault(Fault::new(FaultSite::Rewrite, FaultKind::Panic, midway).in_scope("kexch"));
+        for jobs in [1usize, 2] {
+            let faulted = src_honest_with_scores(jobs, Some(plan.clone()));
+            let faults = faulted.faults();
+            assert_eq!(faults.len(), 1, "jobs {jobs}: exactly the injected fault");
+            assert_eq!(faults[0].0, "kexch");
+            assert!(faults[0].1.message.contains("injected fault"));
+            let pairs = std::iter::once((&clean.base, &faulted.base))
+                .chain(clean.steps.iter().zip(&faulted.steps));
+            for (want, got) in pairs {
+                assert_eq!(want.action, got.action, "jobs {jobs}: step order");
+                if got.action == "kexch" {
+                    continue;
+                }
+                let name = &got.action;
+                assert_eq!(want.outcome, got.outcome, "jobs {jobs}: {name} outcome");
+                assert_eq!(want.metrics, got.metrics, "jobs {jobs}: {name} metrics");
+                assert_eq!(
+                    want.rewrite_stats, got.rewrite_stats,
+                    "jobs {jobs}: {name} rewrite stats"
+                );
+                assert_eq!(want.scores, got.scores, "jobs {jobs}: {name} scores");
+                assert!(
+                    !got.scores.is_empty(),
+                    "jobs {jobs}: {name} recorded scores"
+                );
+            }
         }
     });
 }
