@@ -64,7 +64,9 @@ pub struct ProverConfig {
     pub fuel: u64,
     /// Record each discharged case's decision trail so proof scores can
     /// be rendered (`StepReport::scores`). Off by default (the trails of a
-    /// large campaign are sizable).
+    /// large campaign are sizable). The search keeps its trail as terms
+    /// and renders it to text only when it is recorded: here, or for an
+    /// open case.
     pub record_scores: bool,
     /// Collect per-rule profiles in the rewrite engine
     /// (`Normalizer::set_profiling`) and emit them as observability events
@@ -196,7 +198,26 @@ impl Hints {
 enum Leaf {
     Proved,
     Vacuous,
-    Open(String),
+    /// The normal form that stayed open; rendered only if the case is
+    /// recorded as an [`OpenCase`].
+    Open(TermId),
+}
+
+/// One split decision on the search trail: the decision's kind and the
+/// term it assumed. A trail is rendered into [`Decision`]s only when it
+/// is recorded (a proof score or an open case).
+#[derive(Clone, Copy)]
+enum Step {
+    CondTrue(TermId),
+    CondFalse(TermId),
+    Atom(TermId, bool),
+}
+
+/// Why a passage stayed open: a goal that did not reduce (rendered and
+/// truncated when recorded) or a stop message.
+enum Residual {
+    Goal(TermId),
+    Note(String),
 }
 
 /// Mutable search state threaded through the case-split recursion. The
@@ -467,13 +488,18 @@ impl<'a> Prover<'a> {
         pre_state: TermId,
         lemmas: &[Invariant],
         depth: usize,
-        trail: &mut Vec<Decision>,
+        trail: &mut Vec<Step>,
         stats: &mut SearchStats,
         open: &mut Vec<OpenCase>,
     ) -> Result<(), CoreError> {
         stats.metrics.max_depth = stats.metrics.max_depth.max(depth);
         if stats.metrics.passages >= self.config.max_passages {
-            self.leaf_open(stats, open, trail, "(passage budget exhausted)");
+            self.leaf_open(
+                stats,
+                open,
+                trail,
+                Residual::Note("(passage budget exhausted)".to_string()),
+            );
             return Ok(());
         }
         // The normalization span nests under `prover.obligation:<name>`,
@@ -486,7 +512,7 @@ impl<'a> Prover<'a> {
         let (leaf, blocked, pool) = match reduced {
             Ok(x) => x,
             Err(e) if is_budget_error(&e) => {
-                self.leaf_open(stats, open, trail, &budget_residual(&e));
+                self.leaf_open(stats, open, trail, Residual::Note(budget_residual(&e)));
                 return Ok(());
             }
             Err(e) => return Err(e),
@@ -497,21 +523,19 @@ impl<'a> Prover<'a> {
                 stats.metrics.proved += 1;
                 self.obs.counter("prover.leaf.proved", 1);
                 if self.config.record_scores {
-                    stats.scores.push(trail.clone());
+                    stats.scores.push(self.render_trail(trail));
                 }
                 Ok(())
             }
             Leaf::Vacuous => {
                 self.leaf_vacuous(stats);
                 if self.config.record_scores {
-                    stats.scores.push(trail.clone());
+                    stats.scores.push(self.render_trail(trail));
                 }
                 Ok(())
             }
-            Leaf::Open(_) if depth >= self.config.max_splits => {
-                if let Leaf::Open(residual) = leaf {
-                    self.leaf_open(stats, open, trail, &residual);
-                }
+            Leaf::Open(residual) if depth >= self.config.max_splits => {
+                self.leaf_open(stats, open, trail, Residual::Goal(residual));
                 Ok(())
             }
             Leaf::Open(residual) => {
@@ -519,7 +543,7 @@ impl<'a> Prover<'a> {
                 let split = match self.choose_split(norm, goal, &blocked, &pool) {
                     Ok(s) => s,
                     Err(e) if is_budget_error(&e) => {
-                        self.leaf_open(stats, open, trail, &budget_residual(&e));
+                        self.leaf_open(stats, open, trail, Residual::Note(budget_residual(&e)));
                         return Ok(());
                     }
                     Err(e) => return Err(e),
@@ -559,11 +583,9 @@ impl<'a> Prover<'a> {
                                     Err(e) => return Err(e),
                                 }
                             }
-                            trail.push(Decision::CondTrue {
-                                cond: self.spec.store().display(cond).to_string(),
-                            });
+                            trail.push(Step::CondTrue(cond));
                             if let Some(residual) = stop {
-                                self.leaf_open(stats, open, trail, &residual);
+                                self.leaf_open(stats, open, trail, Residual::Note(residual));
                             } else if feasible {
                                 self.search(
                                     norm,
@@ -588,14 +610,17 @@ impl<'a> Prover<'a> {
                                 Ok(f) => f,
                                 Err(e) if is_budget_error(&e) => {
                                     norm.pop_scope();
-                                    self.leaf_open(stats, open, trail, &budget_residual(&e));
+                                    self.leaf_open(
+                                        stats,
+                                        open,
+                                        trail,
+                                        Residual::Note(budget_residual(&e)),
+                                    );
                                     return Ok(());
                                 }
                                 Err(e) => return Err(e),
                             };
-                            trail.push(Decision::CondFalse {
-                                cond: self.spec.store().display(cond).to_string(),
-                            });
+                            trail.push(Step::CondFalse(cond));
                             if feasible {
                                 self.search(
                                     norm,
@@ -624,15 +649,17 @@ impl<'a> Prover<'a> {
                                 Ok(f) => f,
                                 Err(e) if is_budget_error(&e) => {
                                     norm.pop_scope();
-                                    self.leaf_open(stats, open, trail, &budget_residual(&e));
+                                    self.leaf_open(
+                                        stats,
+                                        open,
+                                        trail,
+                                        Residual::Note(budget_residual(&e)),
+                                    );
                                     continue;
                                 }
                                 Err(e) => return Err(e),
                             };
-                            trail.push(Decision::Atom {
-                                atom: self.spec.store().display(atom).to_string(),
-                                value,
-                            });
+                            trail.push(Step::Atom(atom, value));
                             if feasible {
                                 self.search(
                                     norm,
@@ -653,7 +680,7 @@ impl<'a> Prover<'a> {
                         Ok(())
                     }
                     None => {
-                        self.leaf_open(stats, open, trail, &residual);
+                        self.leaf_open(stats, open, trail, Residual::Goal(residual));
                         Ok(())
                     }
                 }
@@ -668,21 +695,50 @@ impl<'a> Prover<'a> {
         self.obs.counter("prover.leaf.vacuous", 1);
     }
 
-    /// Account one open leaf and record its residual goal.
+    /// Account one open leaf and record it: its rendered trail and
+    /// residual.
     fn leaf_open(
         &self,
         stats: &mut SearchStats,
         open: &mut Vec<OpenCase>,
-        trail: &[Decision],
-        residual: &str,
+        trail: &[Step],
+        residual: Residual,
     ) {
         stats.metrics.passages += 1;
         stats.metrics.open += 1;
         self.obs.counter("prover.leaf.open", 1);
+        let residual = match residual {
+            Residual::Goal(n) => self.render_residual(n),
+            Residual::Note(note) => note,
+        };
         open.push(OpenCase {
-            decisions: trail.iter().map(|d| d.render()).collect(),
-            residual: residual.to_string(),
+            decisions: self
+                .render_trail(trail)
+                .iter()
+                .map(Decision::render)
+                .collect(),
+            residual,
         });
+    }
+
+    /// Render a search trail into the public [`Decision`]s.
+    fn render_trail(&self, trail: &[Step]) -> Vec<Decision> {
+        let store = self.spec.store();
+        trail
+            .iter()
+            .map(|&step| match step {
+                Step::CondTrue(cond) => Decision::CondTrue {
+                    cond: store.display(cond).to_string(),
+                },
+                Step::CondFalse(cond) => Decision::CondFalse {
+                    cond: store.display(cond).to_string(),
+                },
+                Step::Atom(atom, value) => Decision::Atom {
+                    atom: store.display(atom).to_string(),
+                    value,
+                },
+            })
+            .collect()
     }
 
     /// Normalize the goal, strengthen with lemma instances, and classify.
@@ -703,8 +759,7 @@ impl<'a> Prover<'a> {
             return Ok((Leaf::Proved, blocked, Vec::new()));
         }
         if lemmas.is_empty() {
-            let leaf = Leaf::Open(self.render_residual(n));
-            return Ok((leaf, blocked, Vec::new()));
+            return Ok((Leaf::Open(n), blocked, Vec::new()));
         }
         let goal_poly = norm.normalize_to_poly(self.spec.store_mut(), n)?;
         let goal_atoms = goal_poly.atoms();
@@ -784,16 +839,14 @@ impl<'a> Prover<'a> {
             return Ok((Leaf::Vacuous, blocked, atom_pool));
         }
         if used == 0 {
-            let leaf = Leaf::Open(self.render_residual(n));
-            return Ok((leaf, blocked, atom_pool));
+            return Ok((Leaf::Open(n), blocked, atom_pool));
         }
         // goal2 = sih implies goal = 1 + sih + sih·goal, all in the ring.
         let goal2 = Poly::one().add(&sih_poly).add(&sih_poly.mul(&goal_poly));
         if goal2.is_true() {
             return Ok((Leaf::Proved, blocked, atom_pool));
         }
-        let leaf = Leaf::Open(self.render_residual(n));
-        Ok((leaf, blocked, atom_pool))
+        Ok((Leaf::Open(n), blocked, atom_pool))
     }
 
     /// The residual goal of an open case, rendered and truncated.

@@ -63,14 +63,12 @@ fn match_into(store: &TermStore, pattern: TermId, subject: TermId, subst: &mut S
                 op: sop,
                 args: sargs,
             } => {
-                if op != sop || args.len() != sargs.len() {
-                    return false;
-                }
-                let pairs: Vec<(TermId, TermId)> =
-                    args.iter().copied().zip(sargs.iter().copied()).collect();
-                pairs
-                    .into_iter()
-                    .all(|(p, s)| match_into(store, p, s, subst))
+                op == sop
+                    && args.len() == sargs.len()
+                    && args
+                        .iter()
+                        .zip(sargs.iter())
+                        .all(|(&p, &s)| match_into(store, p, s, subst))
             }
             Term::Var(_) => false,
         },

@@ -5,13 +5,18 @@
 //! preserves hash-consing: identical instantiated subterms intern to the
 //! same [`TermId`].
 
-use crate::fxhash::FxHashMap;
+use crate::error::KernelError;
 use crate::term::{Term, TermId, TermStore, VarId};
 
 /// A finite map from variables to terms.
+///
+/// Bindings are kept in one vector sorted by [`VarId`], at most one per
+/// variable: a match allocates once, lookups are binary searches,
+/// [`Subst::iter`] yields bindings in variable order (deterministic), and
+/// equality does not depend on the order variables were bound in.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Subst {
-    map: FxHashMap<VarId, TermId>,
+    bindings: Vec<(VarId, TermId)>,
 }
 
 impl Subst {
@@ -22,27 +27,36 @@ impl Subst {
 
     /// Bind `var` to `term`, returning the previous binding if any.
     pub fn bind(&mut self, var: VarId, term: TermId) -> Option<TermId> {
-        self.map.insert(var, term)
+        match self.bindings.binary_search_by_key(&var, |&(v, _)| v) {
+            Ok(i) => Some(std::mem::replace(&mut self.bindings[i].1, term)),
+            Err(i) => {
+                self.bindings.insert(i, (var, term));
+                None
+            }
+        }
     }
 
     /// Look up the binding for `var`.
     pub fn get(&self, var: VarId) -> Option<TermId> {
-        self.map.get(&var).copied()
+        self.bindings
+            .binary_search_by_key(&var, |&(v, _)| v)
+            .ok()
+            .map(|i| self.bindings[i].1)
     }
 
     /// Number of bound variables.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.bindings.len()
     }
 
     /// `true` when no variable is bound.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.bindings.is_empty()
     }
 
-    /// Iterate over bindings in unspecified order.
+    /// Iterate over bindings in increasing variable order.
     pub fn iter(&self) -> impl Iterator<Item = (VarId, TermId)> + '_ {
-        self.map.iter().map(|(&v, &t)| (v, t))
+        self.bindings.iter().copied()
     }
 
     /// Apply the substitution to `t`, interning the result in `store`.
@@ -50,35 +64,30 @@ impl Subst {
     /// Unbound variables are left in place, so applying a matching
     /// substitution to the rule's right-hand side is total whenever the rule
     /// satisfies the usual `vars(rhs) ⊆ vars(lhs)` condition (enforced at
-    /// rule-construction time by `equitls-rewrite`).
+    /// rule-construction time by `equitls-rewrite`). A subterm the
+    /// substitution leaves unchanged is returned as is, without allocating
+    /// (see [`TermStore::map_args`]).
     pub fn apply(&self, store: &mut TermStore, t: TermId) -> TermId {
-        if self.map.is_empty() {
+        if self.bindings.is_empty() {
             return t;
         }
-        match store.node(t).clone() {
-            Term::Var(v) => self.get(v).unwrap_or(t),
-            Term::App { op, args } => {
-                if args.is_empty() {
-                    return t;
-                }
-                let new_args: Vec<TermId> = args.iter().map(|&a| self.apply(store, a)).collect();
-                if new_args == args {
-                    t
-                } else {
-                    store
-                        .app(op, &new_args)
-                        .expect("substitution preserves sorts")
-                }
-            }
+        match store.node(t) {
+            Term::Var(v) => self.get(*v).unwrap_or(t),
+            Term::App { .. } => store
+                .map_args(t, |store, a| Ok::<_, KernelError>(self.apply(store, a)))
+                .expect("substitution preserves sorts"),
         }
     }
 }
 
 impl FromIterator<(VarId, TermId)> for Subst {
+    /// Later bindings of the same variable replace earlier ones.
     fn from_iter<I: IntoIterator<Item = (VarId, TermId)>>(iter: I) -> Self {
-        Subst {
-            map: iter.into_iter().collect(),
+        let mut subst = Subst::new();
+        for (v, t) in iter {
+            subst.bind(v, t);
         }
+        subst
     }
 }
 

@@ -247,6 +247,44 @@ impl TermStore {
         })
     }
 
+    /// Rebuild the application `t` with every argument `a` replaced by
+    /// `f(self, a)`, left to right. Returns `t` itself when no argument
+    /// changes (variables and constants included); the new argument vector
+    /// is allocated only once an argument does change.
+    ///
+    /// # Errors
+    ///
+    /// The first error of `f`, or of interning the rebuilt application.
+    pub fn map_args<E: From<KernelError>>(
+        &mut self,
+        t: TermId,
+        mut f: impl FnMut(&mut TermStore, TermId) -> Result<TermId, E>,
+    ) -> Result<TermId, E> {
+        let (op, arity) = match self.node(t) {
+            Term::App { op, args } => (*op, args.len()),
+            Term::Var(_) => return Ok(t),
+        };
+        let mut changed: Option<Vec<TermId>> = None;
+        for i in 0..arity {
+            let arg = self.args(t)[i];
+            let new = f(self, arg)?;
+            match &mut changed {
+                Some(args) => args.push(new),
+                None if new != arg => {
+                    let mut args = Vec::with_capacity(arity);
+                    args.extend_from_slice(&self.args(t)[..i]);
+                    args.push(new);
+                    changed = Some(args);
+                }
+                None => {}
+            }
+        }
+        match changed {
+            Some(args) => Ok(self.app(op, &args)?),
+            None => Ok(t),
+        }
+    }
+
     /// Intern the constant `op`.
     ///
     /// # Panics

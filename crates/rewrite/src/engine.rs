@@ -220,6 +220,9 @@ pub struct Normalizer {
     use_index: bool,
     index_scratch: Vec<TermId>,
     candidate_scratch: Vec<usize>,
+    /// The root-rewrite candidate buffer, reused across
+    /// [`Normalizer::apply_rules_at_root`] calls.
+    rule_scratch: Vec<Candidate>,
     counters: EngineCounters,
     blocked: Vec<TermId>,
     stats: RewriteStats,
@@ -258,6 +261,10 @@ impl FaultHook {
             .map(|kind| (n, kind))
     }
 }
+
+/// A rule tried at the root: left-hand side, right-hand side, condition,
+/// and the rule's label when profiling.
+type Candidate = (TermId, TermId, Option<TermId>, Option<String>);
 
 /// What [`Normalizer::pop_scope`] restores.
 #[derive(Debug)]
@@ -313,6 +320,7 @@ impl Normalizer {
             use_index: true,
             index_scratch: Vec::new(),
             candidate_scratch: Vec::new(),
+            rule_scratch: Vec::new(),
             counters: EngineCounters::default(),
             blocked: Vec::new(),
             stats: RewriteStats::default(),
@@ -859,19 +867,11 @@ impl Normalizer {
     }
 
     fn norm_uncached(&mut self, store: &mut TermStore, t: TermId) -> Result<TermId, RewriteError> {
-        let (op, args) = match store.node(t) {
-            Term::Var(_) => return Ok(t),
-            Term::App { op, args } => (*op, args.clone()),
-        };
-        // Innermost: arguments first.
-        let mut nargs = Vec::with_capacity(args.len());
-        let mut changed = false;
-        for &a in &args {
-            let na = self.norm(store, a)?;
-            changed |= na != a;
-            nargs.push(na);
+        if let Term::Var(_) = store.node(t) {
+            return Ok(t);
         }
-        let cur = if changed { store.app(op, &nargs)? } else { t };
+        // Innermost: arguments first.
+        let cur = store.map_args(t, |store, a| self.norm(store, a))?;
         // Rules at the root.
         if let Some(next) = self.apply_rules_at_root(store, cur)? {
             self.consume_fuel(store, cur)?;
@@ -923,12 +923,17 @@ impl Normalizer {
         // Assumption rules are always linear-scanned: the set is small,
         // changes at every case split, and has highest priority.
         let mask = self.refresh_mask;
-        let mut candidates: Vec<(TermId, TermId, Option<TermId>, Option<String>)> = self
-            .assumptions
-            .rules_for_op(op)
-            .filter(|&(i, r)| mask.is_none_or(|m| i != m && r.lhs != r.rhs))
-            .map(|(_, r)| (r.lhs, r.rhs, r.cond, profiling.then(|| r.label.clone())))
-            .collect();
+        // One buffer serves every call. It is taken for the firing loop,
+        // which drains it, and put back empty after it: a condition
+        // normalized there re-enters this function, which then starts
+        // from an empty buffer of its own.
+        let mut candidates = std::mem::take(&mut self.rule_scratch);
+        candidates.extend(
+            self.assumptions
+                .rules_for_op(op)
+                .filter(|&(i, r)| mask.is_none_or(|m| i != m && r.lhs != r.rhs))
+                .map(|(_, r)| (r.lhs, r.rhs, r.cond, profiling.then(|| r.label.clone()))),
+        );
         if self.use_index && !self.rules.is_empty() {
             // Specification rules come from the discrimination tree. The
             // index over-approximates (non-linearity and conditions are
@@ -936,10 +941,14 @@ impl Normalizer {
             // order, so firing order — and every stats counter — matches
             // the linear scan exactly; only provably incompatible rules
             // are pruned before `match_term` runs.
-            let index = self.ensure_index(store);
-            let mut scratch = std::mem::take(&mut self.index_scratch);
-            let mut picked = std::mem::take(&mut self.candidate_scratch);
-            index.candidates_into(store, t, &mut scratch, &mut picked);
+            // The rule set builds (or reuses) the shared index: a
+            // normalizer made from an already-indexed `RuleSet` pays one
+            // `Arc` bump on its first lookup, not a rebuild.
+            let index = self
+                .index
+                .get_or_insert_with(|| self.rules.path_index(store));
+            let picked = &mut self.candidate_scratch;
+            index.candidates_into(store, t, &mut self.index_scratch, picked);
             self.counters.index_lookups += 1;
             self.counters.index_candidates += picked.len() as u64;
             self.counters.index_pruned += (index.head_total(op) - picked.len()) as u64;
@@ -947,8 +956,6 @@ impl Normalizer {
                 let r = self.rules.get(i).expect("index yields valid rule indices");
                 (r.lhs, r.rhs, r.cond, profiling.then(|| r.label.clone()))
             }));
-            self.index_scratch = scratch;
-            self.candidate_scratch = picked;
         } else {
             candidates.extend(
                 self.rules
@@ -956,7 +963,21 @@ impl Normalizer {
                     .map(|r| (r.lhs, r.rhs, r.cond, profiling.then(|| r.label.clone()))),
             );
         }
-        for (lhs, rhs, cond, label) in candidates {
+        let fired = self.fire_first(store, t, &mut candidates);
+        self.rule_scratch = candidates;
+        fired
+    }
+
+    /// Fire the first of `candidates` (drained in order) whose left-hand
+    /// side matches `t` and whose condition, if any, normalizes to `true`.
+    /// Blocked conditions are recorded for the prover's case splits.
+    fn fire_first(
+        &mut self,
+        store: &mut TermStore,
+        t: TermId,
+        candidates: &mut Vec<Candidate>,
+    ) -> Result<Option<TermId>, RewriteError> {
+        for (lhs, rhs, cond, label) in candidates.drain(..) {
             let started = label.as_ref().map(|_| Instant::now());
             let subst = match match_term(store, lhs, t) {
                 MatchOutcome::Matched(s) => s,
@@ -995,21 +1016,6 @@ impl Normalizer {
             }
         }
         Ok(None)
-    }
-
-    /// The discrimination-tree index over the specification rules,
-    /// building it on first use (the rule set is fixed for the life of a
-    /// session).
-    fn ensure_index(&mut self, store: &TermStore) -> Arc<PathIndex> {
-        if let Some(index) = &self.index {
-            return index.clone();
-        }
-        // The rule set builds (or reuses) the shared index: a normalizer
-        // created from an already-indexed `RuleSet` clone pays one `Arc`
-        // bump here, not a rebuild.
-        let index = self.rules.path_index(store);
-        self.index = Some(index.clone());
-        index
     }
 
     /// Record one candidate attempt against rule `label` (no-op when
@@ -1058,7 +1064,12 @@ impl Normalizer {
             Some(op) => op,
             None => return Ok(Poly::atom(t)), // Bool variable
         };
-        let args: Vec<TermId> = store.args(t).to_vec();
+        // Connectives and equality take at most three arguments; copy them
+        // out so `store` can be borrowed mutably below.
+        let mut args = [t; 3];
+        for (slot, &a) in args.iter_mut().zip(store.args(t)) {
+            *slot = a;
+        }
         if op == self.alg.true_op() {
             return Ok(Poly::one());
         }

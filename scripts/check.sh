@@ -59,6 +59,26 @@ for JOBS in 1 2; do
         | awk "$STRIP_TIMES" | diff - scripts/counts/prove_all_variant.txt
 done
 
+echo "== open cases: fuel-starved campaigns match the committed decision and residual text at jobs 1 and 2 =="
+# At 20 rewrites of fuel most obligations stay open, so these tables pin
+# the rendered text of every open case: its `assume …` decisions and its
+# `residual:` line, including the fuel stop's engine counters. The count
+# tables above have no open case, so nothing else pins that text. A
+# campaign with open cases exits 1.
+FUEL_OUT="$(mktemp /tmp/equitls_check_fuel20_XXXXXX.txt)"
+for JOBS in 1 2; do
+    for MODEL in standard variant; do
+        VARIANT_FLAG=()
+        [ "$MODEL" = variant ] && VARIANT_FLAG=(--variant)
+        STATUS=0
+        cargo run -q --release -p equitls-tls --bin tls-prove -- \
+            --all "${VARIANT_FLAG[@]}" --fuel 20 --jobs "$JOBS" > "$FUEL_OUT" || STATUS=$?
+        test "$STATUS" -eq 1
+        awk "$STRIP_TIMES" "$FUEL_OUT" | diff - "scripts/counts/prove_all_fuel20_$MODEL.txt"
+    done
+done
+rm -f "$FUEL_OUT"
+
 echo "== memory resilience: spill smoke (ceiling completes by spilling, bit-identical) =="
 # A 16 MiB heap ceiling truncates the bound-3 scope check when the
 # visited set must stay resident; the same ceiling with a spill
