@@ -238,6 +238,36 @@ impl MetricsSummary {
         out
     }
 
+    /// The `top_n` rewrite rules by cumulative `rule.time_us`, one row per
+    /// rule with its `rule.<kind>:<rule>` counter for each of `kinds`, and
+    /// the cumulative time when `with_time`.
+    pub fn render_hot_rules(&self, top_n: usize, kinds: &[&str], with_time: bool) -> String {
+        let mut headers = vec!["rule"];
+        headers.extend(kinds);
+        if with_time {
+            headers.push("time");
+        }
+        let mut aligns = vec![Align::Right; headers.len()];
+        aligns[0] = Align::Left;
+        let mut table = Table::new(&headers, &aligns);
+        for (label, time_us) in self
+            .counters_with_prefix("rule.time_us:")
+            .into_iter()
+            .take(top_n)
+        {
+            let mut row = vec![label.clone()];
+            row.extend(kinds.iter().map(|kind| {
+                self.counter_total(&format!("rule.{kind}:{label}"))
+                    .to_string()
+            }));
+            if with_time {
+                row.push(format!("{:.2?}", Duration::from_micros(time_us)));
+            }
+            table.row(row);
+        }
+        table.render()
+    }
+
     /// All span aggregates, sorted by total time, largest first.
     pub fn spans_by_total(&self) -> Vec<(String, SpanAgg)> {
         let mut out: Vec<(String, SpanAgg)> =

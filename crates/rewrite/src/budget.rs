@@ -98,6 +98,13 @@ impl CancelToken {
     }
 }
 
+/// The most worker threads a `jobs` value from outside the program may
+/// ask for: the `--jobs`/`--workers` flags and a daemon request's `jobs`
+/// field are refused above it. The explorer spawns up to `jobs` threads
+/// per frontier window, so an unbounded value would let one request ask
+/// for a thread per state of the widest level.
+pub const MAX_JOBS: usize = 256;
+
 /// Resolve a `jobs` request: `0` means "use the machine's available
 /// parallelism", anything else is taken literally.
 pub fn resolve_jobs(jobs: usize) -> usize {

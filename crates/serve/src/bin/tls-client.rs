@@ -14,174 +14,113 @@
 //! asynchronously (the daemon answers `accepted` immediately and the
 //! result lands in the journal/results file).
 //!
-//! Exit codes: **0** every reply `ok`/`accepted`/control, **1** a typed
-//! error or shed reply, **2** usage or connection error, **3** still
-//! busy after `--max-retries`.
+//! The README's "Command line" section lists the flags and exit codes.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::path::PathBuf;
 
 use equitls_obs::json::{self, JsonValue};
 use equitls_serve::backoff::Backoff;
+use equitls_serve::endpoint::Endpoint;
+use equitls_serve::proto::{JobKind, JobRequest};
+use equitls_tls::cli::{self, Flags, RunFlags, UsageError};
+use equitls_tls::outln;
 
 struct Options {
-    socket: Option<PathBuf>,
-    tcp: Option<String>,
+    endpoint: Endpoint,
     max_retries: u32,
-    backoff_seed: u64,
-    backoff_base_ms: u64,
-    backoff_cap_ms: u64,
+    backoff: Backoff,
     stdin: bool,
-    /// The request built from the positional command, if any.
-    request: Vec<(String, JsonValue)>,
+    /// The request line built from the positional command, if any.
+    request: String,
 }
 
-fn numeric_flag(args: &mut impl Iterator<Item = String>, flag: &str, hint: &str) -> u64 {
-    args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-        eprintln!("{flag} needs {hint}");
-        std::process::exit(2);
+/// The positional command: a job, or a control verb the daemon answers
+/// inline.
+enum Command {
+    Job(JobKind),
+    Control(&'static str),
+}
+
+fn parse_args(flags: &mut Flags) -> Result<Options, UsageError> {
+    let mut endpoint = None;
+    let mut run = RunFlags::accepting("--jobs --deadline-ms --fuel --variant");
+    let mut req = JobRequest::new("", JobKind::Prove);
+    let mut command = None;
+    let (mut max_retries, mut backoff_seed) = (5, 0);
+    let (mut backoff_base_ms, mut backoff_cap_ms) = (50, 2_000);
+    let mut stdin = false;
+    while let Some(arg) = flags.next() {
+        if run.parse(&arg, flags)? || Endpoint::parse(&arg, flags, &mut endpoint)? {
+            continue;
+        }
+        match arg.as_str() {
+            "--max-retries" => max_retries = flags.value(&arg, "a count")?,
+            "--backoff-seed" => backoff_seed = flags.value(&arg, "a seed")?,
+            "--backoff-base-ms" => backoff_base_ms = flags.value(&arg, "milliseconds")?,
+            "--backoff-cap-ms" => backoff_cap_ms = flags.value(&arg, "milliseconds")?,
+            "--stdin" => stdin = true,
+            "--id" => req.id = flags.value(&arg, "a request id")?,
+            "--ack" => req.ack = true,
+            "--trace-events" => req.trace = true,
+            "--max-messages" => req.max_messages = Some(flags.value(&arg, "a message bound")?),
+            "--max-depth" => req.max_depth = Some(flags.value(&arg, "a depth bound")?),
+            "--max-states" => req.max_states = Some(flags.value(&arg, "a state bound")?),
+            "--target" => req.target = flags.value(&arg, "standard|variant")?,
+            "prove" => {
+                req.property = flags.value(&arg, "a property name (e.g. prove inv1)")?;
+                command = Some(Command::Job(JobKind::Prove));
+            }
+            "check" => command = Some(Command::Job(JobKind::Check)),
+            "lint" => command = Some(Command::Job(JobKind::Lint)),
+            "ping" => command = Some(Command::Control("ping")),
+            "stats" => command = Some(Command::Control("stats")),
+            "drain" => command = Some(Command::Control("drain")),
+            "shutdown" => command = Some(Command::Control("shutdown")),
+            other => return Err(format!("unknown argument {other}")),
+        }
+    }
+    let Some(endpoint) = endpoint else {
+        return Err("need a daemon address: --socket <path> or --tcp <addr>".into());
+    };
+    if req.id.is_empty() {
+        req.id = "cli".to_string();
+    }
+    let request = match command {
+        Some(Command::Job(kind)) => {
+            req.kind = kind;
+            req.variant = run.variant;
+            req.jobs = run.jobs;
+            req.deadline_ms = run.deadline_ms;
+            req.fuel = run.fuel;
+            req.to_json().to_string()
+        }
+        Some(Command::Control(kind)) => JsonValue::Object(vec![
+            ("id".to_string(), JsonValue::String(req.id)),
+            ("kind".to_string(), JsonValue::String(kind.to_string())),
+        ])
+        .to_string(),
+        None if stdin => String::new(),
+        None => {
+            return Err(
+                "need a command (prove|check|lint|ping|stats|drain|shutdown) or --stdin".into(),
+            )
+        }
+    };
+    Ok(Options {
+        endpoint,
+        max_retries,
+        backoff: Backoff::new(backoff_seed, backoff_base_ms, backoff_cap_ms),
+        stdin,
+        request,
     })
 }
 
-fn parse_args() -> Options {
-    let mut opts = Options {
-        socket: None,
-        tcp: None,
-        max_retries: 5,
-        backoff_seed: 0,
-        backoff_base_ms: 50,
-        backoff_cap_ms: 2_000,
-        stdin: false,
-        request: Vec::new(),
-    };
-    let mut fields: Vec<(String, JsonValue)> = Vec::new();
-    let mut id = String::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--socket" => {
-                opts.socket = args.next().map(PathBuf::from);
-                if opts.socket.is_none() {
-                    eprintln!("--socket needs a path");
-                    std::process::exit(2);
-                }
-            }
-            "--tcp" => {
-                opts.tcp = args.next();
-                if opts.tcp.is_none() {
-                    eprintln!("--tcp needs an address (e.g. --tcp 127.0.0.1:7878)");
-                    std::process::exit(2);
-                }
-            }
-            "--max-retries" => {
-                opts.max_retries =
-                    numeric_flag(&mut args, "--max-retries", "a count (e.g. --max-retries 5)")
-                        as u32;
-            }
-            "--backoff-seed" => {
-                opts.backoff_seed = numeric_flag(
-                    &mut args,
-                    "--backoff-seed",
-                    "a seed (e.g. --backoff-seed 7)",
-                );
-            }
-            "--backoff-base-ms" => {
-                opts.backoff_base_ms = numeric_flag(
-                    &mut args,
-                    "--backoff-base-ms",
-                    "milliseconds (e.g. --backoff-base-ms 50)",
-                );
-            }
-            "--backoff-cap-ms" => {
-                opts.backoff_cap_ms = numeric_flag(
-                    &mut args,
-                    "--backoff-cap-ms",
-                    "milliseconds (e.g. --backoff-cap-ms 2000)",
-                );
-            }
-            "--stdin" => opts.stdin = true,
-            "--id" => {
-                id = args.next().unwrap_or_else(|| {
-                    eprintln!("--id needs a request id");
-                    std::process::exit(2);
-                });
-            }
-            "--variant" => fields.push(("variant".into(), JsonValue::Bool(true))),
-            "--ack" => fields.push(("ack".into(), JsonValue::Bool(true))),
-            "--trace-events" => fields.push(("trace".into(), JsonValue::Bool(true))),
-            "--jobs" => {
-                let n = numeric_flag(&mut args, "--jobs", "a thread count (e.g. --jobs 2)");
-                fields.push(("jobs".into(), JsonValue::Number(n as f64)));
-            }
-            "--deadline-ms" => {
-                let n = numeric_flag(&mut args, "--deadline-ms", "milliseconds");
-                fields.push(("deadline_ms".into(), JsonValue::Number(n as f64)));
-            }
-            "--fuel" => {
-                let n = numeric_flag(&mut args, "--fuel", "a rewrite-step budget");
-                fields.push(("fuel".into(), JsonValue::Number(n as f64)));
-            }
-            "--max-messages" => {
-                let n = numeric_flag(&mut args, "--max-messages", "a message bound");
-                fields.push(("max_messages".into(), JsonValue::Number(n as f64)));
-            }
-            "--max-depth" => {
-                let n = numeric_flag(&mut args, "--max-depth", "a depth bound");
-                fields.push(("max_depth".into(), JsonValue::Number(n as f64)));
-            }
-            "--max-states" => {
-                let n = numeric_flag(&mut args, "--max-states", "a state bound");
-                fields.push(("max_states".into(), JsonValue::Number(n as f64)));
-            }
-            "--target" => {
-                let t = args.next().unwrap_or_else(|| {
-                    eprintln!("--target needs standard|variant");
-                    std::process::exit(2);
-                });
-                fields.push(("target".into(), JsonValue::String(t)));
-            }
-            "prove" => {
-                let property = args.next().unwrap_or_else(|| {
-                    eprintln!("prove needs a property name (e.g. prove inv1)");
-                    std::process::exit(2);
-                });
-                fields.insert(0, ("kind".into(), JsonValue::String("prove".into())));
-                fields.push(("property".into(), JsonValue::String(property)));
-            }
-            cmd @ ("check" | "lint" | "ping" | "stats" | "drain" | "shutdown") => {
-                fields.insert(0, ("kind".into(), JsonValue::String(cmd.into())));
-            }
-            other => {
-                eprintln!("unknown argument {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if opts.socket.is_none() && opts.tcp.is_none() {
-        eprintln!("need a daemon address: --socket <path> or --tcp <addr>");
-        std::process::exit(2);
-    }
-    if !opts.stdin {
-        if fields.iter().all(|(k, _)| k != "kind") {
-            eprintln!("need a command (prove|check|lint|ping|stats|drain|shutdown) or --stdin");
-            std::process::exit(2);
-        }
-        if id.is_empty() {
-            id = "cli".to_string();
-        }
-        fields.insert(0, ("id".into(), JsonValue::String(id)));
-    }
-    opts.request = fields;
-    opts
-}
-
 fn main() {
-    let opts = parse_args();
+    let mut opts = cli::parse_env("", parse_args);
     let lines: Vec<String> = if opts.stdin {
         let mut input = String::new();
         if std::io::stdin().read_to_string(&mut input).is_err() {
-            eprintln!("tls-client: cannot read stdin");
-            std::process::exit(2);
+            cli::fail("tls-client: cannot read stdin");
         }
         input
             .lines()
@@ -190,30 +129,29 @@ fn main() {
             .map(str::to_string)
             .collect()
     } else {
-        vec![JsonValue::Object(opts.request.clone()).to_string()]
+        vec![opts.request.clone()]
     };
 
-    let mut backoff = Backoff::new(opts.backoff_seed, opts.backoff_base_ms, opts.backoff_cap_ms);
-    let mut worst = 0;
-    for line in &lines {
-        let code = submit_with_retry(&opts, line, &mut backoff);
-        worst = worst.max(code);
-    }
+    let worst = lines
+        .iter()
+        .map(|line| submit_with_retry(&mut opts, line))
+        .max()
+        .unwrap_or(0);
     std::process::exit(worst);
 }
 
 /// Send one request line, retrying through `busy` replies. Prints every
 /// reply (including the intermediate `busy` ones) to stdout.
-fn submit_with_retry(opts: &Options, line: &str, backoff: &mut Backoff) -> i32 {
+fn submit_with_retry(opts: &mut Options, line: &str) -> i32 {
     for attempt in 0..=opts.max_retries {
-        let reply = match exchange(opts, line) {
+        let reply = match exchange(&opts.endpoint, line) {
             Ok(reply) => reply,
             Err(e) => {
                 eprintln!("tls-client: connection failed: {e}");
                 return 2;
             }
         };
-        println!("{reply}");
+        outln!("{reply}");
         let status = json::parse(&reply)
             .ok()
             .and_then(|v| v.get("status").and_then(|s| s.as_str()).map(str::to_string))
@@ -227,7 +165,7 @@ fn submit_with_retry(opts: &Options, line: &str, backoff: &mut Backoff) -> i32 {
                         _ => None,
                     })
                     .unwrap_or(0);
-                let delay = backoff.delay_with_hint_ms(attempt, hint);
+                let delay = opts.backoff.delay_with_hint_ms(attempt, hint);
                 eprintln!("tls-client: busy, retrying in {delay} ms (attempt {attempt})");
                 std::thread::sleep(std::time::Duration::from_millis(delay));
             }
@@ -240,26 +178,12 @@ fn submit_with_retry(opts: &Options, line: &str, backoff: &mut Backoff) -> i32 {
 }
 
 /// One connect / send / receive round trip.
-fn exchange(opts: &Options, line: &str) -> std::io::Result<String> {
-    match (&opts.socket, &opts.tcp) {
-        (Some(path), _) => {
-            let stream = std::os::unix::net::UnixStream::connect(path)?;
-            roundtrip(stream, line)
-        }
-        (None, Some(addr)) => {
-            let stream = std::net::TcpStream::connect(addr)?;
-            roundtrip(stream, line)
-        }
-        (None, None) => unreachable!("parse_args requires an address"),
-    }
-}
-
-fn roundtrip<S: Read + Write + Clone2>(stream: S, line: &str) -> std::io::Result<String> {
-    let mut writer = stream.clone2()?;
+fn exchange(endpoint: &Endpoint, line: &str) -> std::io::Result<String> {
+    let (reader, mut writer) = endpoint.connect()?;
     writeln!(writer, "{line}")?;
     writer.flush()?;
     let mut reply = String::new();
-    BufReader::new(stream).read_line(&mut reply)?;
+    BufReader::new(reader).read_line(&mut reply)?;
     if reply.is_empty() {
         return Err(std::io::Error::new(
             std::io::ErrorKind::UnexpectedEof,
@@ -267,21 +191,4 @@ fn roundtrip<S: Read + Write + Clone2>(stream: S, line: &str) -> std::io::Result
         ));
     }
     Ok(reply.trim_end().to_string())
-}
-
-/// `try_clone` unified across `UnixStream` and `TcpStream`.
-trait Clone2: Sized {
-    fn clone2(&self) -> std::io::Result<Self>;
-}
-
-impl Clone2 for std::os::unix::net::UnixStream {
-    fn clone2(&self) -> std::io::Result<Self> {
-        self.try_clone()
-    }
-}
-
-impl Clone2 for std::net::TcpStream {
-    fn clone2(&self) -> std::io::Result<Self> {
-        self.try_clone()
-    }
 }

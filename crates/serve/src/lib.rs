@@ -16,6 +16,8 @@
 //! * [`journal`] records every admitted job in an atomic
 //!   `equitls-persist` snapshot before it runs, so a `kill -9`'d daemon
 //!   replays its queue bit-identically on restart.
+//! * [`endpoint`] is the one `--socket PATH` | `--tcp ADDR` address type
+//!   the daemon binds and the client connects to.
 //! * [`backoff`] gives clients a capped exponential retry schedule with
 //!   seeded (deterministic-under-test) jitter.
 //!
@@ -24,6 +26,7 @@
 //! disclosed in the response that experienced it.
 
 pub mod backoff;
+pub mod endpoint;
 pub mod engine;
 pub mod job;
 pub mod journal;

@@ -39,6 +39,7 @@
 //! against a straight-through run compares exactly the stable facts.
 
 use equitls_obs::json::{self, JsonValue};
+use equitls_rewrite::budget::MAX_JOBS;
 
 /// The job kinds that pass admission control and run on workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,7 +93,8 @@ pub struct JobRequest {
     /// Run against the §5.3 swapped-Finished variant model.
     pub variant: bool,
     /// Worker threads *within* the job (prover obligations / explorer
-    /// frontier / lint passes). `0` = the job runner's default (1).
+    /// frontier / lint passes). `0` = the job runner's default (1); more
+    /// than [`MAX_JOBS`] is a bad request.
     pub jobs: usize,
     /// Wall-clock deadline for the job's `Budget`.
     pub deadline_ms: Option<u64>,
@@ -214,7 +216,12 @@ impl JobRequest {
                 "id" | "kind" => {}
                 "property" => req.property = expect_str(name, field)?.to_string(),
                 "variant" => req.variant = expect_bool(name, field)?,
-                "jobs" => req.jobs = expect_usize(name, field)?,
+                "jobs" => {
+                    req.jobs = expect_usize(name, field)?;
+                    if req.jobs > MAX_JOBS {
+                        return Err(format!("field `jobs` must be at most {MAX_JOBS}"));
+                    }
+                }
                 "deadline_ms" => req.deadline_ms = Some(expect_u64(name, field)?),
                 "fuel" => req.fuel = Some(expect_u64(name, field)?),
                 "max_messages" => req.max_messages = Some(expect_usize(name, field)?),
@@ -327,6 +334,19 @@ mod tests {
         assert!(JobRequest::from_line(r#"{"id":"x","kind":"prove","porperty":"inv1"}"#).is_err());
         assert!(JobRequest::from_line("not json").is_err());
         assert!(JobRequest::from_line(r#"{"kind":"prove"}"#).is_err());
+    }
+
+    #[test]
+    fn jobs_over_the_bound_are_a_bad_request() {
+        let line = |jobs: &str| format!(r#"{{"id":"x","kind":"check","jobs":{jobs}}}"#);
+        assert_eq!(JobRequest::from_line(&line("256")).unwrap().jobs, MAX_JOBS);
+        for jobs in ["257", "100000", "1e300"] {
+            assert_eq!(
+                JobRequest::from_line(&line(jobs)),
+                Err("field `jobs` must be at most 256".to_string()),
+                "jobs {jobs}"
+            );
+        }
     }
 
     #[test]

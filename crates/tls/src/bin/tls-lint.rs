@@ -17,21 +17,15 @@
 //!   `equitls_tls::mutants::LintFixture`, which must come back *denied*
 //!   (the gate fails if the linter misses a seeded flaw).
 //!
-//! Flags:
-//!
-//! * `--jobs N` — worker threads for critical-pair joinability (`0` = all
-//!   cores). The report is identical at every level (each pair is judged
-//!   independently).
-//! * `--sarif PATH` — write every report as one SARIF 2.1.0 log.
-//! * `--graph PATH` — write the first spec target's operator dependency
-//!   graph as Graphviz DOT (for the TLS models the reachability roots are
-//!   the observers, the transitions, and every operator an invariant
-//!   mentions).
-//!
-//! Exit status: `0` when every shipped set is deny-free **and** every
-//! fixture is denied for its seeded reason; `1` otherwise; `2` on usage
-//! errors. `--json` prints one JSON object with per-target reports
-//! (rendered by `equitls-obs`, no external dependencies).
+//! `--jobs N` (default 1) sets the critical-pair workers; the report is
+//! identical at every level. `--json` prints one JSON object with
+//! per-target reports; `--sarif PATH` writes every report as one SARIF
+//! 2.1.0 log; `--graph PATH` writes the first spec target's operator
+//! dependency graph as Graphviz DOT (for the TLS models the roots are the
+//! observers, the transitions, and every operator an invariant mentions).
+//! Exit status 0 means every shipped set is deny-free **and** every
+//! fixture is denied for its seeded reason; the README's "Command line"
+//! section lists the others.
 
 use equitls_core::prelude::{resolve_jobs, InvariantSet};
 use equitls_kernel::op::OpKind;
@@ -46,18 +40,15 @@ use equitls_obs::json::JsonValue;
 use equitls_rewrite::bool_alg::BoolAlg;
 use equitls_rewrite::bool_rules::hd_bool_rules;
 use equitls_spec::spec::Spec;
+use equitls_tls::cli::{self, Flags, RunFlags, UsageError};
 use equitls_tls::mutants::LintFixture;
-use equitls_tls::TlsModel;
+use equitls_tls::{out, outln, TlsModel};
 use std::path::PathBuf;
 
 fn main() {
     // Critical-pair joinability normalizes deep open terms; use the same
     // big-stack thread as the prover.
-    let child = std::thread::Builder::new()
-        .stack_size(512 * 1024 * 1024)
-        .spawn(run)
-        .expect("spawn lint thread");
-    child.join().expect("lint thread panicked");
+    cli::run_on_big_stack(run);
 }
 
 /// The constructor-equality decision procedure as a rewrite system: the
@@ -234,70 +225,49 @@ const TARGET_NAMES: [&str; 5] = ["bool", "eq", "standard", "variant", "fixtures"
 const USAGE: &str = "usage: tls-lint [--json] [--jobs N (0 = all cores)] [--sarif PATH] \
                      [--graph PATH] [TARGET...]";
 
-struct Cli {
+struct Options {
     json: bool,
-    jobs: usize,
+    run: RunFlags,
     sarif: Option<PathBuf>,
     graph: Option<PathBuf>,
     selected: Vec<String>,
 }
 
-fn parse_cli() -> Cli {
-    let mut cli = Cli {
+fn parse_args(flags: &mut Flags) -> Result<Options, UsageError> {
+    let mut opts = Options {
         json: false,
-        jobs: 1,
+        run: RunFlags::accepting("--jobs"),
         sarif: None,
         graph: None,
         selected: Vec::new(),
     };
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let path_flag =
-            |name: &str, slot: &mut Option<PathBuf>, args: &mut dyn Iterator<Item = String>| {
-                match args.next() {
-                    Some(v) => *slot = Some(PathBuf::from(v)),
-                    None => {
-                        eprintln!("{name} needs a path\n{USAGE}");
-                        std::process::exit(2);
-                    }
-                }
-            };
+    opts.run.jobs = 1;
+    while let Some(arg) = flags.next() {
+        if opts.run.parse(&arg, flags)? {
+            continue;
+        }
         match arg.as_str() {
-            "--json" => cli.json = true,
-            "--jobs" => {
-                cli.jobs = args
-                    .next()
-                    .and_then(|v| v.parse::<usize>().ok())
-                    .map(resolve_jobs)
-                    .unwrap_or_else(|| {
-                        eprintln!("--jobs needs a thread count (0 = all cores)\n{USAGE}");
-                        std::process::exit(2);
-                    });
-            }
-            "--sarif" => path_flag("--sarif", &mut cli.sarif, &mut args),
-            "--graph" => path_flag("--graph", &mut cli.graph, &mut args),
-            other if other.starts_with("--") => {
-                eprintln!("unknown flag {other}\n{USAGE}");
-                std::process::exit(2);
-            }
-            name if TARGET_NAMES.contains(&name) => cli.selected.push(name.to_string()),
+            "--json" => opts.json = true,
+            "--sarif" => opts.sarif = Some(flags.value(&arg, "a path")?),
+            "--graph" => opts.graph = Some(flags.value(&arg, "a path")?),
+            other if other.starts_with("--") => return Err(cli::unknown_flag(other)),
+            name if TARGET_NAMES.contains(&name) => opts.selected.push(name.to_string()),
             other => {
-                eprintln!(
+                return Err(format!(
                     "unknown target `{other}` (expected one of: {})",
                     TARGET_NAMES.join(", ")
-                );
-                std::process::exit(2);
+                ))
             }
         }
     }
-    cli
+    Ok(opts)
 }
 
 fn run() {
-    let cli = parse_cli();
-    let want = |name: &str| cli.selected.is_empty() || cli.selected.iter().any(|s| s == name);
+    let opts = cli::parse_env(USAGE, parse_args);
+    let want = |name: &str| opts.selected.is_empty() || opts.selected.iter().any(|s| s == name);
     let options = AnalysisOptions {
-        jobs: cli.jobs,
+        jobs: resolve_jobs(opts.run.jobs),
         roots: Vec::new(),
     };
 
@@ -318,28 +288,31 @@ fn run() {
         outcomes.extend(lint_fixtures(&options));
     }
 
-    if let Some(path) = &cli.sarif {
+    if let Some(path) = &opts.sarif {
         let reports: Vec<&LintReport> = outcomes.iter().map(|o| &o.report).collect();
         let log = sarif::to_sarif(&reports).to_string();
         if let Err(err) = std::fs::write(path, log) {
-            eprintln!("tls-lint: cannot write SARIF log {}: {err}", path.display());
-            std::process::exit(2);
+            cli::fail(format!(
+                "tls-lint: cannot write SARIF log {}: {err}",
+                path.display()
+            ));
         }
     }
 
-    if let Some(path) = &cli.graph {
+    if let Some(path) = &opts.graph {
         let Some(dot) = outcomes.iter().find_map(|o| o.dot.as_ref()) else {
-            eprintln!("tls-lint: --graph needs a spec target (eq, standard, or variant)");
-            std::process::exit(2);
+            cli::fail("tls-lint: --graph needs a spec target (eq, standard, or variant)");
         };
         if let Err(err) = std::fs::write(path, dot) {
-            eprintln!("tls-lint: cannot write graph {}: {err}", path.display());
-            std::process::exit(2);
+            cli::fail(format!(
+                "tls-lint: cannot write graph {}: {err}",
+                path.display()
+            ));
         }
     }
 
     let all_passed = outcomes.iter().all(TargetOutcome::passed);
-    if cli.json {
+    if opts.json {
         let targets = outcomes
             .iter()
             .map(|o| {
@@ -360,10 +333,10 @@ fn run() {
             ("targets".to_string(), JsonValue::Array(targets)),
             ("passed".to_string(), JsonValue::Bool(all_passed)),
         ]);
-        println!("{doc}");
+        outln!("{doc}");
     } else {
         for o in &outcomes {
-            print!("{}", o.report);
+            out!("{}", o.report);
             let verdict = if o.passed() { "PASS" } else { "FAIL" };
             let expect = match o.expectation {
                 Expectation::Clean => "expected deny-free".to_string(),
@@ -371,11 +344,11 @@ fn run() {
                     format!("expected deny-level `{code}`")
                 }
             };
-            println!("  -> {verdict} ({expect})");
-            println!();
+            outln!("  -> {verdict} ({expect})");
+            outln!();
         }
         let summary = if all_passed { "clean" } else { "FAILED" };
-        println!("tls-lint: {} target(s), gate {summary}", outcomes.len());
+        outln!("tls-lint: {} target(s), gate {summary}", outcomes.len());
     }
     std::process::exit(if all_passed { 0 } else { 1 });
 }

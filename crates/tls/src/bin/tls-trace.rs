@@ -18,10 +18,12 @@
 //! 20%) — the regression gate `scripts/bench.sh` and perf PRs use.
 //!
 //! Exit codes: **0** success (and, for `diff`, no regression); **1**
-//! regression past the threshold; **2** usage error or unreadable trace.
+//! regression past the threshold; **2** usage error or unreadable trace;
+//! **141** stdout closed early (see the README's "Command line" section).
 
-use equitls_obs::summary::{Align, MetricsSummary, Table};
+use equitls_obs::summary::{Align, Table};
 use equitls_obs::trace::{diff_summaries, Trace, TraceDiff};
+use equitls_tls::{out, outln};
 use std::time::Duration;
 
 /// Default `diff` regression threshold, in percent.
@@ -88,30 +90,33 @@ fn summarize(args: &[String]) -> i32 {
         Err(code) => return code,
     };
     let summary = trace.summary();
-    println!(
+    outln!(
         "{}: {} events over {:.2?}\n",
         path,
         trace.events.len(),
         Duration::from_micros(trace.duration_us()),
     );
 
-    println!("span latency (log2-bucketed histograms; rates omitted below 1ms)");
-    print!("{}", summary.render_histogram_table());
-    println!();
+    outln!("span latency (log2-bucketed histograms; rates omitted below 1ms)");
+    out!("{}", summary.render_histogram_table());
+    outln!();
 
     let hot = summary.counters_with_prefix("rule.time_us:");
     if !hot.is_empty() {
-        println!(
+        outln!(
             "hot rules (top {TOP_N} of {} by cumulative time)",
             hot.len()
         );
-        print!("{}", render_hot_rules(&summary, TOP_N));
-        println!();
+        out!(
+            "{}",
+            summary.render_hot_rules(TOP_N, &["attempts", "fires", "failures", "blocked"], true)
+        );
+        outln!();
     }
 
     let levels = summary.counters_with_prefix("mc.succ_us:");
     if !levels.is_empty() {
-        println!("explorer levels (successor generation vs. merge/dedup)");
+        outln!("explorer levels (successor generation vs. merge/dedup)");
         let mut table = Table::new(
             &["level", "successors", "dedup"],
             &[Align::Right, Align::Right, Align::Right],
@@ -126,42 +131,10 @@ fn summarize(args: &[String]) -> i32 {
                 format!("{:.2?}", Duration::from_micros(dedup_us)),
             ]);
         }
-        print!("{}", table.render());
-        println!();
+        out!("{}", table.render());
+        outln!();
     }
     0
-}
-
-/// The ranked hot-rule table shared by `summarize` (and mirroring
-/// `tls-prove --metrics`).
-fn render_hot_rules(summary: &MetricsSummary, top_n: usize) -> String {
-    let mut table = Table::new(
-        &["rule", "attempts", "fires", "failures", "blocked", "time"],
-        &[
-            Align::Left,
-            Align::Right,
-            Align::Right,
-            Align::Right,
-            Align::Right,
-            Align::Right,
-        ],
-    );
-    for (label, time_us) in summary
-        .counters_with_prefix("rule.time_us:")
-        .into_iter()
-        .take(top_n)
-    {
-        let count = |kind: &str| summary.counter_total(&format!("rule.{kind}:{label}"));
-        table.row(vec![
-            label.clone(),
-            count("attempts").to_string(),
-            count("fires").to_string(),
-            count("failures").to_string(),
-            count("blocked").to_string(),
-            format!("{:.2?}", Duration::from_micros(time_us)),
-        ]);
-    }
-    table.render()
 }
 
 fn export(args: &[String]) -> i32 {
@@ -205,10 +178,10 @@ fn diff(args: &[String]) -> i32 {
     let result = diff_summaries(&before.summary(), &after.summary(), threshold);
     print_diff(&result, before_path, after_path);
     if result.is_clean() {
-        println!("no regression past {threshold}% — OK");
+        outln!("no regression past {threshold}% — OK");
         0
     } else {
-        println!(
+        outln!(
             "{} regression(s) past {threshold}% — FAIL",
             result.regressions().len()
         );
@@ -217,7 +190,7 @@ fn diff(args: &[String]) -> i32 {
 }
 
 fn print_diff(result: &TraceDiff, before_path: &str, after_path: &str) {
-    println!("diff: {before_path} (before) vs. {after_path} (after)\n");
+    outln!("diff: {before_path} (before) vs. {after_path} (after)\n");
     let mut table = Table::new(
         &["quantity", "before", "after", "delta", ""],
         &[
@@ -251,9 +224,9 @@ fn print_diff(result: &TraceDiff, before_path: &str, after_path: &str) {
             },
         ]);
     }
-    print!("{}", table.render());
+    out!("{}", table.render());
     if result.rows.len() > TOP_N {
-        println!("({} more row(s) not shown)", result.rows.len() - TOP_N);
+        outln!("({} more row(s) not shown)", result.rows.len() - TOP_N);
     }
-    println!();
+    outln!();
 }

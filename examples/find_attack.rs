@@ -11,29 +11,19 @@
 //! cargo run --release --example find_attack [-- --jobs N]
 //! ```
 //!
-//! `--jobs N` runs the breadth-first search on N worker threads (0 = all
-//! cores); the violation trace found is identical for every N.
+//! `--jobs N` (see the README's "Command line" section) runs the
+//! breadth-first search on N worker threads; the violation trace found is
+//! identical for every N.
 
 use equitls::mc::prelude::*;
 use equitls::obs::sink::Obs;
+use equitls::tls::cli::{self, RunFlags};
 use equitls::tls::concrete::{props, Scope};
-
-fn parse_jobs() -> usize {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--jobs" {
-            return args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                eprintln!("--jobs needs a thread count (0 = all cores)");
-                std::process::exit(2);
-            });
-        }
-    }
-    0
-}
+use equitls::tls::outln;
 
 fn main() {
-    let jobs = parse_jobs();
-    println!("== searching for a violation of property 2' (ClientFinished authenticity) ==\n");
+    let jobs = cli::parse_env("", |flags| RunFlags::parse_only("--jobs", flags)).jobs;
+    outln!("== searching for a violation of property 2' (ClientFinished authenticity) ==\n");
     let mut scope = Scope::counterexample();
     scope.max_messages = 2;
     let machine = TlsMachine::new(scope.clone());
@@ -52,18 +42,21 @@ fn main() {
         jobs,
         &Obs::noop(),
     );
-    println!(
+    outln!(
         "explored {} states to depth {} in {:?} (complete: {})",
-        result.states, result.depth_reached, result.duration, result.complete
+        result.states,
+        result.depth_reached,
+        result.duration,
+        result.complete
     );
     match result.violation("prop2p") {
         Some(v) => {
-            println!("VIOLATION found at depth {}:\n{}", v.depth, render_trace(v));
+            outln!("VIOLATION found at depth {}:\n{}", v.depth, render_trace(v));
         }
-        None => println!("no violation found (unexpected!)"),
+        None => outln!("no violation found (unexpected!)"),
     }
 
-    println!("== replaying the paper's six-message counterexample to 2' ==\n");
+    outln!("== replaying the paper's six-message counterexample to 2' ==\n");
     match counterexample_2prime() {
         Ok(replay) => {
             let mut prev: Option<&equitls::tls::concrete::State> = None;
@@ -73,20 +66,20 @@ fn main() {
                     .find(|m| prev.is_none_or(|p| !p.network.contains(m)))
                     .map(|m| m.to_string())
                     .unwrap_or_default();
-                println!("({}) {label:<22} {msg}", i + 1);
+                outln!("({}) {label:<22} {msg}", i + 1);
                 prev = Some(state);
             }
-            println!("\n=> violates {}", replay.violated);
-            println!(
+            outln!("\n=> violates {}", replay.violated);
+            outln!(
                 "=> server p3 completed the handshake believing the client was p2,\n   \
                  but p2 never sent a message: clients are not authenticated (and\n   \
                  therefore anonymous) in TLS without client certificates."
             );
         }
-        Err(e) => println!("replay failed: {e}"),
+        Err(e) => outln!("replay failed: {e}"),
     }
 
-    println!("\n== replaying the paper's counterexample to 3' (abbreviated handshake) ==\n");
+    outln!("\n== replaying the paper's counterexample to 3' (abbreviated handshake) ==\n");
     match counterexample_3prime() {
         Ok(replay) => {
             let mut prev: Option<&equitls::tls::concrete::State> = None;
@@ -96,11 +89,11 @@ fn main() {
                     .find(|m| prev.is_none_or(|p| !p.network.contains(m)))
                     .map(|m| m.to_string())
                     .unwrap_or_default();
-                println!("({}) {label:<22} {msg}", i + 1);
+                outln!("({}) {label:<22} {msg}", i + 1);
                 prev = Some(state);
             }
-            println!("\n=> violates {}", replay.violated);
+            outln!("\n=> violates {}", replay.violated);
         }
-        Err(e) => println!("replay failed: {e}"),
+        Err(e) => outln!("replay failed: {e}"),
     }
 }

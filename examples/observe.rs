@@ -19,40 +19,20 @@
 
 use equitls::obs::sink::{JsonlSink, Obs, RecordingSink};
 use equitls::obs::summary::{Align, MetricsSummary, Table};
-use equitls::obs::trace::Trace;
+use equitls::tls::cli::{self, RunFlags};
 use equitls::tls::verify::{verify_property_opts, VerifyOptions};
-use equitls::tls::TlsModel;
+use equitls::tls::{outln, TlsModel};
 use std::sync::Arc;
 
 fn main() {
     // Deep proof searches recurse heavily; run on a large stack.
-    let child = std::thread::Builder::new()
-        .stack_size(512 * 1024 * 1024)
-        .spawn(run)
-        .expect("spawn prover thread");
-    child.join().expect("prover thread panicked");
+    cli::run_on_big_stack(run);
 }
 
 fn run() {
-    let mut args = std::env::args().skip(1);
-    let mut profile: Option<std::path::PathBuf> = None;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--profile" => {
-                let path = args.next().unwrap_or_else(|| {
-                    eprintln!("--profile needs a file path");
-                    std::process::exit(2);
-                });
-                profile = Some(path.into());
-            }
-            other => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
-            }
-        }
-    }
+    let run = cli::parse_env("", |flags| RunFlags::parse_only("--profile", flags));
 
-    println!("== proving inv1 (PMS secrecy) with a recording sink ==\n");
+    outln!("== proving inv1 (PMS secrecy) with a recording sink ==\n");
     let recorder = Arc::new(RecordingSink::new());
     let obs = Obs::new(recorder.clone());
     let mut model = TlsModel::standard().expect("model builds");
@@ -65,55 +45,35 @@ fn run() {
 
     let summary = MetricsSummary::from_events(&recorder.events());
 
-    println!("proof effort (the report's own totals):");
+    outln!("proof effort (the report's own totals):");
     let totals = report.total_metrics();
-    println!(
+    outln!(
         "  passages {}  splits {}  rewrites {}  max-depth {}  wall-clock {:.2?}",
-        totals.passages, totals.splits, totals.rewrites, totals.max_depth, report.duration
+        totals.passages,
+        totals.splits,
+        totals.rewrites,
+        totals.max_depth,
+        report.duration
     );
-    println!(
+    outln!(
         "  cache hit rate {:.1}%\n",
         report.total_rewrite_stats().cache_hit_rate() * 100.0
     );
 
-    println!("hottest rewrite rules (by cumulative match+fire time):");
-    let mut table = Table::new(
-        &["rule", "attempts", "fires"],
-        &[Align::Left, Align::Right, Align::Right],
+    outln!("hottest rewrite rules (by cumulative match+fire time):");
+    outln!(
+        "{}",
+        summary.render_hot_rules(8, &["attempts", "fires"], false)
     );
-    for (label, _) in summary.counters_with_prefix("rule.time_us:").iter().take(8) {
-        table.row(vec![
-            label.clone(),
-            summary
-                .counter_total(&format!("rule.attempts:{label}"))
-                .to_string(),
-            summary
-                .counter_total(&format!("rule.fires:{label}"))
-                .to_string(),
-        ]);
-    }
-    println!("{}", table.render());
 
-    println!("slowest proof obligations:");
+    outln!("slowest proof obligations:");
     let mut spans = Table::new(&["obligation", "time"], &[Align::Left, Align::Right]);
     for (name, agg) in summary.spans_by_total().into_iter().take(8) {
         spans.row(vec![name, format!("{:.2?}", agg.total)]);
     }
-    println!("{}", spans.render());
+    outln!("{}", spans.render());
 
-    if let Some(path) = &profile {
-        let chrome = Trace::from_events(recorder.timed_events()).chrome_trace();
-        match std::fs::write(path, chrome.to_string()) {
-            Ok(()) => eprintln!(
-                "Chrome trace written to {} (open in Perfetto)",
-                path.display()
-            ),
-            Err(e) => {
-                eprintln!("cannot write profile {}: {e}", path.display());
-                std::process::exit(2);
-            }
-        }
-    }
+    run.write_profile(Some(&recorder));
 
     // Second run: stream the same events as JSONL for offline analysis.
     let path = std::path::Path::new("target/observe-trace.jsonl");
@@ -133,7 +93,7 @@ fn run() {
     let lines = std::fs::read_to_string(path)
         .map(|s| s.lines().count())
         .unwrap_or(0);
-    println!(
+    outln!(
         "== JSONL trace: {lines} events written to {} ==",
         path.display()
     );

@@ -13,35 +13,32 @@
 
 use equitls::core::prelude::render_report_table;
 use equitls::obs::sink::Obs;
+use equitls::tls::cli::{self, RunFlags};
 use equitls::tls::verify::{verify_all_opts, VerifyOptions};
-use equitls::tls::TlsModel;
+use equitls::tls::{outln, TlsModel};
 
 fn main() {
-    let child = std::thread::Builder::new()
-        .stack_size(512 * 1024 * 1024)
-        .spawn(run)
-        .expect("spawn");
-    child.join().expect("prover thread");
+    cli::run_on_big_stack(run);
 }
 
 fn run() {
-    let variant = std::env::args().any(|a| a == "--variant");
-    let mut model = if variant {
-        println!("== §5.3 variant: ClientFinished2 precedes ServerFinished2 ==\n");
+    let run = cli::parse_env("", |flags| RunFlags::parse_only("--variant", flags));
+    let mut model = if run.variant {
+        outln!("== §5.3 variant: ClientFinished2 precedes ServerFinished2 ==\n");
         TlsModel::variant().expect("variant model builds")
     } else {
-        println!("== Figure 2 protocol: ServerFinished2 precedes ClientFinished2 ==\n");
+        outln!("== Figure 2 protocol: ServerFinished2 precedes ClientFinished2 ==\n");
         TlsModel::standard().expect("standard model builds")
     };
     let reports = verify_all_opts(&mut model, &VerifyOptions::default(), &Obs::noop())
         .expect("campaign runs");
-    println!("{}", render_report_table(&reports));
+    outln!("{}", render_report_table(&reports));
     let proved = reports.iter().filter(|r| r.is_proved()).count();
-    println!("{proved}/{} properties proved", reports.len());
+    outln!("{proved}/{} properties proved", reports.len());
     let passages: usize = reports.iter().map(|r| r.total_passages()).sum();
     let splits: usize = reports.iter().map(|r| r.total_splits()).sum();
-    println!("{passages} proof passages, {splits} case splits in total");
-    println!(
+    outln!("{passages} proof passages, {splits} case splits in total");
+    outln!(
         "(the paper: \"it took about one week to verify 18 invariants\"; \
          the mechanized campaign replays in seconds)"
     );

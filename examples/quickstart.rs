@@ -13,7 +13,7 @@ use equitls::mc::prelude::{Model, TlsMachine};
 use equitls::obs::sink::Obs;
 use equitls::tls::concrete::{Scope, State};
 use equitls::tls::verify::{verify_property_opts, VerifyOptions};
-use equitls::tls::TlsModel;
+use equitls::tls::{outln, TlsModel};
 
 fn drive(machine: &TlsMachine, state: &State, prefixes: &[&str]) -> Option<State> {
     let mut current = state.clone();
@@ -27,15 +27,15 @@ fn drive(machine: &TlsMachine, state: &State, prefixes: &[&str]) -> Option<State
             .find(|m| !current.network.contains(m))
             .map(|m| m.to_string())
             .unwrap_or_else(|| "(session update)".to_string());
-        println!("  {label:<22} {new_msg}");
+        outln!("  {label:<22} {new_msg}");
         current = next;
     }
     Some(current)
 }
 
 fn main() {
-    println!("== EquiTLS quickstart ==\n");
-    println!("Full handshake (Figure 2, messages 1-6):");
+    outln!("== EquiTLS quickstart ==\n");
+    outln!("Full handshake (Figure 2, messages 1-6):");
     let mut scope = Scope::counterexample();
     scope.rands = 4; // enough fresh randoms for the resumption too
     let machine = TlsMachine::new(scope);
@@ -53,9 +53,9 @@ fn main() {
         ],
     )
     .expect("the honest run is enabled");
-    println!("\n  client p2 established a session with server p3\n");
+    outln!("\n  client p2 established a session with server p3\n");
 
-    println!("Abbreviated handshake (resumption, messages 7-10):");
+    outln!("Abbreviated handshake (resumption, messages 7-10):");
     // The server records the session too (compl2 bookkeeping) so it can
     // resume; in the full protocol this happens on ClientFinished2 of the
     // previous session, so mirror the client's record.
@@ -87,15 +87,15 @@ fn main() {
     )
     .expect("the resumption is enabled");
 
-    println!("\nProving the headline property on the symbolic model:");
+    outln!("\nProving the headline property on the symbolic model:");
     let mut model = TlsModel::standard().expect("model builds");
     let report = verify_property_opts(&mut model, "inv1", &VerifyOptions::default(), &Obs::noop())
         .expect("prover runs");
-    println!(
+    outln!(
         "  inv1 (pre-master secrets cannot be leaked): {}",
         if report.is_proved() { "PROVED" } else { "OPEN" }
     );
-    println!(
+    outln!(
         "  ({} proof passages, {} case splits, {:?})",
         report.total_passages(),
         report.total_splits(),

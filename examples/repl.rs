@@ -16,7 +16,7 @@
 //!
 //! Non-interactive use: pipe commands on stdin.
 
-use equitls::tls::TlsModel;
+use equitls::tls::{out, outln, TlsModel};
 use std::io::{BufRead, Write};
 
 fn main() {
@@ -40,11 +40,11 @@ fn main() {
             .arbitrary_constant(name, sort_id)
             .expect("fresh constant");
     }
-    println!("EquiTLS REPL — the abstract TLS handshake model is loaded.");
-    println!("Commands: red <term> . | mod! NAME {{ … }} | modules | quit");
+    outln!("EquiTLS REPL — the abstract TLS handshake model is loaded.");
+    outln!("Commands: red <term> . | mod! NAME {{ … }} | modules | quit");
     let stdin = std::io::stdin();
     let mut buffer = String::new();
-    print!("EquiTLS> ");
+    out!("EquiTLS> ");
     std::io::stdout().flush().ok();
     for line in stdin.lock().lines() {
         let line = match line {
@@ -60,7 +60,7 @@ fn main() {
             || (trimmed.starts_with("mod!") && trimmed.ends_with('}'));
         if !complete {
             if !trimmed.is_empty() {
-                print!("     ...> ");
+                out!("     ...> ");
                 std::io::stdout().flush().ok();
             }
             continue;
@@ -70,7 +70,7 @@ fn main() {
             break;
         } else if trimmed == "modules" {
             for m in model.spec.modules() {
-                println!(
+                outln!(
                     "  {} ({} sorts, {} ops, {} equations)",
                     m.name,
                     m.sorts.len(),
@@ -83,20 +83,20 @@ fn main() {
             match model.spec.parse_term(src) {
                 Ok(term) => match model.spec.red(term) {
                     Ok(normal) => {
-                        println!("{}", model.spec.store().display(normal));
+                        outln!("{}", model.spec.store().display(normal));
                     }
-                    Err(e) => println!("reduction error: {e}"),
+                    Err(e) => outln!("reduction error: {e}"),
                 },
-                Err(e) => println!("parse error: {e}"),
+                Err(e) => outln!("parse error: {e}"),
             }
         } else if trimmed.starts_with("mod!") {
             match model.spec.load_module(&trimmed) {
-                Ok(()) => println!("module loaded."),
-                Err(e) => println!("error: {e}"),
+                Ok(()) => outln!("module loaded."),
+                Err(e) => outln!("error: {e}"),
             }
         }
-        print!("EquiTLS> ");
+        out!("EquiTLS> ");
         std::io::stdout().flush().ok();
     }
-    println!();
+    outln!();
 }

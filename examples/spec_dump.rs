@@ -9,12 +9,12 @@
 //! ```
 
 use equitls::spec::prelude::render_spec_module;
-use equitls::tls::TlsModel;
+use equitls::tls::{outln, TlsModel};
 
 fn main() {
     let model = TlsModel::standard().expect("model builds");
-    println!("-- EquiTLS: the abstract TLS handshake protocol (Figure 2)");
-    println!(
+    outln!("-- EquiTLS: the abstract TLS handshake protocol (Figure 2)");
+    outln!(
         "-- {} modules, {} operators, {} transitions\n",
         model.spec.modules().len(),
         model.spec.store().signature().op_count(),
@@ -25,14 +25,14 @@ fn main() {
             continue; // built-in
         }
         if let Some(text) = render_spec_module(&model.spec, &module.name) {
-            println!("{text}\n");
+            outln!("{text}\n");
         }
     }
-    println!("-- properties ({}):", model.invariants.len());
+    outln!("-- properties ({}):", model.invariants.len());
     for (name, params, body) in equitls::tls::symbolic::properties::PROPERTIES {
-        println!("--   {name}({}) :", params.join(", "));
+        outln!("--   {name}({}) :", params.join(", "));
         for line in body.lines() {
-            println!("--     {}", line.trim());
+            outln!("--     {}", line.trim());
         }
     }
 }

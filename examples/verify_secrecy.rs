@@ -12,39 +12,35 @@
 use equitls::core::prelude::{render_passage, render_step_table, Decision};
 use equitls::obs::sink::Obs;
 use equitls::tls::verify::{verify_property_opts, VerifyOptions};
-use equitls::tls::TlsModel;
+use equitls::tls::{cli, out, outln, TlsModel};
 
 fn main() {
-    let child = std::thread::Builder::new()
-        .stack_size(512 * 1024 * 1024)
-        .spawn(run)
-        .expect("spawn");
-    child.join().expect("prover thread");
+    cli::run_on_big_stack(run);
 }
 
 fn run() {
     let mut model = TlsModel::standard().expect("model builds");
     let (opts, obs) = (VerifyOptions::default(), Obs::noop());
 
-    println!("== property 1: pre-master secrets cannot be leaked ==\n");
+    outln!("== property 1: pre-master secrets cannot be leaked ==\n");
     let report = verify_property_opts(&mut model, "inv1", &opts, &obs).expect("prover runs");
-    print!("{}", render_step_table(&report));
-    println!(
+    out!("{}", render_step_table(&report));
+    outln!(
         "\nverdict: {}\n",
         if report.is_proved() { "PROVED" } else { "OPEN" }
     );
 
-    println!("== supporting lemma: gleanable ciphertexts have gleanable payloads ==\n");
+    outln!("== supporting lemma: gleanable ciphertexts have gleanable payloads ==\n");
     let lemma =
         verify_property_opts(&mut model, "lem-cepms-cpms", &opts, &obs).expect("prover runs");
-    println!(
+    outln!(
         "lem-cepms-cpms: {} ({} passages, {:?})\n",
         if lemma.is_proved() { "PROVED" } else { "OPEN" },
         lemma.total_passages(),
         lemma.duration
     );
 
-    println!("== a proof passage in the paper's §5.2 format ==\n");
+    outln!("== a proof passage in the paper's §5.2 format ==\n");
     // The fifth fakeSfin2 sub-case of inv2: all hash fields coincide, both
     // principals trustable — discharged by strengthening with inv1.
     let passage = render_passage(
@@ -83,5 +79,5 @@ fn run() {
         ],
         "inv1(p,pms(a,b,s))",
     );
-    println!("{passage}");
+    outln!("{passage}");
 }

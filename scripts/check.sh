@@ -4,6 +4,19 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "== command line: shared flags are parsed only by the shared layer =="
+# Binaries and examples take the shared flags through
+# `equitls_tls::cli::RunFlags` and `equitls_serve::endpoint::Endpoint`
+# (crates/tls/src/cli.rs, crates/serve/src/endpoint.rs). A string match
+# arm or comparison for one of them in a binary or example is a second
+# parser for the same flag.
+SHARED_FLAGS='jobs|deadline-ms|max-mem-mb|fuel|checkpoint|checkpoint-every-secs|resume|trace|profile|metrics|variant|spill-dir|max-resident-shards|socket|tcp'
+if grep -nE "\"--($SHARED_FLAGS)\"[[:space:]]*(=>|\|)|==[[:space:]]*\"--($SHARED_FLAGS)\"" \
+    crates/*/src/bin/*.rs examples/*.rs; then
+    echo "a binary or example parses a shared flag itself; use equitls_tls::cli" >&2
+    exit 1
+fi
+
 echo "== cargo build --release =="
 cargo build --release --workspace
 
