@@ -21,6 +21,7 @@
 //!   JSON (`scripts/bench.sh` sets them; `"unknown"` when absent).
 
 use equitls_bench::harness::bench;
+use equitls_core::prelude::ProverConfig;
 use equitls_mc::prelude::*;
 use equitls_obs::json::JsonValue;
 use equitls_obs::sink::Obs;
@@ -101,11 +102,11 @@ fn bench_prover(samples: usize, smoke: bool) -> Vec<JsonValue> {
         let mut obligations = 0usize;
         let best = bench(&format!("prover/{property}/jobs={jobs}"), samples, || {
             let mut model = TlsModel::standard().expect("model builds");
-            let opts = verify::VerifyOptions {
+            let config = ProverConfig {
                 jobs,
-                ..verify::VerifyOptions::default()
+                ..ProverConfig::default()
             };
-            let report = verify::verify_property_opts(&mut model, property, &opts, &Obs::noop())
+            let report = verify::verify_property_opts(&mut model, property, &config, &Obs::noop())
                 .expect("engine");
             assert!(report.is_proved(), "{property} should prove");
             obligations = report.steps.len() + 1;

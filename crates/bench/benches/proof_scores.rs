@@ -9,7 +9,7 @@
 use equitls_bench::harness::bench;
 use equitls_core::prelude::*;
 use equitls_obs::sink::Obs;
-use equitls_tls::verify::{self, verify_property_opts, VerifyOptions};
+use equitls_tls::verify::{self, verify_property_opts};
 use equitls_tls::TlsModel;
 use std::hint::black_box;
 
@@ -32,7 +32,7 @@ fn with_big_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> 
 }
 
 fn prove(model: &mut TlsModel, name: &str) -> ProofReport {
-    verify_property_opts(model, name, &VerifyOptions::default(), &Obs::noop()).expect("prover runs")
+    verify_property_opts(model, name, &ProverConfig::default(), &Obs::noop()).expect("prover runs")
 }
 
 fn bench_standard() {
@@ -76,15 +76,18 @@ fn bench_witness_ablation() {
         bench(&format!("witness-ablation/{label}"), 3, move || {
             with_big_stack(move || {
                 let mut model = TlsModel::standard().expect("model builds");
-                let config = if witnesses {
-                    verify::prover_config(&model)
-                } else {
-                    ProverConfig::default()
+                let config = ProverConfig {
+                    witnesses: if witnesses {
+                        verify::witness_map(&model)
+                    } else {
+                        Default::default()
+                    },
+                    ..ProverConfig::default()
                 };
                 let mut prover =
                     Prover::new(&mut model.spec, &model.ots, &model.invariants).with_config(config);
                 let report = prover
-                    .prove_inductive("lem-sf-session", &Hints::new())
+                    .prove("lem-sf-session", ProofMethod::Induction, &[])
                     .expect("prover runs");
                 // With witnesses the lemma proves; without them the
                 // message structure stays opaque and cases stay open.

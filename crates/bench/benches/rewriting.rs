@@ -50,6 +50,7 @@
 
 use equitls_bench::harness::bench;
 use equitls_bench::{bool_world, random_formula, truth_table_tautology};
+use equitls_core::prelude::ProverConfig;
 use equitls_kernel::term::TermId;
 use equitls_obs::json::JsonValue;
 use equitls_obs::rng::SplitMix64;
@@ -57,7 +58,7 @@ use equitls_obs::sink::Obs;
 use equitls_obs::summary::rate_per_sec;
 use equitls_rewrite::boolring::{TABLE_MUL_MAX_ATOMS, TABLE_MUL_MIN_PAIRS};
 use equitls_rewrite::prelude::*;
-use equitls_tls::verify::{self, VerifyOptions};
+use equitls_tls::verify;
 use equitls_tls::TlsModel;
 use std::collections::BTreeSet;
 use std::hint::black_box;
@@ -253,9 +254,9 @@ fn bench_campaign(samples: usize, smoke: bool) -> Vec<JsonValue> {
     let mut rows = Vec::new();
     let mut linear_wall = None;
     for leg in LEGS {
-        let opts = VerifyOptions {
+        let config = ProverConfig {
             linear_scan: leg == Leg::Linear,
-            ..VerifyOptions::default()
+            ..ProverConfig::default()
         };
         let mut best = Duration::MAX;
         let mut obligations = 0usize;
@@ -263,7 +264,7 @@ fn bench_campaign(samples: usize, smoke: bool) -> Vec<JsonValue> {
         for _ in 0..=samples.max(1) {
             let mut model = TlsModel::standard().expect("model builds");
             let t0 = Instant::now();
-            let report = verify::verify_property_opts(&mut model, property, &opts, &Obs::noop())
+            let report = verify::verify_property_opts(&mut model, property, &config, &Obs::noop())
                 .expect("engine");
             let elapsed = t0.elapsed();
             assert!(report.is_proved(), "{property} should prove");

@@ -64,7 +64,7 @@
 //! let mut set = InvariantSet::new();
 //! set.push(inv);
 //! let mut prover = Prover::new(&mut spec, &ots, &set);
-//! let report = prover.prove_inductive("taut", &Hints::new())?;
+//! let report = prover.prove("taut", ProofMethod::Induction, &[])?;
 //! assert!(report.is_proved());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -88,7 +88,7 @@ pub mod prelude {
     pub use crate::invariant::{Invariant, InvariantSet};
     pub use crate::ledger::{Ledger, LedgerEntry};
     pub use crate::ots::{Action, Observer, Ots};
-    pub use crate::prover::{resolve_jobs, Hints, Prover, ProverConfig};
+    pub use crate::prover::{resolve_jobs, ProofMethod, Prover, ProverConfig};
     pub use crate::report::{
         CaseOutcome, Decision, OpenCase, ProofReport, ProverMetrics, StepReport,
     };

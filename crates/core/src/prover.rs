@@ -17,7 +17,7 @@
 //!   nine component equations), the `false` branch rewrites the whole
 //!   condition to `false`, which lets the frame equation
 //!   `a(s, ys) = s if not c-a(...)` fire;
-//! * hinted **lemmas** are instantiated at the pre-state with candidate
+//! * the named **lemmas** are instantiated at the pre-state with candidate
 //!   terms harvested from the goal, normalized under the current
 //!   assumptions, and conjoined into the hypothesis — when an instance
 //!   reduces to `false` the sub-case is unreachable and discharges
@@ -46,20 +46,22 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Tunables for the proof search.
+/// Maximum case-split depth per proof obligation.
+const MAX_SPLITS: usize = 64;
+/// Maximum candidate terms per sort when instantiating lemmas.
+const MAX_CANDIDATES_PER_SORT: usize = 6;
+/// Maximum lemma instances conjoined into one hypothesis.
+const MAX_LEMMA_INSTANCES: usize = 16;
+/// Maximum monomials tolerated in a lemma instance before it is dropped
+/// from the hypothesis (keeps the ring small).
+const MAX_INSTANCE_MONOMIALS: usize = 16;
+/// Hard cap on proof passages per obligation (runaway guard).
+const MAX_PASSAGES: usize = 20_000;
+
+/// The prover's configuration: fuel, recording, witnesses, parallelism,
+/// budget, fault injection and checkpointing.
 #[derive(Debug, Clone)]
 pub struct ProverConfig {
-    /// Maximum case-split depth per proof obligation.
-    pub max_splits: usize,
-    /// Maximum candidate terms per sort when instantiating lemmas.
-    pub max_candidates_per_sort: usize,
-    /// Maximum lemma instances conjoined into one hypothesis.
-    pub max_lemma_instances: usize,
-    /// Maximum monomials tolerated in a lemma instance before it is
-    /// dropped from the hypothesis (keeps the ring small).
-    pub max_instance_monomials: usize,
-    /// Hard cap on proof passages per obligation (runaway guard).
-    pub max_passages: usize,
     /// Rewriting fuel per reduction.
     pub fuel: u64,
     /// Record each discharged case's decision trail so proof scores can
@@ -89,7 +91,8 @@ pub struct ProverConfig {
     /// Shared resource budget (deadline, heap ceiling, cancel token).
     /// Every obligation's normalizer checks it; a trip leaves the
     /// obligation open with a `(budget: …)` residual instead of killing
-    /// the run. Unlimited by default.
+    /// the run, and obligations not yet started are skipped the same way.
+    /// Unlimited by default.
     pub budget: Budget,
     /// Deterministic fault-injection plan for tests of the degradation
     /// paths. `None` (the default) injects nothing.
@@ -97,7 +100,8 @@ pub struct ProverConfig {
     /// Path of the crash-safe obligation ledger ([`crate::ledger`]).
     /// `None` (the default) disables checkpointing. With a path set,
     /// every finished obligation is recorded and the ledger is
-    /// atomically rewritten at obligation boundaries.
+    /// atomically rewritten at obligation boundaries. Entries are keyed
+    /// by `(invariant, obligation)`, so one file serves a whole campaign.
     pub checkpoint_path: Option<PathBuf>,
     /// Minimum seconds between ledger writes (`0` = write after every
     /// obligation). A final write always happens when the campaign's
@@ -119,11 +123,6 @@ pub struct ProverConfig {
 impl Default for ProverConfig {
     fn default() -> Self {
         ProverConfig {
-            max_splits: 64,
-            max_candidates_per_sort: 6,
-            max_lemma_instances: 16,
-            max_instance_monomials: 16,
-            max_passages: 20_000,
             fuel: 2_000_000,
             record_scores: false,
             profile_rules: false,
@@ -141,57 +140,15 @@ impl Default for ProverConfig {
 
 pub use equitls_rewrite::budget::resolve_jobs;
 
-/// Which lemmas strengthen which obligations.
-///
-/// Lemma names refer to invariants registered in the same
-/// [`InvariantSet`]. Simultaneous induction makes it sound to assume any
-/// of them at the *pre*-state while proving any other.
-#[derive(Debug, Clone, Default)]
-pub struct Hints {
-    global: HashMap<String, Vec<String>>,
-    per_action: HashMap<(String, String), Vec<String>>,
-}
-
-impl Hints {
-    /// No hints.
-    pub fn new() -> Self {
-        Hints::default()
-    }
-
-    /// Use `lemma` when proving `invariant`, for every action.
-    pub fn lemma(mut self, invariant: &str, lemma: &str) -> Self {
-        self.global
-            .entry(invariant.to_string())
-            .or_default()
-            .push(lemma.to_string());
-        self
-    }
-
-    /// Use `lemma` when proving `invariant` against `action` only.
-    pub fn lemma_for_action(mut self, invariant: &str, action: &str, lemma: &str) -> Self {
-        self.per_action
-            .entry((invariant.to_string(), action.to_string()))
-            .or_default()
-            .push(lemma.to_string());
-        self
-    }
-
-    fn lemmas_for<'a>(&'a self, invariant: &str, action: Option<&str>) -> Vec<&'a str> {
-        let mut out: Vec<&str> = Vec::new();
-        if let Some(global) = self.global.get(invariant) {
-            out.extend(global.iter().map(String::as_str));
-        }
-        if let Some(action) = action {
-            if let Some(extra) = self
-                .per_action
-                .get(&(invariant.to_string(), action.to_string()))
-            {
-                out.extend(extra.iter().map(String::as_str));
-            }
-        }
-        out.dedup();
-        out
-    }
+/// How a property is established.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ProofMethod {
+    /// Simultaneous induction: the base case plus one inductive case per
+    /// action.
+    Induction,
+    /// Case analysis only: `lemmas(s, …) implies invariant(s, xs)` for an
+    /// arbitrary state `s`, one obligation.
+    CaseAnalysis,
 }
 
 /// The result of one proof-passage leaf.
@@ -220,12 +177,67 @@ enum Residual {
     Note(String),
 }
 
-/// Mutable search state threaded through the case-split recursion. The
-/// metrics are the public [`ProverMetrics`]; every leaf bumps `passages`
-/// and exactly one of the verdict buckets.
-struct SearchStats {
+/// What a branch assumes: each of its atoms at a value, in order (a
+/// condition's conjuncts, or one split atom), or a whole condition at a
+/// value.
+enum Assume {
+    Each(Vec<TermId>, bool),
+    Whole(TermId, bool),
+}
+
+/// A chosen case split: its observability counter and its branches, each
+/// the decision it records on the trail and what it assumes.
+struct Split {
+    counter: &'static str,
+    branches: Vec<(Step, Assume)>,
+}
+
+impl Split {
+    /// A blocked effective condition `cond` that is a single conjunction:
+    /// the `true` branch assumes each conjunct in the given order, the
+    /// `false` branch the whole condition, which lets the frame equation
+    /// fire.
+    fn condition(cond: TermId, conjuncts: Vec<TermId>) -> Split {
+        Split {
+            counter: "prover.split:cond",
+            branches: vec![
+                (Step::CondTrue(cond), Assume::Each(conjuncts, true)),
+                (Step::CondFalse(cond), Assume::Whole(cond, false)),
+            ],
+        }
+    }
+
+    /// A single Bool atom, `true` branch first.
+    fn atom(atom: TermId) -> Split {
+        Split {
+            counter: "prover.split:atom",
+            branches: [true, false]
+                .into_iter()
+                .map(|value| (Step::Atom(atom, value), Assume::Each(vec![atom], value)))
+                .collect(),
+        }
+    }
+}
+
+/// The obligation a search runs: its goal, the pre-state lemma instances
+/// are taken at, and the lemmas.
+#[derive(Clone, Copy)]
+struct Obligation<'o> {
+    goal: TermId,
+    pre_state: TermId,
+    lemmas: &'o [Invariant],
+}
+
+/// Mutable search state threaded through the case-split recursion: the
+/// current passage's decision trail, the public [`ProverMetrics`] (every
+/// leaf bumps `passages` and exactly one of the verdict buckets), and the
+/// recorded scores and open cases.
+#[derive(Default)]
+struct SearchState {
+    trail: Vec<Step>,
     metrics: ProverMetrics,
     scores: Vec<Vec<Decision>>,
+    open: Vec<OpenCase>,
 }
 
 /// The inductive prover over one specification + OTS.
@@ -264,15 +276,23 @@ impl<'a> Prover<'a> {
         self
     }
 
-    /// Prove `invariant` by simultaneous induction over all transitions.
+    /// Prove `invariant` by `method`, strengthening with the invariants
+    /// named in `lemmas`.
     ///
-    /// The base case and each action's inductive case are independent
-    /// obligations; with `ProverConfig::jobs > 1` they are distributed
-    /// across worker threads. Each worker clones the caller's [`Spec`]
-    /// once and closes every obligation by rolling that clone back to the
-    /// mark taken before it (at every jobs value, including 1), so the
-    /// report is byte-identical for any thread count and the caller's spec
-    /// is left untouched.
+    /// [`ProofMethod::Induction`] proves it by simultaneous induction over
+    /// all transitions: the base case and each action's inductive case are
+    /// independent obligations, which `ProverConfig::jobs > 1` distributes
+    /// across worker threads. [`ProofMethod::CaseAnalysis`] proves
+    /// `lemmas(s, …) implies invariant(s, xs)` for an arbitrary state `s`
+    /// (the paper's properties 4 and 5, "proved by case analyses with
+    /// other properties"): one obligation, so campaigns parallelize across
+    /// properties instead. Simultaneous induction makes it sound to assume
+    /// any registered invariant at the pre-state while proving any other.
+    ///
+    /// Each worker clones the caller's [`Spec`] once and closes every
+    /// obligation by rolling that clone back to the mark taken before it
+    /// (at every jobs value, including 1), so the report is byte-identical
+    /// for any thread count and the caller's spec is left untouched.
     ///
     /// # Errors
     ///
@@ -280,17 +300,24 @@ impl<'a> Prover<'a> {
     /// several failing obligations the error of the earliest one (base
     /// first, then campaign action order) is returned, regardless of
     /// which worker finished first.
-    pub fn prove_inductive(
+    pub fn prove(
         &mut self,
         invariant: &str,
-        hints: &Hints,
+        method: ProofMethod,
+        lemmas: &[&str],
     ) -> Result<ProofReport, CoreError> {
         let start = Instant::now();
-        let inv = self
-            .invariants
-            .get(invariant)
-            .ok_or_else(|| CoreError::UnknownInvariant(invariant.to_string()))?
-            .clone();
+        let lookup = |name: &str| {
+            self.invariants
+                .get(name)
+                .cloned()
+                .ok_or_else(|| CoreError::UnknownInvariant(name.to_string()))
+        };
+        let inv = lookup(invariant)?;
+        let lemmas = lemmas
+            .iter()
+            .map(|name| lookup(name))
+            .collect::<Result<Vec<_>, _>>()?;
         // Build the discrimination-tree index once on the caller's rule
         // set: every worker's spec clone then shares it by `Arc` instead
         // of rebuilding it.
@@ -305,78 +332,17 @@ impl<'a> Prover<'a> {
             obs: &self.obs,
             inv: &inv,
             inv_name: invariant,
-            hints,
-            case_lemmas: Vec::new(),
+            lemmas: &lemmas,
         };
-        let mut tasks: Vec<Task<'_>> = vec![Task::Base];
-        tasks.extend(self.ots.actions.iter().map(Task::Step));
+        let tasks: Vec<Task<'_>> = match method {
+            ProofMethod::Induction => std::iter::once(Task::Base)
+                .chain(self.ots.actions.iter().map(Task::Step))
+                .collect(),
+            ProofMethod::CaseAnalysis => vec![Task::CaseAnalysis],
+        };
         let mut reports = run_tasks(&ctx, &tasks)?;
         let base = reports.remove(0);
         Ok(ProofReport::new(invariant, base, reports, start.elapsed()))
-    }
-
-    /// Prove `invariant` by case analysis only (no induction): the goal is
-    /// `lemmas(s, …) implies invariant(s, xs)` for an arbitrary state `s`.
-    ///
-    /// This covers the paper's properties 4 and 5, which are "proved by
-    /// case analyses with other properties". A case analysis is a single
-    /// obligation, so `ProverConfig::jobs` has nothing to distribute here;
-    /// campaigns parallelize across properties instead (each property's
-    /// obligation is independent). Like [`Prover::prove_inductive`], the
-    /// obligation runs on one clone of the caller's [`Spec`], which is left
-    /// untouched.
-    ///
-    /// # Errors
-    ///
-    /// Unknown names, or a rewriting failure.
-    pub fn prove_by_cases(
-        &mut self,
-        invariant: &str,
-        lemma_names: &[&str],
-    ) -> Result<ProofReport, CoreError> {
-        let start = Instant::now();
-        let inv = self
-            .invariants
-            .get(invariant)
-            .ok_or_else(|| CoreError::UnknownInvariant(invariant.to_string()))?
-            .clone();
-        // Build the discrimination-tree index once on the caller's rule
-        // set: every worker's spec clone then shares it by `Arc` instead
-        // of rebuilding it.
-        if !self.config.linear_scan {
-            self.spec.rules().path_index(self.spec.store());
-        }
-        let hints = Hints::new();
-        let ctx = TaskCtx {
-            spec: self.spec,
-            ots: self.ots,
-            invariants: self.invariants,
-            config: &self.config,
-            obs: &self.obs,
-            inv: &inv,
-            inv_name: invariant,
-            hints: &hints,
-            case_lemmas: lemma_names.iter().map(|s| (*s).to_string()).collect(),
-        };
-        let mut reports = run_tasks(&ctx, &[Task::CaseAnalysis])?;
-        Ok(ProofReport::new(
-            invariant,
-            reports.remove(0),
-            Vec::new(),
-            start.elapsed(),
-        ))
-    }
-
-    fn resolve_lemmas(&self, names: &[&str]) -> Result<Vec<Invariant>, CoreError> {
-        names
-            .iter()
-            .map(|n| {
-                self.invariants
-                    .get(n)
-                    .cloned()
-                    .ok_or_else(|| CoreError::UnknownInvariant((*n).to_string()))
-            })
-            .collect()
     }
 
     fn fresh_params(&mut self, inv: &Invariant) -> Result<Vec<TermId>, CoreError> {
@@ -447,57 +413,50 @@ impl<'a> Prover<'a> {
             norm.set_profiling(true);
         }
         norm.set_indexing(!self.config.linear_scan);
-        let mut stats = SearchStats {
-            metrics: ProverMetrics::default(),
-            scores: Vec::new(),
+        let mut state = SearchState::default();
+        let obligation = Obligation {
+            goal,
+            pre_state,
+            lemmas,
         };
-        let mut open = Vec::new();
-        let mut trail = Vec::new();
-        self.search(
-            &mut norm, goal, pre_state, lemmas, 0, &mut trail, &mut stats, &mut open,
-        )?;
+        self.search(&mut norm, obligation, 0, &mut state)?;
         // Every branch ran in a scope of `norm`, so its counters cover the
         // whole obligation.
         let rewrite_stats = norm.stats();
-        stats.metrics.rewrites = rewrite_stats.rewrites;
+        state.metrics.rewrites = rewrite_stats.rewrites;
         norm.emit_profile();
         if self.obs.enabled() {
             self.obs
                 .gauge("kernel.term_count", self.spec.store().term_count() as f64);
         }
-        let outcome = if open.is_empty() {
+        let outcome = if state.open.is_empty() {
             CaseOutcome::Proved
         } else {
-            CaseOutcome::Open(open)
+            CaseOutcome::Open(state.open)
         };
         Ok(StepReport {
             action: name.to_string(),
             outcome,
-            metrics: stats.metrics,
+            metrics: state.metrics,
             rewrite_stats,
             duration: start.elapsed(),
-            scores: stats.scores,
+            scores: state.scores,
         })
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// One proof passage: reduce the goal under the current assumptions,
+    /// and split on a blocked condition or atom when it stays open.
     fn search(
         &mut self,
         norm: &mut Normalizer,
-        goal: TermId,
-        pre_state: TermId,
-        lemmas: &[Invariant],
+        ob: Obligation<'_>,
         depth: usize,
-        trail: &mut Vec<Step>,
-        stats: &mut SearchStats,
-        open: &mut Vec<OpenCase>,
+        state: &mut SearchState,
     ) -> Result<(), CoreError> {
-        stats.metrics.max_depth = stats.metrics.max_depth.max(depth);
-        if stats.metrics.passages >= self.config.max_passages {
+        state.metrics.max_depth = state.metrics.max_depth.max(depth);
+        if state.metrics.passages >= MAX_PASSAGES {
             self.leaf_open(
-                stats,
-                open,
-                trail,
+                state,
                 Residual::Note("(passage budget exhausted)".to_string()),
             );
             return Ok(());
@@ -507,213 +466,112 @@ impl<'a> Prover<'a> {
         // engine vs. the split search (one sample per passage).
         let reduced = {
             let _span = self.obs.span("prover.normalize");
-            self.reduce_with_sih(norm, goal, pre_state, lemmas)
+            self.reduce_with_sih(norm, ob)
         };
         let (leaf, blocked, pool) = match reduced {
             Ok(x) => x,
-            Err(e) if is_budget_error(&e) => {
-                self.leaf_open(stats, open, trail, Residual::Note(budget_residual(&e)));
+            Err(e) => return self.stop_open(state, e),
+        };
+        let residual = match leaf {
+            Leaf::Proved => {
+                state.metrics.passages += 1;
+                state.metrics.proved += 1;
+                self.obs.counter("prover.leaf.proved", 1);
+                self.record_score(state);
                 return Ok(());
             }
-            Err(e) => return Err(e),
-        };
-        match leaf {
-            Leaf::Proved => {
-                stats.metrics.passages += 1;
-                stats.metrics.proved += 1;
-                self.obs.counter("prover.leaf.proved", 1);
-                if self.config.record_scores {
-                    stats.scores.push(self.render_trail(trail));
-                }
-                Ok(())
-            }
             Leaf::Vacuous => {
-                self.leaf_vacuous(stats);
-                if self.config.record_scores {
-                    stats.scores.push(self.render_trail(trail));
-                }
+                self.leaf_vacuous(state);
+                self.record_score(state);
+                return Ok(());
+            }
+            Leaf::Open(residual) => residual,
+        };
+        let split = if depth >= MAX_SPLITS {
+            None
+        } else {
+            match self.choose_split(norm, ob.goal, &blocked, &pool) {
+                Ok(split) => split,
+                Err(e) => return self.stop_open(state, e),
+            }
+        };
+        let Some(split) = split else {
+            self.leaf_open(state, Residual::Goal(residual));
+            return Ok(());
+        };
+        state.metrics.splits += 1;
+        self.obs.counter(split.counter, 1);
+        for (step, assume) in &split.branches {
+            self.branch(norm, ob, depth + 1, state, *step, assume)?;
+        }
+        Ok(())
+    }
+
+    /// One branch of a split, in its own scope: push the scope and the
+    /// branch's decision, assume, then search on — or record a vacuous
+    /// leaf if the assumption is infeasible, or an open leaf if the budget
+    /// stopped it — and pop both.
+    fn branch(
+        &mut self,
+        norm: &mut Normalizer,
+        ob: Obligation<'_>,
+        depth: usize,
+        state: &mut SearchState,
+        step: Step,
+        assume: &Assume,
+    ) -> Result<(), CoreError> {
+        norm.push_scope();
+        state.trail.push(step);
+        let result = match self.assume(norm, assume) {
+            Ok(true) => self.search(norm, ob, depth, state),
+            Ok(false) => {
+                self.leaf_vacuous(state);
                 Ok(())
             }
-            Leaf::Open(residual) if depth >= self.config.max_splits => {
-                self.leaf_open(stats, open, trail, Residual::Goal(residual));
-                Ok(())
-            }
-            Leaf::Open(residual) => {
-                // Choose a split.
-                let split = match self.choose_split(norm, goal, &blocked, &pool) {
-                    Ok(s) => s,
-                    Err(e) if is_budget_error(&e) => {
-                        self.leaf_open(stats, open, trail, Residual::Note(budget_residual(&e)));
-                        return Ok(());
-                    }
-                    Err(e) => return Err(e),
-                };
-                match split {
-                    Some(Split::Condition { cond, atoms }) => {
-                        stats.metrics.splits += 1;
-                        self.obs.counter("prover.split:cond", 1);
-                        // TRUE branch: assume each conjunct, equalities
-                        // first so their orientations reach the rest.
-                        {
-                            norm.push_scope();
-                            let mut feasible = true;
-                            let mut stop: Option<String> = None;
-                            let mut ordered = atoms.clone();
-                            let alg = self.spec.alg().clone();
-                            ordered.sort_by_key(|&a| {
-                                let is_eq = self
-                                    .spec
-                                    .store()
-                                    .op_of(a)
-                                    .map(|op| alg.is_eq_op(op))
-                                    .unwrap_or(false);
-                                (!is_eq, self.spec.store().size(a))
-                            });
-                            for &atom in &ordered {
-                                match self.assume_atom(norm, atom, true) {
-                                    Ok(true) => {}
-                                    Ok(false) => {
-                                        feasible = false;
-                                        break;
-                                    }
-                                    Err(e) if is_budget_error(&e) => {
-                                        stop = Some(budget_residual(&e));
-                                        break;
-                                    }
-                                    Err(e) => return Err(e),
-                                }
-                            }
-                            trail.push(Step::CondTrue(cond));
-                            if let Some(residual) = stop {
-                                self.leaf_open(stats, open, trail, Residual::Note(residual));
-                            } else if feasible {
-                                self.search(
-                                    norm,
-                                    goal,
-                                    pre_state,
-                                    lemmas,
-                                    depth + 1,
-                                    trail,
-                                    stats,
-                                    open,
-                                )?;
-                            } else {
-                                self.leaf_vacuous(stats);
-                            }
-                            norm.pop_scope();
-                            trail.pop();
-                        }
-                        // FALSE branch: the whole condition is false.
-                        {
-                            norm.push_scope();
-                            let feasible = match self.assume_term(norm, cond, false) {
-                                Ok(f) => f,
-                                Err(e) if is_budget_error(&e) => {
-                                    norm.pop_scope();
-                                    self.leaf_open(
-                                        stats,
-                                        open,
-                                        trail,
-                                        Residual::Note(budget_residual(&e)),
-                                    );
-                                    return Ok(());
-                                }
-                                Err(e) => return Err(e),
-                            };
-                            trail.push(Step::CondFalse(cond));
-                            if feasible {
-                                self.search(
-                                    norm,
-                                    goal,
-                                    pre_state,
-                                    lemmas,
-                                    depth + 1,
-                                    trail,
-                                    stats,
-                                    open,
-                                )?;
-                            } else {
-                                self.leaf_vacuous(stats);
-                            }
-                            norm.pop_scope();
-                            trail.pop();
-                        }
-                        Ok(())
-                    }
-                    Some(Split::Atom(atom)) => {
-                        stats.metrics.splits += 1;
-                        self.obs.counter("prover.split:atom", 1);
-                        for value in [true, false] {
-                            norm.push_scope();
-                            let feasible = match self.assume_atom(norm, atom, value) {
-                                Ok(f) => f,
-                                Err(e) if is_budget_error(&e) => {
-                                    norm.pop_scope();
-                                    self.leaf_open(
-                                        stats,
-                                        open,
-                                        trail,
-                                        Residual::Note(budget_residual(&e)),
-                                    );
-                                    continue;
-                                }
-                                Err(e) => return Err(e),
-                            };
-                            trail.push(Step::Atom(atom, value));
-                            if feasible {
-                                self.search(
-                                    norm,
-                                    goal,
-                                    pre_state,
-                                    lemmas,
-                                    depth + 1,
-                                    trail,
-                                    stats,
-                                    open,
-                                )?;
-                            } else {
-                                self.leaf_vacuous(stats);
-                            }
-                            norm.pop_scope();
-                            trail.pop();
-                        }
-                        Ok(())
-                    }
-                    None => {
-                        self.leaf_open(stats, open, trail, Residual::Goal(residual));
-                        Ok(())
-                    }
-                }
-            }
+            Err(e) => self.stop_open(state, e),
+        };
+        norm.pop_scope();
+        state.trail.pop();
+        result
+    }
+
+    /// End the passage on a rewriting error: a fuel or budget stop leaves
+    /// it open with the stop as its residual; any other error propagates.
+    fn stop_open(&self, state: &mut SearchState, e: CoreError) -> Result<(), CoreError> {
+        if !is_budget_error(&e) {
+            return Err(e);
+        }
+        self.leaf_open(state, Residual::Note(budget_residual(&e)));
+        Ok(())
+    }
+
+    /// Record the current trail as a proof score, if scores are recorded.
+    fn record_score(&self, state: &mut SearchState) {
+        if self.config.record_scores {
+            state.scores.push(self.render_trail(&state.trail));
         }
     }
 
     /// Account one vacuous leaf (infeasible branch).
-    fn leaf_vacuous(&self, stats: &mut SearchStats) {
-        stats.metrics.passages += 1;
-        stats.metrics.vacuous += 1;
+    fn leaf_vacuous(&self, state: &mut SearchState) {
+        state.metrics.passages += 1;
+        state.metrics.vacuous += 1;
         self.obs.counter("prover.leaf.vacuous", 1);
     }
 
     /// Account one open leaf and record it: its rendered trail and
     /// residual.
-    fn leaf_open(
-        &self,
-        stats: &mut SearchStats,
-        open: &mut Vec<OpenCase>,
-        trail: &[Step],
-        residual: Residual,
-    ) {
-        stats.metrics.passages += 1;
-        stats.metrics.open += 1;
+    fn leaf_open(&self, state: &mut SearchState, residual: Residual) {
+        state.metrics.passages += 1;
+        state.metrics.open += 1;
         self.obs.counter("prover.leaf.open", 1);
         let residual = match residual {
             Residual::Goal(n) => self.render_residual(n),
             Residual::Note(note) => note,
         };
-        open.push(OpenCase {
+        state.open.push(OpenCase {
             decisions: self
-                .render_trail(trail)
+                .render_trail(&state.trail)
                 .iter()
                 .map(Decision::render)
                 .collect(),
@@ -747,18 +605,16 @@ impl<'a> Prover<'a> {
     fn reduce_with_sih(
         &mut self,
         norm: &mut Normalizer,
-        goal: TermId,
-        pre_state: TermId,
-        lemmas: &[Invariant],
+        ob: Obligation<'_>,
     ) -> Result<(Leaf, Vec<TermId>, Vec<TermId>), CoreError> {
         let alg = self.spec.alg().clone();
         let _ = norm.take_blocked();
-        let n = norm.normalize(self.spec.store_mut(), goal)?;
+        let n = norm.normalize(self.spec.store_mut(), ob.goal)?;
         let blocked = norm.take_blocked();
         if alg.as_constant(self.spec.store(), n) == Some(true) {
             return Ok((Leaf::Proved, blocked, Vec::new()));
         }
-        if lemmas.is_empty() {
+        if ob.lemmas.is_empty() {
             return Ok((Leaf::Open(n), blocked, Vec::new()));
         }
         let goal_poly = norm.normalize_to_poly(self.spec.store_mut(), n)?;
@@ -777,7 +633,7 @@ impl<'a> Prover<'a> {
         let mut atom_pool = goal_atoms.clone();
         for _round in 0..3 {
             let mut grew = false;
-            for lemma in lemmas {
+            for lemma in ob.lemmas {
                 let mut tuples = self.pattern_tuples(lemma, &atom_pool, &candidates);
                 if tuples.is_empty() {
                     // Cartesian fallback only when pattern matching found
@@ -785,10 +641,10 @@ impl<'a> Prover<'a> {
                     tuples = self.instantiation_tuples(lemma, &candidates);
                 }
                 for tuple in tuples {
-                    if used >= self.config.max_lemma_instances {
+                    if used >= MAX_LEMMA_INSTANCES {
                         break;
                     }
-                    let inst = lemma.instantiate(self.spec, pre_state, &tuple)?;
+                    let inst = lemma.instantiate(self.spec, ob.pre_state, &tuple)?;
                     let ni = norm.normalize(self.spec.store_mut(), inst)?;
                     match alg.as_constant(self.spec.store(), ni) {
                         Some(true) => continue,
@@ -812,7 +668,7 @@ impl<'a> Prover<'a> {
                                         .map(|op| !alg.is_eq_op(op))
                                         .unwrap_or(false)
                             });
-                            if p.monomial_count() <= self.config.max_instance_monomials
+                            if p.monomial_count() <= MAX_INSTANCE_MONOMIALS
                                 && anchored
                                 && sih_poly.monomial_count() * p.monomial_count() <= product_bound
                             {
@@ -861,7 +717,7 @@ impl<'a> Prover<'a> {
             for sub in self.spec.store().subterms(atom) {
                 let sort = self.spec.store().sort_of(sub);
                 let entry = map.entry(sort).or_default();
-                if !entry.contains(&sub) && entry.len() < self.config.max_candidates_per_sort {
+                if !entry.contains(&sub) && entry.len() < MAX_CANDIDATES_PER_SORT {
                     entry.push(sub);
                 }
             }
@@ -942,7 +798,7 @@ impl<'a> Prover<'a> {
                 if complete && !tuples.contains(&tuple) {
                     tuples.push(tuple);
                 }
-                if tuples.len() >= self.config.max_lemma_instances {
+                if tuples.len() >= MAX_LEMMA_INSTANCES {
                     return tuples;
                 }
             }
@@ -969,7 +825,7 @@ impl<'a> Prover<'a> {
                     let mut t = tuple.clone();
                     t.push(c);
                     next.push(t);
-                    if next.len() >= 4 * self.config.max_lemma_instances {
+                    if next.len() >= 4 * MAX_LEMMA_INSTANCES {
                         break;
                     }
                 }
@@ -977,6 +833,22 @@ impl<'a> Prover<'a> {
             tuples = next;
         }
         tuples
+    }
+
+    /// Assume what a branch assumes; returns `false` as soon as one
+    /// assumption is infeasible, making the branch vacuous.
+    fn assume(&mut self, norm: &mut Normalizer, assume: &Assume) -> Result<bool, CoreError> {
+        match *assume {
+            Assume::Each(ref atoms, value) => {
+                for &atom in atoms {
+                    if !self.assume_atom(norm, atom, value)? {
+                        return Ok(false);
+                    }
+                }
+                Ok(true)
+            }
+            Assume::Whole(term, value) => self.assume_term(norm, term, value),
+        }
     }
 
     /// Assume a Bool atom's truth value; returns `false` when the
@@ -1074,17 +946,20 @@ impl<'a> Prover<'a> {
                 continue;
             }
             if poly.monomial_count() == 1 {
-                let atoms = poly.monomials().next().expect("single monomial").to_vec();
+                let mut conjuncts = poly.monomials().next().expect("single monomial").to_vec();
                 let alg = self.spec.alg().clone();
                 let cond_term = poly.to_term(self.spec.store_mut(), &alg)?;
-                return Ok(Some(Split::Condition {
-                    cond: cond_term,
-                    atoms,
-                }));
+                // Equalities first, so their orientations reach the rest.
+                let store = self.spec.store();
+                conjuncts.sort_by_key(|&a| {
+                    let is_eq = store.op_of(a).is_some_and(|op| alg.is_eq_op(op));
+                    (!is_eq, store.size(a))
+                });
+                return Ok(Some(Split::condition(cond_term, conjuncts)));
             }
             // Disjunctive condition: split on its smallest atom.
             if let Some(atom) = self.smallest_atom(&poly.atoms()) {
-                return Ok(Some(Split::Atom(atom)));
+                return Ok(Some(Split::atom(atom)));
             }
         }
         // Fall back to the goal's own atoms — but only *productive* ones.
@@ -1095,11 +970,11 @@ impl<'a> Prover<'a> {
         // never close a goal the ring left open.
         let poly = norm.normalize_to_poly(self.spec.store_mut(), n)?;
         if let Some(atom) = self.productive_atom(&poly.atoms()) {
-            return Ok(Some(Split::Atom(atom)));
+            return Ok(Some(Split::atom(atom)));
         }
         // Atoms introduced by lemma instances (e.g. the `b = intruder`
         // guard of a session lemma) are split candidates too.
-        Ok(self.productive_atom(lemma_pool).map(Split::Atom))
+        Ok(self.productive_atom(lemma_pool).map(Split::atom))
     }
 
     fn smallest_atom(&self, atoms: &[TermId]) -> Option<TermId> {
@@ -1176,8 +1051,7 @@ struct TaskCtx<'c> {
     obs: &'c Obs,
     inv: &'c Invariant,
     inv_name: &'c str,
-    hints: &'c Hints,
-    case_lemmas: Vec<String>,
+    lemmas: &'c [Invariant],
 }
 
 /// Stack size for prover worker threads. The case-split recursion on top
@@ -1287,25 +1161,18 @@ fn run_task_inner(
         .with_obs(ctx.obs.clone());
     match task {
         Task::Base => {
-            let lemmas = prover.resolve_lemmas(&ctx.hints.lemmas_for(ctx.inv_name, None))?;
             let xs = prover.fresh_params(ctx.inv)?;
             let init = ctx.ots.init;
             let goal = ctx.inv.instantiate(prover.spec, init, &xs)?;
-            prover.search_obligation("init", goal, init, &lemmas)
+            prover.search_obligation("init", goal, init, ctx.lemmas)
         }
-        Task::Step(action) => {
-            let lemmas =
-                prover.resolve_lemmas(&ctx.hints.lemmas_for(ctx.inv_name, Some(&action.name)))?;
-            prover.prove_step(ctx.inv, action, &lemmas)
-        }
+        Task::Step(action) => prover.prove_step(ctx.inv, action, ctx.lemmas),
         Task::CaseAnalysis => {
-            let names: Vec<&str> = ctx.case_lemmas.iter().map(String::as_str).collect();
-            let lemmas = prover.resolve_lemmas(&names)?;
             let state_sort = ctx.ots.state_sort;
             let s = prover.spec.store_mut().fresh_constant("p", state_sort);
             let xs = prover.fresh_params(ctx.inv)?;
             let goal = ctx.inv.instantiate(prover.spec, s, &xs)?;
-            prover.search_obligation("case-analysis", goal, s, &lemmas)
+            prover.search_obligation("case-analysis", goal, s, ctx.lemmas)
         }
     }
 }
@@ -1516,15 +1383,6 @@ fn budget_residual(e: &CoreError) -> String {
     format!("({})", truncate_residual(e.to_string()))
 }
 
-/// A chosen case split.
-enum Split {
-    /// A blocked effective condition `cond` that is a single conjunction
-    /// of `atoms`.
-    Condition { cond: TermId, atoms: Vec<TermId> },
-    /// A single Bool atom.
-    Atom(TermId),
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1602,7 +1460,7 @@ mod tests {
     fn mutual_exclusion_is_proved_inductively() {
         let (mut spec, ots, invs) = build_machine();
         let mut prover = Prover::new(&mut spec, &ots, &invs);
-        let report = prover.prove_inductive("mutex", &Hints::new()).unwrap();
+        let report = prover.prove("mutex", ProofMethod::Induction, &[]).unwrap();
         assert!(report.is_proved(), "open cases: {:?}", report.open_cases());
         assert_eq!(report.steps.len(), 3);
         assert!(report.total_passages() >= 4);
@@ -1621,7 +1479,7 @@ mod tests {
         let bogus = Invariant::new(&spec, "bogus", p2, vec![], body).unwrap();
         invs.push(bogus);
         let mut prover = Prover::new(&mut spec, &ots, &invs);
-        let report = prover.prove_inductive("bogus", &Hints::new()).unwrap();
+        let report = prover.prove("bogus", ProofMethod::Induction, &[]).unwrap();
         assert!(!report.is_proved());
         let open = report.open_cases();
         assert!(open.iter().any(|c| c.0 == "lock1"), "open: {open:?}");
@@ -1686,7 +1544,7 @@ mod tests {
             let mut invs = InvariantSet::new();
             invs.push(Invariant::new(&spec, "wide", p, vec![], body).unwrap());
             let mut prover = Prover::new(&mut spec, &ots, &invs);
-            let report = prover.prove_inductive("wide", &Hints::new()).unwrap();
+            let report = prover.prove("wide", ProofMethod::Induction, &[]).unwrap();
             assert!(
                 report.faults().is_empty(),
                 "pad {pad}: {:?}",
@@ -1705,7 +1563,7 @@ mod tests {
         let (mut spec, ots, invs) = build_machine();
         let mut prover = Prover::new(&mut spec, &ots, &invs);
         assert!(matches!(
-            prover.prove_inductive("nope", &Hints::new()),
+            prover.prove("nope", ProofMethod::Induction, &[]),
             Err(CoreError::UnknownInvariant(_))
         ));
     }
@@ -1725,7 +1583,9 @@ mod tests {
         let conseq = Invariant::new(&spec, "conseq", p3, vec![], body).unwrap();
         invs.push(conseq);
         let mut prover = Prover::new(&mut spec, &ots, &invs);
-        let report = prover.prove_by_cases("conseq", &["mutex"]).unwrap();
+        let report = prover
+            .prove("conseq", ProofMethod::CaseAnalysis, &["mutex"])
+            .unwrap();
         assert!(report.is_proved(), "open: {:?}", report.open_cases());
     }
 
@@ -1743,7 +1603,7 @@ mod tests {
                     ..ProverConfig::default()
                 };
                 let mut prover = Prover::new(&mut spec, &ots, &invs).with_config(config);
-                prover.prove_inductive("mutex", &Hints::new()).unwrap()
+                prover.prove("mutex", ProofMethod::Induction, &[]).unwrap()
             })
             .collect();
         let baseline = &reports[0];
@@ -1780,7 +1640,7 @@ mod tests {
                     ..ProverConfig::default()
                 };
                 let mut prover = Prover::new(&mut spec, &ots, &invs).with_config(config);
-                prover.prove_inductive("mutex", &Hints::new()).unwrap()
+                prover.prove("mutex", ProofMethod::Induction, &[]).unwrap()
             })
             .collect();
         for report in &reports {
@@ -1821,7 +1681,7 @@ mod tests {
             ..ProverConfig::default()
         };
         let mut prover = Prover::new(&mut spec, &ots, &invs).with_config(config);
-        let report = prover.prove_inductive("mutex", &Hints::new()).unwrap();
+        let report = prover.prove("mutex", ProofMethod::Induction, &[]).unwrap();
         assert!(!report.is_proved());
         // Every obligation is a single open passage with a typed residual,
         // and the metrics invariant holds.
@@ -1847,7 +1707,7 @@ mod tests {
             ..ProverConfig::default()
         };
         let mut prover = Prover::new(&mut spec, &ots, &invs).with_config(config);
-        let report = prover.prove_inductive("mutex", &Hints::new()).unwrap();
+        let report = prover.prove("mutex", ProofMethod::Induction, &[]).unwrap();
         assert!(!report.is_proved());
         let open = report.open_cases();
         assert!(open.iter().all(|(name, _)| name == "lock1"));
@@ -1867,28 +1727,14 @@ mod tests {
         let terms_before = spec.store().term_count();
         let first = {
             let mut prover = Prover::new(&mut spec, &ots, &invs);
-            prover.prove_inductive("mutex", &Hints::new()).unwrap()
+            prover.prove("mutex", ProofMethod::Induction, &[]).unwrap()
         };
         assert_eq!(spec.store().term_count(), terms_before);
         let second = {
             let mut prover = Prover::new(&mut spec, &ots, &invs);
-            prover.prove_inductive("mutex", &Hints::new()).unwrap()
+            prover.prove("mutex", ProofMethod::Induction, &[]).unwrap()
         };
         assert_eq!(first.total_passages(), second.total_passages());
         assert_eq!(first.total_rewrite_stats(), second.total_rewrite_stats());
-    }
-
-    #[test]
-    fn hints_builder_dedups_and_scopes() {
-        let hints = Hints::new()
-            .lemma("inv2", "inv1")
-            .lemma("inv2", "inv1")
-            .lemma_for_action("inv2", "fakeSfin2", "lemma-l1");
-        assert_eq!(hints.lemmas_for("inv2", None), vec!["inv1"]);
-        assert_eq!(
-            hints.lemmas_for("inv2", Some("fakeSfin2")),
-            vec!["inv1", "lemma-l1"]
-        );
-        assert!(hints.lemmas_for("inv9", None).is_empty());
     }
 }

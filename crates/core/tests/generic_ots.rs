@@ -7,7 +7,11 @@
 //! token. Safety: nodes are never both in the critical section.
 
 use equitls_core::prelude::*;
+use equitls_obs::event::Event;
+use equitls_obs::sink::{Obs, RecordingSink};
+use equitls_rewrite::budget::{Fault, FaultKind, FaultPlan, FaultSite};
 use equitls_spec::prelude::*;
+use std::sync::Arc;
 
 fn token_machine() -> (Spec, Ots, InvariantSet) {
     let mut spec = Spec::new().unwrap();
@@ -91,7 +95,7 @@ fn token_safety_proves_inductively() {
     let (mut spec, ots, invariants) = token_machine();
     let mut prover = Prover::new(&mut spec, &ots, &invariants);
     let report = prover
-        .prove_inductive("crit-implies-token", &Hints::new())
+        .prove("crit-implies-token", ProofMethod::Induction, &[])
         .unwrap();
     assert!(report.is_proved(), "open: {:#?}", report.open_cases());
     assert_eq!(report.steps.len(), 3, "pass/enter/leave");
@@ -102,7 +106,7 @@ fn mutual_exclusion_follows_by_case_analysis() {
     let (mut spec, ots, invariants) = token_machine();
     let mut prover = Prover::new(&mut spec, &ots, &invariants);
     let report = prover
-        .prove_by_cases("mutex", &["crit-implies-token"])
+        .prove("mutex", ProofMethod::CaseAnalysis, &["crit-implies-token"])
         .unwrap();
     assert!(report.is_proved(), "open: {:#?}", report.open_cases());
 }
@@ -112,12 +116,111 @@ fn the_false_property_stays_open_at_enter() {
     let (mut spec, ots, invariants) = token_machine();
     let mut prover = Prover::new(&mut spec, &ots, &invariants);
     let report = prover
-        .prove_inductive("bogus-n2-never-critical", &Hints::new())
+        .prove("bogus-n2-never-critical", ProofMethod::Induction, &[])
         .unwrap();
     assert!(!report.is_proved());
     let open = report.open_cases();
     assert!(
         open.iter().any(|(action, _)| action == "enter"),
         "the refutation is the enter transition: {open:?}"
+    );
+}
+
+/// The path to a search leaf: for each split above it, the split's
+/// counter name and which of its two branches the leaf lies in.
+type Path = Vec<(String, usize)>;
+
+/// Replay `obligation`'s search from its events, in the prover's
+/// preorder: a `prover.split:*` counter opens a two-branch split and a
+/// `prover.leaf.*` counter closes one branch. Returns the path of every
+/// open leaf whose passage reached no `prover.normalize` span, that is,
+/// one stopped while its branch's assumption was being made.
+fn assumption_stops(events: &[Event], obligation: &str) -> Vec<Path> {
+    let span = format!("prover.obligation:{obligation}");
+    let mut inside = false;
+    let mut path: Path = Vec::new();
+    let mut normalized = false;
+    let mut stops = Vec::new();
+    for event in events {
+        match event {
+            Event::SpanEnter { name } if *name == span => inside = true,
+            Event::SpanExit { name, .. } if *name == span => inside = false,
+            _ if !inside => {}
+            Event::SpanExit { name, .. } if name == "prover.normalize" => normalized = true,
+            Event::Counter { name, .. } if name.starts_with("prover.split:") => {
+                path.push((name.clone(), 0));
+                normalized = false;
+            }
+            Event::Counter { name, .. } if name.starts_with("prover.leaf.") => {
+                if name == "prover.leaf.open" && !normalized {
+                    stops.push(path.clone());
+                }
+                normalized = false;
+                while let Some(split) = path.last_mut() {
+                    split.1 += 1;
+                    if split.1 < 2 {
+                        break;
+                    }
+                    path.pop();
+                }
+            }
+            _ => {}
+        }
+    }
+    stops
+}
+
+#[test]
+fn a_budget_stop_while_assuming_a_branch_leaves_that_branch_open() {
+    // Plant a deadline expiry at each rewrite call of the `pass`
+    // obligation in turn, until one lands inside the assumption of a
+    // condition's true branch, of its false branch and of an atom branch.
+    let mut wanted = vec![
+        ("prover.split:cond", 0),
+        ("prover.split:cond", 1),
+        ("prover.split:atom", 0),
+    ];
+    for at in 0..1000 {
+        let (mut spec, ots, invariants) = token_machine();
+        let recorder = Arc::new(RecordingSink::new());
+        let config = ProverConfig {
+            fault_plan: Some(FaultPlan::new().with_fault(
+                Fault::new(FaultSite::Rewrite, FaultKind::DeadlineExpiry, at).in_scope("pass"),
+            )),
+            ..ProverConfig::default()
+        };
+        let report = Prover::new(&mut spec, &ots, &invariants)
+            .with_config(config)
+            .with_obs(Obs::new(recorder.clone()))
+            .prove("crit-implies-token", ProofMethod::Induction, &[])
+            .unwrap();
+        if report.is_proved() {
+            // The index is past the obligation's last rewrite call.
+            break;
+        }
+        let totals = report.total_metrics();
+        assert_eq!(
+            totals.passages,
+            totals.proved + totals.vacuous + totals.open,
+            "call {at}"
+        );
+        let open = report.open_cases();
+        assert_eq!(open.len(), 1, "call {at}: one stopped passage: {open:?}");
+        let (action, case) = &open[0];
+        assert_eq!(action, "pass");
+        assert!(case.residual.contains("deadline"), "{}", case.residual);
+        for path in assumption_stops(&recorder.events(), "pass") {
+            let (split, branch) = path.last().expect("a branch, not the root passage");
+            // The open case's trail ends with the decision being assumed.
+            assert_eq!(case.decisions.len(), path.len(), "call {at}: {case:?}");
+            let value = if *branch == 0 { "= true" } else { "= false" };
+            let last = case.decisions.last().expect("a decision");
+            assert!(last.ends_with(value), "call {at}: {last} under {split}");
+            wanted.retain(|w| (w.0, w.1) != (split.as_str(), *branch));
+        }
+    }
+    assert!(
+        wanted.is_empty(),
+        "no planted stop landed inside these branches' assumptions: {wanted:?}"
     );
 }

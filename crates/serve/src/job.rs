@@ -28,7 +28,7 @@ use equitls_obs::json::JsonValue;
 use equitls_obs::sink::Obs;
 use equitls_rewrite::budget::Budget;
 use equitls_tls::concrete::Scope;
-use equitls_tls::verify::{self, VerifyOptions};
+use equitls_tls::verify;
 
 use crate::proto::{error_response, JobKind, JobRequest};
 use crate::warm::WarmState;
@@ -155,13 +155,14 @@ fn run_prove(
     // Clone the warm pristine model: the clone shares the pre-built
     // rule index.
     let mut model = (*pristine).clone();
-    let opts = VerifyOptions {
+    let defaults = ProverConfig::default();
+    let config = ProverConfig {
         budget: budget_for(request),
-        fuel: request.fuel,
+        fuel: request.fuel.unwrap_or(defaults.fuel),
         jobs: request.jobs.max(1),
-        ..VerifyOptions::default()
+        ..defaults
     };
-    let report = verify::verify_property_opts(&mut model, &request.property, &opts, obs)
+    let report = verify::verify_property_opts(&mut model, &request.property, &config, obs)
         .map_err(|e| ("prove-failed".to_string(), e.to_string()))?;
     Ok(prove_result_json(&report, request.variant))
 }

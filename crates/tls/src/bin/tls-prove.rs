@@ -8,16 +8,17 @@
 //! ```
 //!
 //! The README's "Command line" section lists the flags and exit codes.
-//! Reports are identical for every `--jobs`. A tripped budget leaves
-//! obligations open with a residual naming the offending term (exit 1).
+//! An unknown property name, or `--all` given with names, is a usage
+//! error (exit 2) before any model is built. Reports are identical for
+//! every `--jobs`. A tripped budget leaves obligations open with a
+//! residual naming the offending term (exit 1).
 //! `--linear-scan` disables the discrimination-tree rule index
 //! (diagnostic; results are bit-identical either way).
 
-use equitls_core::prelude::{render_report_table, CoreError, ProofReport};
+use equitls_core::prelude::{render_report_table, CoreError, ProofReport, ProverConfig};
 use equitls_obs::summary::{Align, MetricsSummary, Table};
 use equitls_persist::peek_meta;
 use equitls_tls::cli::{self, Flags, RunFlags, UsageError};
-use equitls_tls::verify::VerifyOptions;
 use equitls_tls::{out, outln, verify, TlsModel};
 
 fn main() {
@@ -32,6 +33,7 @@ struct Options {
     run: RunFlags,
     /// Disable the rule index; scan per-operator rule lists instead.
     linear_scan: bool,
+    /// The properties to prove, each a known plan; empty means all.
     names: Vec<String>,
 }
 
@@ -41,18 +43,25 @@ fn parse_args(flags: &mut Flags) -> Result<Options, UsageError> {
         linear_scan: false,
         names: Vec::new(),
     };
+    let mut all = false;
     while let Some(arg) = flags.next() {
         if opts.run.parse(&arg, flags)? {
             continue;
         }
         match arg.as_str() {
             "--linear-scan" => opts.linear_scan = true,
-            "--all" => {}
+            "--all" => all = true,
             other if other.starts_with("--") => return Err(cli::unknown_flag(other)),
             name => opts.names.push(name.to_string()),
         }
     }
     opts.run.validate()?;
+    if all && !opts.names.is_empty() {
+        return Err("--all proves every property; give it no property names".into());
+    }
+    if let Some(name) = opts.names.iter().find(|n| verify::plan(n).is_none()) {
+        return Err(format!("unknown property {name}"));
+    }
     Ok(opts)
 }
 
@@ -75,21 +84,22 @@ fn run() {
     } else {
         TlsModel::standard().expect("standard model builds")
     };
-    let verify_opts = VerifyOptions {
+    let defaults = ProverConfig::default();
+    let config = ProverConfig {
         budget: run.interruptible_budget(),
-        fuel: run.fuel,
+        fuel: run.fuel.unwrap_or(defaults.fuel),
         profile_rules: recorder.is_some(),
         jobs: run.jobs,
         checkpoint_path: run.checkpoint.clone(),
         checkpoint_every_secs: run.checkpoint_every_secs,
         resume: run.resume,
         linear_scan: opts.linear_scan,
-        ..VerifyOptions::default()
+        ..defaults
     };
     let mut reports = Vec::new();
     let mut failed = false;
     if opts.names.is_empty() {
-        match verify::verify_all_opts(&mut model, &verify_opts, &obs) {
+        match verify::verify_all_opts(&mut model, &config, &obs) {
             Ok(rs) => reports = rs,
             Err(CoreError::Persist(e)) => cli::fail(format!("checkpoint error: {e}")),
             Err(e) => {
@@ -99,7 +109,7 @@ fn run() {
         }
     } else {
         for name in &opts.names {
-            match verify::verify_property_opts(&mut model, name, &verify_opts, &obs) {
+            match verify::verify_property_opts(&mut model, name, &config, &obs) {
                 Ok(r) => reports.push(r),
                 Err(CoreError::Persist(e)) => {
                     cli::fail(format!("checkpoint error proving {name}: {e}"))

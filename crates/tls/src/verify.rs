@@ -1,84 +1,27 @@
 //! The verification campaign: proving the eighteen properties.
 //!
-//! This module packages the prover configuration that makes the paper's
-//! proofs go through mechanically:
+//! This module holds what makes the paper's proofs go through
+//! mechanically on top of the prover's one entry point
+//! ([`Prover::prove`]) and one configuration ([`ProverConfig`]):
 //!
 //! * the **witness map** (kind predicate → message constructor) enabling
-//!   constructor-completeness reasoning on arbitrary `Msg` constants;
-//! * the **lemma hints** per property, mirroring the paper's
-//!   "strengthen the induction hypothesis with inv1" choices (§5.2);
-//! * which properties are proved **inductively** and which by **case
-//!   analysis** from others (§5.1 says the fourth and fifth, among
-//!   others, are case-analysis consequences).
+//!   constructor-completeness reasoning on arbitrary `Msg` constants,
+//!   which [`verify_property_opts`] adds to the caller's configuration;
+//! * the **proof plan** per property: its lemmas, mirroring the paper's
+//!   "strengthen the induction hypothesis with inv1" choices (§5.2), and
+//!   whether it is proved **inductively** or by **case analysis** from
+//!   others (§5.1 says the fourth and fifth, among others, are
+//!   case-analysis consequences).
 
 use crate::symbolic::TlsModel;
 use equitls_core::prelude::*;
 use equitls_core::CoreError;
 use equitls_obs::sink::Obs;
-use equitls_rewrite::budget::{Budget, FaultPlan};
 use std::collections::HashMap;
-use std::path::PathBuf;
 
-/// Robustness and execution options for a verification run.
-///
-/// The [`Budget`] is shared by every obligation the campaign spawns:
-/// when the deadline passes, the heap-estimate ceiling trips, or the
-/// cancel token fires, in-flight obligations stop at the next rewrite
-/// stride and unstarted ones are skipped — all reported as *open* with a
-/// `(budget: …)` residual, never as a dead process.
-#[derive(Debug, Clone)]
-pub struct VerifyOptions {
-    /// Shared deadline / memory / cancellation budget.
-    pub budget: Budget,
-    /// Rewriting fuel per reduction (`None` = prover default).
-    pub fuel: Option<u64>,
-    /// Deterministic fault injection for robustness tests.
-    pub fault_plan: Option<FaultPlan>,
-    /// Emit per-rule match/fire/time profiles through the obs handle.
-    pub profile_rules: bool,
-    /// Worker threads per property (`0` = available parallelism).
-    pub jobs: usize,
-    /// Obligation-ledger snapshot path (`None` = no checkpointing). One
-    /// file serves the whole campaign: entries are keyed by
-    /// `(invariant, obligation)`.
-    pub checkpoint_path: Option<PathBuf>,
-    /// Minimum seconds between ledger writes (`0` = every obligation).
-    pub checkpoint_every_secs: u64,
-    /// Resume from the ledger: recorded `Proved` obligations are spliced
-    /// into the report without re-running. Requires a valid snapshot at
-    /// `checkpoint_path` (typed `CoreError::Persist` otherwise).
-    pub resume: bool,
-    /// Bypass the discrimination-tree rule index and match candidate
-    /// rules by scanning `rules_for_op` lists, as the engine did before
-    /// indexing landed. Diagnostic knob: results are bit-identical
-    /// either way.
-    pub linear_scan: bool,
-}
-
-impl Default for VerifyOptions {
-    fn default() -> Self {
-        VerifyOptions {
-            budget: Budget::unlimited(),
-            fuel: None,
-            fault_plan: None,
-            profile_rules: false,
-            jobs: 1,
-            checkpoint_path: None,
-            checkpoint_every_secs: 0,
-            resume: false,
-            linear_scan: false,
-        }
-    }
-}
-
-/// How a property is established.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProofMethod {
-    /// Simultaneous induction over all 27 transitions.
-    Induction,
-    /// Propositional/equational consequence of other properties.
-    CaseAnalysis,
-}
+/// The old name of [`ProverConfig`], kept only for the campaign bench,
+/// which imports it; ROADMAP item 5's benchmark PR removes it.
+pub type VerifyOptions = ProverConfig;
 
 /// The proof plan for one property.
 #[derive(Debug, Clone)]
@@ -212,29 +155,21 @@ pub fn witness_map(
     map
 }
 
-/// The prover configuration used by the campaign.
-pub fn prover_config(model: &TlsModel) -> ProverConfig {
-    ProverConfig {
-        witnesses: witness_map(model),
-        ..ProverConfig::default()
-    }
-}
-
 /// Find the plan for `name`.
 pub fn plan(name: &str) -> Option<&'static ProofPlan> {
     PLANS.iter().find(|p| p.name == name)
 }
 
-/// Prove one property under a [`VerifyOptions`] budget — the one entry
-/// point to the prover. `VerifyOptions::default()` runs one worker with
-/// no budget; `opts.jobs` fans obligations out over worker threads
-/// (`0` = available parallelism) with an identical report, because each
-/// worker runs on its own clone of the model's spec and rolls it back
-/// after every obligation. `obs` receives
-/// a span per proof obligation, rewrite counters, and (when
-/// `opts.profile_rules` is on) per-rule match/fire/time profiles;
-/// worker obligations share it, so a trace interleaves obligation spans
-/// when `jobs > 1`.
+/// Prove one property under `config` plus the model's constructor
+/// witnesses ([`witness_map`]) — the campaign's entry point to the
+/// prover. `ProverConfig::default()` runs one worker with no budget;
+/// `config.jobs` fans obligations out over worker threads (`0` =
+/// available parallelism) with an identical report, because each worker
+/// runs on its own clone of the model's spec and rolls it back after
+/// every obligation. `obs` receives a span per proof obligation, rewrite
+/// counters, and (when `config.profile_rules` is on) per-rule
+/// match/fire/time profiles; worker obligations share it, so a trace
+/// interleaves obligation spans when `jobs > 1`.
 ///
 /// # Errors
 ///
@@ -243,36 +178,18 @@ pub fn plan(name: &str) -> Option<&'static ProofPlan> {
 pub fn verify_property_opts(
     model: &mut TlsModel,
     name: &str,
-    opts: &VerifyOptions,
+    config: &ProverConfig,
     obs: &Obs,
 ) -> Result<ProofReport, CoreError> {
     let plan = plan(name).ok_or_else(|| CoreError::UnknownInvariant(name.to_string()))?;
-    let defaults = prover_config(model);
     let config = ProverConfig {
-        profile_rules: opts.profile_rules,
-        jobs: opts.jobs,
-        fuel: opts.fuel.unwrap_or(defaults.fuel),
-        budget: opts.budget.clone(),
-        fault_plan: opts.fault_plan.clone(),
-        checkpoint_path: opts.checkpoint_path.clone(),
-        checkpoint_every_secs: opts.checkpoint_every_secs,
-        resume: opts.resume,
-        linear_scan: opts.linear_scan,
-        ..defaults
+        witnesses: witness_map(model),
+        ..config.clone()
     };
-    let mut prover = Prover::new(&mut model.spec, &model.ots, &model.invariants)
+    Prover::new(&mut model.spec, &model.ots, &model.invariants)
         .with_config(config)
-        .with_obs(obs.clone());
-    match plan.method {
-        ProofMethod::Induction => {
-            let mut hints = Hints::new();
-            for lemma in plan.lemmas {
-                hints = hints.lemma(plan.name, lemma);
-            }
-            prover.prove_inductive(plan.name, &hints)
-        }
-        ProofMethod::CaseAnalysis => prover.prove_by_cases(plan.name, plan.lemmas),
-    }
+        .with_obs(obs.clone())
+        .prove(plan.name, plan.method, plan.lemmas)
 }
 
 /// Prove every property in [`PLANS`] order through
@@ -289,12 +206,12 @@ pub fn verify_property_opts(
 /// reported in the returned reports).
 pub fn verify_all_opts(
     model: &mut TlsModel,
-    opts: &VerifyOptions,
+    config: &ProverConfig,
     obs: &Obs,
 ) -> Result<Vec<ProofReport>, CoreError> {
     PLANS
         .iter()
-        .map(|plan| verify_property_opts(model, plan.name, opts, obs))
+        .map(|plan| verify_property_opts(model, plan.name, config, obs))
         .collect()
 }
 

@@ -1,7 +1,8 @@
 //! Exit statuses the shared command-line layer promises, end to end: a
 //! closed stdout stops a binary quietly with 141 (128 + SIGPIPE) instead
-//! of a panic, and a malformed or over-bound `--jobs` is a usage error
-//! (exit 2) named on stderr before any work starts.
+//! of a panic, and a malformed or over-bound `--jobs`, an unknown
+//! property name or `--all` given with names is a usage error (exit 2)
+//! named on stderr before any work starts.
 
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
@@ -87,5 +88,23 @@ fn jobs_over_the_bound_exit_2_before_any_work() {
         assert_eq!(code, Some(2), "{bin}:\n{stderr}");
         assert!(stderr.contains("--jobs"), "{bin}:\n{stderr}");
         assert!(stderr.contains("over the limit of 256"), "{bin}:\n{stderr}");
+    }
+}
+
+#[test]
+fn an_unknown_property_or_all_with_names_exits_2_before_any_proof() {
+    for (args, message) in [
+        (&["inv4", "bogus"][..], "unknown property bogus"),
+        (&["--all", "inv4"][..], "--all"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_tls-prove"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}:\n{stderr}");
+        assert!(stderr.contains(message), "{args:?}:\n{stderr}");
+        // Rejected while parsing: inv4 was not proved first.
+        assert!(out.stdout.is_empty(), "{args:?} printed a report");
     }
 }

@@ -17,10 +17,11 @@
 //! `--profile <out.json>` additionally converts the recorded events to a
 //! Chrome trace (open in Perfetto or `about://tracing`).
 
+use equitls::core::prelude::ProverConfig;
 use equitls::obs::sink::{JsonlSink, Obs, RecordingSink};
 use equitls::obs::summary::{Align, MetricsSummary, Table};
 use equitls::tls::cli::{self, RunFlags};
-use equitls::tls::verify::{verify_property_opts, VerifyOptions};
+use equitls::tls::verify::verify_property_opts;
 use equitls::tls::{outln, TlsModel};
 use std::sync::Arc;
 
@@ -36,11 +37,11 @@ fn run() {
     let recorder = Arc::new(RecordingSink::new());
     let obs = Obs::new(recorder.clone());
     let mut model = TlsModel::standard().expect("model builds");
-    let opts = VerifyOptions {
+    let config = ProverConfig {
         profile_rules: true,
-        ..VerifyOptions::default()
+        ..ProverConfig::default()
     };
-    let report = verify_property_opts(&mut model, "inv1", &opts, &obs).expect("prover runs");
+    let report = verify_property_opts(&mut model, "inv1", &config, &obs).expect("prover runs");
     assert!(report.is_proved());
 
     let summary = MetricsSummary::from_events(&recorder.events());
@@ -83,11 +84,11 @@ fn run() {
     let jsonl = JsonlSink::create(path).expect("trace file opens");
     let obs = Obs::new(Arc::new(jsonl));
     let mut model = TlsModel::standard().expect("model builds");
-    let opts = VerifyOptions {
+    let config = ProverConfig {
         profile_rules: true,
-        ..VerifyOptions::default()
+        ..ProverConfig::default()
     };
-    let report = verify_property_opts(&mut model, "inv1", &opts, &obs).expect("prover runs");
+    let report = verify_property_opts(&mut model, "inv1", &config, &obs).expect("prover runs");
     obs.flush();
     assert!(report.is_proved());
     let lines = std::fs::read_to_string(path)

@@ -11,10 +11,10 @@
 //! cargo run --release --example proof_report -- --variant
 //! ```
 
-use equitls::core::prelude::render_report_table;
+use equitls::core::prelude::{render_report_table, ProverConfig};
 use equitls::obs::sink::Obs;
 use equitls::tls::cli::{self, RunFlags};
-use equitls::tls::verify::{verify_all_opts, VerifyOptions};
+use equitls::tls::verify::verify_all_opts;
 use equitls::tls::{outln, TlsModel};
 
 fn main() {
@@ -30,8 +30,8 @@ fn run() {
         outln!("== Figure 2 protocol: ServerFinished2 precedes ClientFinished2 ==\n");
         TlsModel::standard().expect("standard model builds")
     };
-    let reports = verify_all_opts(&mut model, &VerifyOptions::default(), &Obs::noop())
-        .expect("campaign runs");
+    let reports =
+        verify_all_opts(&mut model, &ProverConfig::default(), &Obs::noop()).expect("campaign runs");
     outln!("{}", render_report_table(&reports));
     let proved = reports.iter().filter(|r| r.is_proved()).count();
     outln!("{proved}/{} properties proved", reports.len());

@@ -9,10 +9,11 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use equitls::core::prelude::ProverConfig;
 use equitls::mc::prelude::{Model, TlsMachine};
 use equitls::obs::sink::Obs;
 use equitls::tls::concrete::{Scope, State};
-use equitls::tls::verify::{verify_property_opts, VerifyOptions};
+use equitls::tls::verify::verify_property_opts;
 use equitls::tls::{outln, TlsModel};
 
 fn drive(machine: &TlsMachine, state: &State, prefixes: &[&str]) -> Option<State> {
@@ -89,7 +90,7 @@ fn main() {
 
     outln!("\nProving the headline property on the symbolic model:");
     let mut model = TlsModel::standard().expect("model builds");
-    let report = verify_property_opts(&mut model, "inv1", &VerifyOptions::default(), &Obs::noop())
+    let report = verify_property_opts(&mut model, "inv1", &ProverConfig::default(), &Obs::noop())
         .expect("prover runs");
     outln!(
         "  inv1 (pre-master secrets cannot be leaked): {}",

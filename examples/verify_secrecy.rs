@@ -9,9 +9,9 @@
 //! cargo run --release --example verify_secrecy
 //! ```
 
-use equitls::core::prelude::{render_passage, render_step_table, Decision};
+use equitls::core::prelude::{render_passage, render_step_table, Decision, ProverConfig};
 use equitls::obs::sink::Obs;
-use equitls::tls::verify::{verify_property_opts, VerifyOptions};
+use equitls::tls::verify::verify_property_opts;
 use equitls::tls::{cli, out, outln, TlsModel};
 
 fn main() {
@@ -20,10 +20,10 @@ fn main() {
 
 fn run() {
     let mut model = TlsModel::standard().expect("model builds");
-    let (opts, obs) = (VerifyOptions::default(), Obs::noop());
+    let (config, obs) = (ProverConfig::default(), Obs::noop());
 
     outln!("== property 1: pre-master secrets cannot be leaked ==\n");
-    let report = verify_property_opts(&mut model, "inv1", &opts, &obs).expect("prover runs");
+    let report = verify_property_opts(&mut model, "inv1", &config, &obs).expect("prover runs");
     out!("{}", render_step_table(&report));
     outln!(
         "\nverdict: {}\n",
@@ -32,7 +32,7 @@ fn run() {
 
     outln!("== supporting lemma: gleanable ciphertexts have gleanable payloads ==\n");
     let lemma =
-        verify_property_opts(&mut model, "lem-cepms-cpms", &opts, &obs).expect("prover runs");
+        verify_property_opts(&mut model, "lem-cepms-cpms", &config, &obs).expect("prover runs");
     outln!(
         "lem-cepms-cpms: {} ({} passages, {:?})\n",
         if lemma.is_proved() { "PROVED" } else { "OPEN" },

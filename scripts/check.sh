@@ -17,6 +17,16 @@ if grep -nE "\"--($SHARED_FLAGS)\"[[:space:]]*(=>|\|)|==[[:space:]]*\"--($SHARED
     exit 1
 fi
 
+echo "== prover: one configuration; VerifyOptions survives only as an alias =="
+# `ProverConfig` is the prover's one configuration. The old name stays
+# only as the alias in crates/tls/src/verify.rs, which the campaign
+# bench imports; any other use of it is a second name for one struct.
+ALIAS='^crates/tls/src/verify\.rs:[0-9]+:pub type VerifyOptions = ProverConfig;$'
+if grep -rn "VerifyOptions" crates src examples tests | grep -vE "$ALIAS"; then
+    echo "VerifyOptions is used beyond its alias; use ProverConfig" >&2
+    exit 1
+fi
+
 echo "== cargo build --release =="
 cargo build --release --workspace
 
@@ -56,6 +66,12 @@ cargo run -q --release -p equitls-tls --bin tls-prove -- \
     | awk "$STRIP_TIMES" > /tmp/equitls_check_straight.txt
 diff /tmp/equitls_check_resumed.txt /tmp/equitls_check_straight.txt
 rm -f "$CKPT" /tmp/equitls_check_resumed.txt /tmp/equitls_check_straight.txt
+
+echo "== proof scores: every recorded score of both models matches its golden digest =="
+# One FNV-1a digest per (model, property) of the rendered recorded scores
+# in tests/golden/score_digests.txt, plus lem-src-honest's scores byte for
+# byte.
+cargo test -q --release --test proof_scores
 
 echo "== proof counts: both models match the committed per-obligation tables at jobs 1 and 2 =="
 # Verdicts and per-obligation passages, splits and rewrites of the whole

@@ -29,12 +29,13 @@
 //! Prove the paper's first property — pre-master secrets cannot be leaked:
 //!
 //! ```
+//! use equitls::core::prelude::ProverConfig;
 //! use equitls::obs::sink::Obs;
-//! use equitls::tls::verify::{verify_property_opts, VerifyOptions};
+//! use equitls::tls::verify::verify_property_opts;
 //! use equitls::tls::TlsModel;
 //!
 //! let mut model = TlsModel::standard()?;
-//! let report = verify_property_opts(&mut model, "inv1", &VerifyOptions::default(), &Obs::noop())?;
+//! let report = verify_property_opts(&mut model, "inv1", &ProverConfig::default(), &Obs::noop())?;
 //! assert!(report.is_proved());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```

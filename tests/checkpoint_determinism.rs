@@ -13,11 +13,12 @@
 //!    the interrupted run already proved spliced in from the ledger
 //!    rather than re-run.
 
+use equitls::core::prelude::ProverConfig;
 use equitls::mc::prelude::*;
 use equitls::obs::sink::{Obs, RecordingSink};
 use equitls::obs::summary::MetricsSummary;
 use equitls::tls::concrete::{Scope, State};
-use equitls::tls::verify::{self, VerifyOptions};
+use equitls::tls::verify;
 use equitls::tls::TlsModel;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -163,13 +164,8 @@ fn interrupted_then_resumed_inv1_proof_is_identical_at_jobs_1_2_4() {
     on_big_stack(|| {
         let straight = {
             let mut model = TlsModel::standard().expect("model builds");
-            verify::verify_property_opts(
-                &mut model,
-                "inv1",
-                &VerifyOptions::default(),
-                &Obs::noop(),
-            )
-            .expect("straight-through proof runs")
+            verify::verify_property_opts(&mut model, "inv1", &ProverConfig::default(), &Obs::noop())
+                .expect("straight-through proof runs")
         };
         assert!(straight.is_proved(), "inv1 proves uninterrupted");
 
@@ -181,13 +177,13 @@ fn interrupted_then_resumed_inv1_proof_is_identical_at_jobs_1_2_4() {
             // obligation starts. Everything that finished before the
             // cancellation is in the ledger as Proved; everything after is
             // recorded open with a `(budget: …)` residual.
-            let interrupt = VerifyOptions {
+            let interrupt = ProverConfig {
                 jobs,
                 fault_plan: Some(FaultPlan::new().with_fault(
                     Fault::new(FaultSite::Obligation, FaultKind::Cancel, 0).in_scope("kexch"),
                 )),
                 checkpoint_path: Some(path.clone()),
-                ..VerifyOptions::default()
+                ..ProverConfig::default()
             };
             let mut model = TlsModel::standard().expect("model builds");
             let interrupted =
@@ -204,12 +200,12 @@ fn interrupted_then_resumed_inv1_proof_is_identical_at_jobs_1_2_4() {
             // with rule profiling enabled (profiling is pure observation).
             let recorder = Arc::new(RecordingSink::new());
             let obs = Obs::new(recorder.clone());
-            let resume = VerifyOptions {
+            let resume = ProverConfig {
                 jobs,
                 checkpoint_path: Some(path.clone()),
                 resume: true,
                 profile_rules: true,
-                ..VerifyOptions::default()
+                ..ProverConfig::default()
             };
             let mut model = TlsModel::standard().expect("model builds");
             let resumed = verify::verify_property_opts(&mut model, "inv1", &resume, &obs)

@@ -9,7 +9,7 @@
 //! 3. the symbolic prover fails to prove the properties (open cases
 //!    remain), while proving the server-side twins.
 
-use equitls::core::prelude::{Invariant, InvariantSet, Prover};
+use equitls::core::prelude::{Invariant, InvariantSet, ProofMethod, Prover, ProverConfig};
 use equitls::mc::prelude::*;
 use equitls::obs::sink::Obs;
 use equitls::spec::parser::{elaborate_term, parse_term_ast, ElabScope};
@@ -114,11 +114,14 @@ fn the_symbolic_prover_leaves_2prime_open() {
                 invariants.push(model.invariants.get(name).unwrap().clone());
             }
             invariants.push(inv);
-            let config = verify::prover_config(&model);
+            let config = ProverConfig {
+                witnesses: verify::witness_map(&model),
+                ..ProverConfig::default()
+            };
             let mut prover =
                 Prover::new(&mut model.spec, &model.ots, &invariants).with_config(config);
             let report = prover
-                .prove_inductive("prop2prime", &equitls::core::prelude::Hints::new())
+                .prove("prop2prime", ProofMethod::Induction, &[])
                 .unwrap();
             assert!(
                 !report.is_proved(),

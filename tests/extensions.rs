@@ -66,10 +66,13 @@ fn client_session_records_are_well_named() {
             invariants.push(model.invariants.get(name).unwrap().clone());
         }
         invariants.push(ext);
-        let config = verify::prover_config(&model);
+        let config = ProverConfig {
+            witnesses: verify::witness_map(&model),
+            ..ProverConfig::default()
+        };
         let mut prover = Prover::new(&mut model.spec, &model.ots, &invariants).with_config(config);
         let report = prover
-            .prove_inductive("ext-session-client", &Hints::new())
+            .prove("ext-session-client", ProofMethod::Induction, &[])
             .unwrap();
         assert!(
             report.is_proved(),
@@ -100,10 +103,13 @@ fn server_session_records_are_not_well_named() {
             invariants.push(model.invariants.get(name).unwrap().clone());
         }
         invariants.push(ext);
-        let config = verify::prover_config(&model);
+        let config = ProverConfig {
+            witnesses: verify::witness_map(&model),
+            ..ProverConfig::default()
+        };
         let mut prover = Prover::new(&mut model.spec, &model.ots, &invariants).with_config(config);
         let report = prover
-            .prove_inductive("ext-session-server", &Hints::new())
+            .prove("ext-session-server", ProofMethod::Induction, &[])
             .unwrap();
         assert!(
             !report.is_proved(),

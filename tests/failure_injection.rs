@@ -6,7 +6,7 @@
 //! proves. A verifier that proves everything is worthless; this is the
 //! soundness smoke test.
 
-use equitls::core::prelude::{Hints, Prover};
+use equitls::core::prelude::{ProofMethod, Prover, ProverConfig};
 use equitls::tls::mutants::Mutant;
 use equitls::tls::{verify, TlsModel};
 
@@ -19,14 +19,9 @@ fn on_big_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T 
         .expect("join")
 }
 
-fn hints_for(name: &str) -> Hints {
-    let mut hints = Hints::new();
-    if let Some(plan) = verify::plan(name) {
-        for lemma in plan.lemmas {
-            hints = hints.lemma(name, lemma);
-        }
-    }
-    hints
+/// The lemmas `name`'s campaign plan strengthens it with.
+fn lemmas_of(name: &str) -> &'static [&'static str] {
+    verify::plan(name).map_or(&[], |plan| plan.lemmas)
 }
 
 #[test]
@@ -35,12 +30,17 @@ fn every_mutant_breaks_its_expected_properties_and_nothing_more() {
         for mutant in Mutant::all() {
             let mut model = TlsModel::standard().unwrap();
             let ots = mutant.inject(&mut model).unwrap();
-            let config = verify::prover_config(&model);
+            let config = ProverConfig {
+                witnesses: verify::witness_map(&model),
+                ..ProverConfig::default()
+            };
             let mut prover =
                 Prover::new(&mut model.spec, &ots, &model.invariants).with_config(config);
 
             for name in mutant.expected_failures() {
-                let report = prover.prove_inductive(name, &hints_for(name)).unwrap();
+                let report = prover
+                    .prove(name, ProofMethod::Induction, lemmas_of(name))
+                    .unwrap();
                 assert!(!report.is_proved(), "{mutant:?}: {name} must fail");
                 let open = report.open_cases();
                 assert!(
@@ -53,7 +53,7 @@ fn every_mutant_breaks_its_expected_properties_and_nothing_more() {
 
             let control = mutant.control_property();
             let report = prover
-                .prove_inductive(control, &hints_for(control))
+                .prove(control, ProofMethod::Induction, lemmas_of(control))
                 .unwrap();
             assert!(
                 report.is_proved(),

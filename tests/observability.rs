@@ -52,7 +52,7 @@ fn prove_flag_with(obs: &Obs) -> ProofReport {
             ..ProverConfig::default()
         })
         .with_obs(obs.clone());
-    prover.prove_inductive("taut", &Hints::new()).unwrap()
+    prover.prove("taut", ProofMethod::Induction, &[]).unwrap()
 }
 
 #[test]

@@ -12,12 +12,11 @@
 //! discrimination-tree indexing must be bit-identical to a linear rule
 //! scan (it is a lookup structure, not a strategy).
 
-use equitls::core::prelude::ProofReport;
+use equitls::core::prelude::{ProofReport, ProverConfig};
 use equitls::lint::{analyze_spec, AnalysisOptions, LintConfig};
 use equitls::mc::prelude::*;
 use equitls::obs::sink::{Obs, RecordingSink};
 use equitls::tls::concrete::{Scope, State};
-use equitls::tls::verify::VerifyOptions;
 use equitls::tls::{verify, TlsModel};
 use std::sync::Arc;
 
@@ -39,9 +38,9 @@ fn check_at(scope: &Scope, limits: &Limits, jobs: usize) -> Exploration<State> {
 
 /// `inv1` on a fresh standard model with `jobs` workers per property.
 fn prove_inv1(jobs: usize) -> ProofReport {
-    let opts = VerifyOptions {
+    let opts = ProverConfig {
         jobs,
-        ..VerifyOptions::default()
+        ..ProverConfig::default()
     };
     let mut model = TlsModel::standard().unwrap();
     verify::verify_property_opts(&mut model, "inv1", &opts, &Obs::noop()).unwrap()
@@ -131,10 +130,10 @@ fn profiling_does_not_change_results_at_any_thread_count() {
         for jobs in JOBS {
             let recorder = Arc::new(RecordingSink::new());
             let obs = Obs::new(recorder.clone());
-            let opts = VerifyOptions {
+            let opts = ProverConfig {
                 jobs,
                 profile_rules: true,
-                ..VerifyOptions::default()
+                ..ProverConfig::default()
             };
             let mut model = TlsModel::standard().unwrap();
             let report = verify::verify_property_opts(&mut model, "inv1", &opts, &obs).unwrap();
@@ -196,9 +195,9 @@ fn lint_report_is_identical_at_every_thread_count() {
 fn indexed_matching_is_bit_identical_to_linear_scan() {
     on_big_stack(|| {
         let baseline = {
-            let opts = VerifyOptions {
+            let opts = ProverConfig {
                 linear_scan: true,
-                ..VerifyOptions::default()
+                ..ProverConfig::default()
             };
             let mut model = TlsModel::standard().unwrap();
             verify::verify_property_opts(&mut model, "inv1", &opts, &Obs::noop()).unwrap()
@@ -208,10 +207,10 @@ fn indexed_matching_is_bit_identical_to_linear_scan() {
         for jobs in JOBS {
             let recorder = Arc::new(RecordingSink::new());
             let obs = Obs::new(recorder.clone());
-            let opts = VerifyOptions {
+            let opts = ProverConfig {
                 jobs,
                 profile_rules: true,
-                ..VerifyOptions::default() // indexing is the default
+                ..ProverConfig::default() // indexing is the default
             };
             let mut model = TlsModel::standard().unwrap();
             let report = verify::verify_property_opts(&mut model, "inv1", &opts, &obs).unwrap();
@@ -264,9 +263,9 @@ fn shared_cache_changes_rewrite_counts_only() {
         let baseline = prove_inv1(1);
         assert!(baseline.is_proved());
         for jobs in JOBS {
-            let opts = VerifyOptions {
+            let opts = ProverConfig {
                 jobs,
-                ..VerifyOptions::default()
+                ..ProverConfig::default()
             };
             let mut model = TlsModel::standard().unwrap();
             let report =

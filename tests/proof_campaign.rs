@@ -7,14 +7,13 @@
 //! auxiliary lemmas) are machine-checked by the mechanized proof-score
 //! prover.
 
-use equitls::core::prelude::ProofReport;
+use equitls::core::prelude::{ProofReport, ProverConfig};
 use equitls::obs::sink::Obs;
-use equitls::tls::verify::VerifyOptions;
 use equitls::tls::{verify, TlsModel, Variant};
 
 /// Prove `name` on `model` with the default options.
 fn prove(model: &mut TlsModel, name: &str) -> ProofReport {
-    verify::verify_property_opts(model, name, &VerifyOptions::default(), &Obs::noop()).unwrap()
+    verify::verify_property_opts(model, name, &ProverConfig::default(), &Obs::noop()).unwrap()
 }
 
 /// Exact passage, rewrite and equality-decision totals of a proof. Any

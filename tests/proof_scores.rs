@@ -5,12 +5,20 @@
 //! passages whose decision trails contain the paper's landmark
 //! assumptions, and that they render as `open … close` blocks. The
 //! rendered scores of `lem-src-honest` are pinned byte for byte against
-//! `tests/golden/`.
+//! `tests/golden/`, and those of every property on both models by an
+//! FNV-1a digest each.
 
 use equitls::core::prelude::*;
 use equitls::obs::sink::Obs;
-use equitls::tls::verify::VerifyOptions;
 use equitls::tls::{verify, TlsModel};
+
+/// Score recording on, everything else at its default.
+fn recording() -> ProverConfig {
+    ProverConfig {
+        record_scores: true,
+        ..ProverConfig::default()
+    }
+}
 
 #[test]
 fn inv2_records_the_papers_fakesfin2_case_structure() {
@@ -18,16 +26,9 @@ fn inv2_records_the_papers_fakesfin2_case_structure() {
         .stack_size(512 * 1024 * 1024)
         .spawn(|| {
             let mut model = TlsModel::standard().unwrap();
-            let config = ProverConfig {
-                record_scores: true,
-                ..verify::prover_config(&model)
-            };
-            let mut prover =
-                Prover::new(&mut model.spec, &model.ots, &model.invariants).with_config(config);
-            let hints = Hints::new()
-                .lemma("inv2", "lem-esfin-origin")
-                .lemma("inv2", "inv1");
-            let report = prover.prove_inductive("inv2", &hints).unwrap();
+            let report =
+                verify::verify_property_opts(&mut model, "inv2", &recording(), &Obs::noop())
+                    .unwrap();
             assert!(report.is_proved());
 
             let fake = report
@@ -74,15 +75,13 @@ fn lem_src_honest_scores_render_byte_identically() {
         .stack_size(512 * 1024 * 1024)
         .spawn(|| {
             let mut model = TlsModel::standard().unwrap();
-            let config = ProverConfig {
-                record_scores: true,
-                ..verify::prover_config(&model)
-            };
-            let mut prover =
-                Prover::new(&mut model.spec, &model.ots, &model.invariants).with_config(config);
-            let report = prover
-                .prove_inductive("lem-src-honest", &Hints::new())
-                .unwrap();
+            let report = verify::verify_property_opts(
+                &mut model,
+                "lem-src-honest",
+                &recording(),
+                &Obs::noop(),
+            )
+            .unwrap();
             assert!(report.is_proved());
             let rendered = render_recorded_scores(&report);
             if rendered != LEM_SRC_HONEST_SCORES {
@@ -112,12 +111,72 @@ fn score_recording_is_off_by_default() {
             let report = verify::verify_property_opts(
                 &mut model,
                 "inv1",
-                &VerifyOptions::default(),
+                &ProverConfig::default(),
                 &Obs::noop(),
             )
             .unwrap();
             assert!(report.base.scores.is_empty());
             assert!(report.steps.iter().all(|s| s.scores.is_empty()));
+        })
+        .expect("spawn");
+    child.join().expect("join");
+}
+
+/// One line per (model, property): the FNV-1a digest of the property's
+/// rendered recorded scores.
+const SCORE_DIGESTS: &str = include_str!("golden/score_digests.txt");
+
+/// FNV-1a, 64 bits.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |acc, &b| {
+        (acc ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn every_recorded_score_matches_its_golden_digest_at_jobs_1_and_2() {
+    let child = std::thread::Builder::new()
+        .stack_size(512 * 1024 * 1024)
+        .spawn(|| {
+            let want: Vec<&str> = SCORE_DIGESTS.lines().collect();
+            for jobs in [1, 2] {
+                let config = ProverConfig {
+                    jobs,
+                    ..recording()
+                };
+                let mut lines = Vec::new();
+                for (label, variant) in [("standard", false), ("variant", true)] {
+                    let mut model = if variant {
+                        TlsModel::variant().unwrap()
+                    } else {
+                        TlsModel::standard().unwrap()
+                    };
+                    for plan in &verify::PLANS {
+                        let report = verify::verify_property_opts(
+                            &mut model,
+                            plan.name,
+                            &config,
+                            &Obs::noop(),
+                        )
+                        .unwrap();
+                        assert!(report.is_proved(), "{label} {}", plan.name);
+                        let digest = fnv1a(render_recorded_scores(&report).as_bytes());
+                        lines.push(format!("{label} {} {digest:016x}", plan.name));
+                    }
+                }
+                assert_eq!(lines.len(), want.len(), "one digest per (model, property)");
+                let differing: Vec<String> = lines
+                    .iter()
+                    .zip(&want)
+                    .filter(|(got, want)| got != want)
+                    .map(|(got, want)| format!("got {got}, want {want}"))
+                    .collect();
+                assert!(
+                    differing.is_empty(),
+                    "jobs {jobs}: rendered scores differ from tests/golden/score_digests.txt:\n{}",
+                    differing.join("\n")
+                );
+            }
         })
         .expect("spawn");
     child.join().expect("join");

@@ -13,11 +13,11 @@
 //! Plus the check-suite smoke: a 2-second deadline on the §5 scope check
 //! (which finishes far sooner) leaves results identical at jobs 1/2/4.
 
-use equitls::core::prelude::{Hints, ProofReport, Prover, ProverConfig};
+use equitls::core::prelude::{ProofReport, ProverConfig};
 use equitls::mc::prelude::*;
 use equitls::obs::sink::Obs;
 use equitls::tls::concrete::Scope;
-use equitls::tls::verify::{self, VerifyOptions};
+use equitls::tls::verify;
 use equitls::tls::TlsModel;
 use std::time::Duration;
 
@@ -55,10 +55,10 @@ fn injected_prover_panic_yields_identical_reports_at_jobs_1_and_4() {
             .iter()
             .map(|&jobs| {
                 let mut model = TlsModel::standard().expect("model builds");
-                let opts = VerifyOptions {
+                let opts = ProverConfig {
                     jobs,
                     fault_plan: Some(plan.clone()),
-                    ..VerifyOptions::default()
+                    ..ProverConfig::default()
                 };
                 verify::verify_property_opts(&mut model, "lem-src-honest", &opts, &Obs::noop())
                     .expect("engine ok")
@@ -110,12 +110,9 @@ fn src_honest_with_scores(jobs: usize, plan: Option<FaultPlan>) -> ProofReport {
         jobs,
         record_scores: true,
         fault_plan: plan,
-        ..verify::prover_config(&model)
+        ..ProverConfig::default()
     };
-    let mut prover =
-        Prover::new(&mut model.spec, &model.ots, &model.invariants).with_config(config);
-    prover
-        .prove_inductive("lem-src-honest", &Hints::new())
+    verify::verify_property_opts(&mut model, "lem-src-honest", &config, &Obs::noop())
         .expect("engine ok")
 }
 
@@ -172,9 +169,9 @@ fn cancelled_campaign_reports_open_obligations_not_a_dead_process() {
         let budget = Budget::unlimited();
         budget.cancel_token().cancel();
         let mut model = TlsModel::standard().expect("model builds");
-        let opts = VerifyOptions {
+        let opts = ProverConfig {
             budget,
-            ..VerifyOptions::default()
+            ..ProverConfig::default()
         };
         let report =
             verify::verify_property_opts(&mut model, "lem-src-honest", &opts, &Obs::noop())
