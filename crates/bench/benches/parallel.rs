@@ -1,16 +1,13 @@
 //! Experiment E14: parallel-execution speedups, written as a machine-
 //! readable `BENCH_parallel.json`.
 //!
-//! Two workloads, each at jobs ∈ {1, 2, all cores}:
+//! One workload at jobs ∈ {1, 2, all cores}: the inv1 proof score (init +
+//! 27 transition obligations) fanned out over worker threads on cloned
+//! specs. (The model checker runs on one thread; E31 has why.)
 //!
-//! * **explorer** — the bounded exhaustive TLS check (E10 scope) on the
-//!   level-synchronous parallel BFS;
-//! * **prover** — the inv1 proof score (init + 27 transition obligations)
-//!   fanned out over worker threads on cloned specs.
-//!
-//! Both are deterministic: the JSON records per-jobs wall time,
-//! throughput, and speedup vs. jobs=1, plus the verdict-relevant outputs
-//! (state count / proved flag) so a reader can see they do not move.
+//! The workload is deterministic: the JSON records per-jobs wall time,
+//! throughput, and speedup vs. jobs=1, plus the obligation count, so a
+//! reader can see it does not move.
 //!
 //! Environment knobs:
 //!
@@ -21,11 +18,9 @@
 //!   JSON (`scripts/bench.sh` sets them; `"unknown"` when absent).
 
 use equitls_bench::harness::bench;
-use equitls_core::prelude::ProverConfig;
-use equitls_mc::prelude::*;
+use equitls_core::prelude::{resolve_jobs, ProverConfig};
 use equitls_obs::json::JsonValue;
 use equitls_obs::sink::Obs;
-use equitls_tls::concrete::Scope;
 use equitls_tls::{verify, TlsModel};
 use std::time::Duration;
 
@@ -56,40 +51,6 @@ fn ms(d: Duration) -> f64 {
 
 fn speedup(baseline: Duration, d: Duration) -> f64 {
     baseline.as_secs_f64() / d.as_secs_f64().max(1e-9)
-}
-
-fn bench_explorer(samples: usize, smoke: bool) -> Vec<JsonValue> {
-    println!("== explorer (bounded exhaustive TLS check)");
-    let mut scope = Scope::counterexample();
-    scope.max_messages = if smoke { 1 } else { 2 };
-    let limits = Limits {
-        max_states: 200_000,
-        max_depth: scope.max_messages + 1,
-    };
-    let mut rows = Vec::new();
-    let mut baseline = None;
-    for jobs in jobs_ladder() {
-        let mut states = 0usize;
-        let best = bench(&format!("explorer/jobs={jobs}"), samples, || {
-            let config = ExploreConfig::default();
-            let result = check_scope_config_obs(&scope, &limits, jobs, &config, &Obs::noop());
-            assert!(result.complete, "scope should be exhausted");
-            states = result.states;
-            states
-        });
-        let base = *baseline.get_or_insert(best);
-        rows.push(obj(vec![
-            ("jobs", num(jobs as f64)),
-            ("states", num(states as f64)),
-            ("wall_ms", num(ms(best))),
-            (
-                "states_per_sec",
-                num(states as f64 / best.as_secs_f64().max(1e-9)),
-            ),
-            ("speedup_vs_jobs1", num(speedup(base, best))),
-        ]));
-    }
-    rows
 }
 
 fn bench_prover(samples: usize, smoke: bool) -> Vec<JsonValue> {
@@ -148,7 +109,6 @@ fn main() {
     let worker = std::thread::Builder::new()
         .stack_size(512 * 1024 * 1024)
         .spawn(move || {
-            let explorer = bench_explorer(samples, smoke);
             let prover = bench_prover(samples, smoke);
             let stamp = |var: &str| {
                 JsonValue::String(std::env::var(var).unwrap_or_else(|_| "unknown".to_string()))
@@ -160,7 +120,6 @@ fn main() {
                 ("cores", num(resolve_jobs(0) as f64)),
                 ("samples", num(samples as f64)),
                 ("smoke", JsonValue::Bool(smoke)),
-                ("explorer", JsonValue::Array(explorer)),
                 ("prover", JsonValue::Array(prover)),
             ]);
             std::fs::write(&out_path, format!("{doc}\n")).expect("write BENCH_parallel.json");

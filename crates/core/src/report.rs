@@ -4,11 +4,8 @@
 //! of human effort (§1, §7). The machine-checked analogue is a
 //! [`ProofReport`] per invariant: passages written, case splits chosen,
 //! rewrite steps performed, wall-clock time — the data behind experiment
-//! E9 in EXPERIMENTS.md. Reports serialize to JSON through the
-//! hand-rolled `equitls_obs::json` layer, so the dependency closure stays
-//! free of external crates.
+//! E9 in EXPERIMENTS.md.
 
-use equitls_obs::json::JsonValue;
 use equitls_rewrite::budget::WorkerFault;
 use equitls_rewrite::engine::RewriteStats;
 use std::fmt;
@@ -127,19 +124,6 @@ impl ProverMetrics {
             open: self.open + other.open,
         }
     }
-
-    /// The metrics as a JSON object.
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("passages".into(), JsonValue::Number(self.passages as f64)),
-            ("splits".into(), JsonValue::Number(self.splits as f64)),
-            ("rewrites".into(), JsonValue::Number(self.rewrites as f64)),
-            ("max_depth".into(), JsonValue::Number(self.max_depth as f64)),
-            ("proved".into(), JsonValue::Number(self.proved as f64)),
-            ("vacuous".into(), JsonValue::Number(self.vacuous as f64)),
-            ("open".into(), JsonValue::Number(self.open as f64)),
-        ])
-    }
 }
 
 /// Statistics for one obligation.
@@ -161,41 +145,6 @@ pub struct StepReport {
     /// renders as one CafeOBJ-style proof passage via
     /// [`crate::score::render_passage`].
     pub scores: Vec<Vec<Decision>>,
-}
-
-impl StepReport {
-    /// The report as a JSON object (scores are omitted; they have their
-    /// own textual rendering).
-    pub fn to_json(&self) -> JsonValue {
-        let mut fields = vec![
-            ("action".to_string(), JsonValue::String(self.action.clone())),
-            (
-                "proved".to_string(),
-                JsonValue::Bool(self.outcome.is_proved()),
-            ),
-        ];
-        if let CaseOutcome::Fault(fault) = &self.outcome {
-            fields.push((
-                "fault".to_string(),
-                JsonValue::Object(vec![
-                    ("site".into(), JsonValue::String(fault.site.clone())),
-                    ("message".into(), JsonValue::String(fault.message.clone())),
-                ]),
-            ));
-        }
-        fields.extend([
-            ("metrics".to_string(), self.metrics.to_json()),
-            (
-                "cache_hit_rate".into(),
-                JsonValue::Number(self.rewrite_stats.cache_hit_rate()),
-            ),
-            (
-                "duration_ms".into(),
-                JsonValue::from_u128(self.duration.as_millis()),
-            ),
-        ]);
-        JsonValue::Object(fields)
-    }
 }
 
 /// A full per-invariant report.
@@ -294,27 +243,6 @@ impl ProofReport {
         self.total_metrics().rewrites
     }
 
-    /// The report as a JSON object.
-    pub fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            (
-                "invariant".into(),
-                JsonValue::String(self.invariant.clone()),
-            ),
-            ("proved".into(), JsonValue::Bool(self.is_proved())),
-            ("base".into(), self.base.to_json()),
-            (
-                "steps".into(),
-                JsonValue::Array(self.steps.iter().map(StepReport::to_json).collect()),
-            ),
-            ("totals".into(), self.total_metrics().to_json()),
-            (
-                "duration_ms".into(),
-                JsonValue::from_u128(self.duration.as_millis()),
-            ),
-        ])
-    }
-
     /// A one-line summary, suitable for tables.
     pub fn summary_row(&self) -> String {
         let verdict = if self.is_proved() {
@@ -376,7 +304,6 @@ impl fmt::Display for ProofReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use equitls_obs::json;
 
     fn step(name: &str, proved: bool) -> StepReport {
         StepReport {
@@ -493,40 +420,5 @@ mod tests {
         assert!(faults[0].1.message.contains("injected fault"));
         assert!(r.summary_row().contains("FAULT"));
         assert!(r.to_string().contains("FAULT"));
-        let rendered = r.to_json().to_string();
-        let parsed = json::parse(&rendered).expect("report JSON parses");
-        let steps = parsed.get("steps").expect("steps");
-        let first_step = match steps {
-            JsonValue::Array(items) => items.first().expect("one step"),
-            other => panic!("steps is not an array: {other:?}"),
-        };
-        let fault = first_step.get("fault").expect("fault object");
-        assert_eq!(
-            fault.get("site").and_then(|v| v.as_str()),
-            Some("obligation:fakeSfin2")
-        );
-    }
-
-    #[test]
-    fn reports_serialize_to_valid_json() {
-        let r = ProofReport::new(
-            "inv1",
-            step("init", true),
-            vec![step("chello", false)],
-            Duration::from_millis(20),
-        );
-        let rendered = r.to_json().to_string();
-        let parsed = json::parse(&rendered).expect("report JSON parses");
-        assert_eq!(
-            parsed.get("invariant").and_then(|v| v.as_str()),
-            Some("inv1")
-        );
-        assert_eq!(
-            parsed
-                .get("totals")
-                .and_then(|t| t.get("passages"))
-                .and_then(|v| v.as_f64()),
-            Some(6.0)
-        );
     }
 }

@@ -138,11 +138,6 @@ impl LintCode {
         }
     }
 
-    /// Look a code up by its stable name.
-    pub fn by_name(name: &str) -> Option<LintCode> {
-        LintCode::ALL.into_iter().find(|c| c.name() == name)
-    }
-
     /// The built-in severity before configuration overrides.
     ///
     /// `termination-order` is only a warning because LPO is an incomplete

@@ -13,26 +13,28 @@ use equitls_tls::concrete::{props, Scope, State};
 /// An owned monitor predicate over concrete states.
 type BoxedPredicate = Box<dyn Fn(&State) -> bool>;
 
-/// Run every §5 monitor over the scope, breadth-first, on `jobs` worker
-/// threads (`0` = available parallelism), under `config`'s budget.
+/// Run every §5 monitor over the scope, breadth-first, under `config`'s
+/// budget.
 ///
 /// The expected outcome (within any scope that lets the intruder act):
-/// properties 1–5 hold everywhere, 2′ and 3′ are violated. The verdicts,
-/// state counts, and violation traces are identical for every `jobs`
-/// value, and a tripped deadline, memory ceiling, or cancellation yields
-/// a *partial* but internally consistent exploration with a typed
+/// properties 1–5 hold everywhere, 2′ and 3′ are violated. A tripped
+/// deadline, memory ceiling, or cancellation yields a *partial* but
+/// internally consistent exploration with a typed
 /// [`Exploration::stop_reason`] — see [`explore_with_config_jobs`].
 /// Per-level timing counters and heartbeats flow to `obs`'s sink; the
 /// result is identical whatever the sink.
+///
+/// `_jobs` is ignored: the search runs on one thread. The campaign bench
+/// pins this signature; its next change drops the parameter.
 pub fn check_scope_config_obs(
     scope: &Scope,
     limits: &Limits,
-    jobs: usize,
+    _jobs: usize,
     config: &ExploreConfig,
     obs: &Obs,
 ) -> Exploration<State> {
     with_scope_monitors(scope, |machine, refs| {
-        explore_with_config_jobs(machine, refs, limits, config, jobs, obs)
+        explore_with_config_jobs(machine, refs, limits, config, 1, obs)
     })
 }
 
@@ -43,12 +45,11 @@ pub fn check_scope_config_obs(
 pub fn check_scope_resume_obs(
     scope: &Scope,
     limits: &Limits,
-    jobs: usize,
     config: &ExploreConfig,
     obs: &Obs,
 ) -> Result<Exploration<State>, PersistError> {
     with_scope_monitors(scope, |machine, refs| {
-        explore_resume_with_config_jobs(machine, refs, limits, config, jobs, obs)
+        explore_resume_with_config_jobs(machine, refs, limits, config, obs)
     })
 }
 

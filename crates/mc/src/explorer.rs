@@ -5,22 +5,17 @@
 //! states breadth-first under a finite scope, check safety monitors in
 //! every state, and reconstruct a labeled trace on violation.
 //!
-//! ## Windowed level expansion
+//! ## Level expansion
 //!
-//! [`explore_with_config_jobs`] runs the search level-synchronously. Each
-//! level streams through one loop in fixed windows of the frontier: one
-//! entry at `jobs = 1`, computed inline on the calling thread, and 128
-//! entries per worker otherwise, split into contiguous chunks across
-//! `jobs` scoped worker threads. Workers decode and expand their chunk's
-//! states into local successor batches; the merge thread folds the
-//! batches into the dedup index **in frontier order** — exactly the
-//! order a one-entry window visits them.
-//! Successor generation (`Model::successors`) is pure, so the merged
-//! result is *identical* for every thread count: same state count and
-//! numbering, same verdicts, same violation traces, same
-//! `states_per_depth`/`dedup_hits` accounting. Because only one window
-//! is in flight, a level's scratch memory is bounded by the window, not
-//! by the level's width.
+//! [`explore_with_config_jobs`] runs the search level-synchronously on
+//! the calling thread. Each level is one loop over its frontier, in
+//! order: fetch an entry's encoded state, decode and expand it, and merge
+//! its successors into the visited set. Successor generation
+//! (`Model::successors`) is pure, so a run's state count and numbering,
+//! verdicts, violation traces and `states_per_depth`/`dedup_hits`
+//! accounting depend only on the model, the limits and the config. The
+//! level barriers between loops are where shards spill and checkpoints
+//! land.
 
 use crate::model::Model;
 use crate::visited::{
@@ -49,12 +44,6 @@ const STATE_FIXED_BYTES: u64 = 64;
 /// trips mid-level.
 const SPILL_PRESSURE: f64 = 0.7;
 
-/// Frontier entries each worker expands per window when `jobs > 1`. A
-/// window's encoded states and successor batches are the only per-level
-/// scratch the search holds; the budget's heap estimate does not count
-/// them.
-const WINDOW_PER_WORKER: usize = 128;
-
 /// A named safety monitor: `(name, predicate)`. A violation is recorded
 /// the first time the predicate returns `false`.
 pub type Monitor<'a, S> = (&'a str, &'a dyn Fn(&S) -> bool);
@@ -81,14 +70,14 @@ impl Default for Limits {
 /// a shared [`Budget`] (deadline, heap-estimate ceiling, cancellation) and
 /// an optional deterministic [`FaultPlan`] for the fault-injection tests.
 ///
-/// Budget trips and injected stop-kind faults are observed **at merge
-/// time, in frontier order** — the same position a one-worker search
-/// would stop at — so injected faults truncate identically at every
-/// `jobs` value. Real wall-clock trips are consistent (a well-formed
-/// partial result) but naturally not bit-reproducible across runs.
+/// Budget trips and injected stop-kind faults are observed before each
+/// frontier entry is merged, in frontier order, so an injected fault
+/// truncates at the same position on every run. Real wall-clock trips
+/// are consistent (a well-formed partial result) but naturally not
+/// bit-reproducible across runs.
 #[derive(Debug, Clone, Default)]
 pub struct ExploreConfig {
-    /// Deadline / memory / cancellation budget shared with other workers.
+    /// Deadline / memory / cancellation budget.
     pub budget: Budget,
     /// Deterministic fault injection, keyed by global state index at
     /// [`FaultSite::Successor`]. `None` in production.
@@ -108,10 +97,10 @@ pub struct ExploreConfig {
     pub heartbeat_every_secs: u64,
     /// When set, cold visited-set shards spill to files in this
     /// directory under memory pressure — Murφ-style — instead of the
-    /// search truncating at the budget's heap ceiling. Spill decisions are taken only at level barriers,
-    /// in shard order, so results stay bit-identical at every `jobs`
-    /// value; the degradation is disclosed in
-    /// [`Exploration::degradation`].
+    /// search truncating at the budget's heap ceiling. Spill decisions are
+    /// taken only at level barriers, in shard order, so a spilled run's
+    /// results are bit-identical to a resident one's; the degradation is
+    /// disclosed in [`Exploration::degradation`].
     pub spill_dir: Option<PathBuf>,
     /// When nonzero, at most this many visited-set shards keep resident
     /// entries after each barrier (the rest spill). `0` leaves residency
@@ -121,8 +110,6 @@ pub struct ExploreConfig {
     /// ([`crate::visited::DEFAULT_SHARDS`]).
     pub spill_shards: usize,
 }
-
-pub use equitls_rewrite::budget::resolve_jobs;
 
 /// A safety-property violation with its witness trace.
 #[derive(Debug, Clone)]
@@ -216,8 +203,8 @@ impl<S> Exploration<S> {
     }
 }
 
-/// Explore `model` breadth-first on `jobs` worker threads (`0` =
-/// available parallelism), checking `monitors` in every state.
+/// Explore `model` breadth-first on the calling thread, checking
+/// `monitors` in every state.
 ///
 /// Each monitor is `(name, predicate)`; a violation is recorded the first
 /// time a predicate returns `false`, and the search continues (to find
@@ -227,18 +214,21 @@ impl<S> Exploration<S> {
 /// `obs` receives a span per BFS level, frontier-size and dedup-rate
 /// gauges, and a final states/sec gauge.
 ///
-/// Deterministic: for any `jobs`, the result (state count, verdicts,
-/// traces, per-level accounting) is identical to the one-worker search —
+/// Deterministic: the result (state count, verdicts, traces, per-level
+/// accounting) depends only on the model, the limits and the config —
 /// see the module docs. Injected faults and the structural limits
-/// truncate at the identical `(parent, successor)` position for every
-/// `jobs` value; real wall-clock budget trips yield a consistent partial
-/// result whose exact cut point depends on timing.
+/// truncate at the same `(parent, successor)` position on every run;
+/// real wall-clock budget trips yield a consistent partial result whose
+/// exact cut point depends on timing.
+///
+/// `_jobs` is ignored: the search runs on one thread. The campaign bench
+/// pins this signature; its next change drops the parameter.
 pub fn explore_with_config_jobs<M>(
     model: &M,
     monitors: &[Monitor<'_, M::State>],
     limits: &Limits,
     config: &ExploreConfig,
-    jobs: usize,
+    _jobs: usize,
     obs: &Obs,
 ) -> Exploration<M::State>
 where
@@ -246,26 +236,23 @@ where
     M::State: Send + Sync,
 {
     let seed = initial_seed(model, monitors);
-    explore_driver(model, monitors, limits, config, jobs, obs, seed)
+    explore_driver(model, monitors, limits, config, obs, seed)
 }
 
-/// One generated successor, as a worker hands it to the merge: the
-/// decoded state, its canonical bytes, and the result of the concurrent
-/// duplicate probe. `known_dup` is only ever a *definite* hit — the
-/// merge counts it without a lookup.
+/// One generated successor: its label, the state, and its canonical
+/// bytes.
 struct SuccRec<S> {
     label: String,
     state: S,
     bytes: Vec<u8>,
-    known_dup: bool,
 }
 
-/// Mutable search state of one exploration, owned by the merge thread.
+/// Mutable search state of one exploration.
 struct Search<'m, S> {
     monitors: &'m [Monitor<'m, S>],
     config: &'m ExploreConfig,
-    /// The dedup set: every state's canonical encoded bytes, sharded,
-    /// concurrently probeable, and spillable to disk under pressure.
+    /// The dedup set: every state's canonical encoded bytes, sharded and
+    /// spillable to disk under pressure.
     visited: VisitedStore,
     parents: Vec<(usize, String)>,
     violations: Vec<Violation<S>>,
@@ -301,7 +288,7 @@ impl<S: Clone> Search<'_, S> {
     /// store accounts for its own resident bytes, so the estimate *drops*
     /// when shards spill — that is the degradation: the same ceiling that
     /// would truncate a resident run instead steers the store onto disk.
-    fn heap_estimate(&mut self) -> u64 {
+    fn heap_estimate(&self) -> u64 {
         self.parents.len() as u64 * STATE_FIXED_BYTES + self.visited.resident_estimate()
     }
 
@@ -323,10 +310,10 @@ impl<S: Clone> Search<'_, S> {
     }
 
     /// The budget / fault-injection gate run **before** merging frontier
-    /// entry `idx`, in frontier order at every `jobs` value. Injected stop-kind
-    /// faults fire first (deterministic at any `jobs`), then the real
-    /// budget. A memory-ceiling trip that the spill tier can absorb is
-    /// deferred (flagged for the next barrier) instead of truncating.
+    /// entry `idx`, in frontier order. Injected stop-kind faults fire
+    /// first (deterministic on every run), then the real budget. A
+    /// memory-ceiling trip that the spill tier can absorb is deferred
+    /// (flagged for the next barrier) instead of truncating.
     /// Returns the reason to truncate, if any.
     fn pre_merge_stop(&mut self, idx: usize) -> Option<StopReason> {
         if let Some(plan) = &self.config.fault_plan {
@@ -449,10 +436,6 @@ impl<S: Clone> Search<'_, S> {
         obs: &Obs,
     ) -> Option<StopReason> {
         for rec in succs {
-            if rec.known_dup {
-                self.dedup_hits += 1;
-                continue;
-            }
             let inserted = self
                 .visited
                 .lookup_or_insert(rec.bytes, limits.max_states, obs);
@@ -475,7 +458,7 @@ impl<S: Clone> Search<'_, S> {
     }
 
     /// The barrier spill pass — the only place shards go to disk, so
-    /// spill decisions are deterministic at every `jobs` value. Spills
+    /// spill decisions are a function of the search alone. Spills
     /// (in shard order) when a mid-level ceiling trip was deferred, when
     /// the heap estimate crosses [`SPILL_PRESSURE`] of the ceiling, or
     /// when `max_resident_shards` is exceeded; the goal is half the
@@ -517,25 +500,17 @@ impl<S: Clone> Search<'_, S> {
 }
 
 /// Decode the frontier state at global index `idx` from its canonical
-/// `bytes` and compute its successors, containing any panic (organic, or
-/// injected by the fault plan) as a typed [`WorkerFault`] instead of
-/// letting it poison sibling workers. A faulted state contributes no
-/// successors; the search continues.
-///
-/// Each successor is also encoded to its canonical bytes and probed
-/// against `store` — a concurrent, read-only, definite-hit-only duplicate
-/// check that moves the encoding and most hashing work off the merge
-/// thread. The probe can only say "known" for resident entries; a
-/// spilled match is still found by the merge-thread lookup, so the dedup
-/// count is identical either way. Bytes the model cannot decode, or a
-/// successor it cannot encode, break the [`Model`] codec contract and
-/// fault the entry the same way.
+/// `bytes` and compute its successors, each with its canonical bytes,
+/// containing any panic (organic, or injected by the fault plan) as a
+/// typed [`WorkerFault`] instead of ending the search. A faulted state
+/// contributes no successors; the search continues. Bytes the model
+/// cannot decode, or a successor it cannot encode, break the [`Model`]
+/// codec contract and fault the entry the same way.
 fn compute_succs<M: Model>(
     model: &M,
     bytes: &[u8],
     idx: usize,
     plan: Option<&FaultPlan>,
-    store: &VisitedStore,
 ) -> Result<Vec<SuccRec<M::State>>, WorkerFault> {
     catch_unwind(AssertUnwindSafe(|| {
         if let Some(plan) = plan {
@@ -549,17 +524,12 @@ fn compute_succs<M: Model>(
         model
             .successors(&state)
             .into_iter()
-            .map(|(label, succ)| {
-                let bytes = model
+            .map(|(label, succ)| SuccRec {
+                bytes: model
                     .encode_state(&succ)
-                    .expect("Model::encode_state must encode every state the model produces");
-                let known_dup = store.probe(&bytes);
-                SuccRec {
-                    label,
-                    state: succ,
-                    bytes,
-                    known_dup,
-                }
+                    .expect("Model::encode_state must encode every state the model produces"),
+                label,
+                state: succ,
             })
             .collect()
     }))
@@ -569,131 +539,54 @@ fn compute_succs<M: Model>(
     })
 }
 
-/// One window's successor batches, one per entry of `window` in order:
-/// inline on the calling thread when one worker suffices, otherwise on
-/// up to `jobs` scoped workers over contiguous chunks of the window.
-/// Workers share `store` read-only (probes take each shard's stripe lock
-/// briefly); the merge thread is the only writer, after they join.
-fn expand_window<M>(
-    model: &M,
-    window: &[usize],
-    bytes: &[Vec<u8>],
-    jobs: usize,
-    plan: Option<&FaultPlan>,
-    store: &VisitedStore,
-) -> Vec<Result<Vec<SuccRec<M::State>>, WorkerFault>>
-where
-    M: Model + Sync,
-    M::State: Send + Sync,
-{
-    let expand = |(&idx, bytes): (&usize, &Vec<u8>)| compute_succs(model, bytes, idx, plan, store);
-    let workers = jobs.min(window.len());
-    if workers <= 1 {
-        return window.iter().zip(bytes).map(expand).collect();
-    }
-    let chunk_len = window.len().div_ceil(workers);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = window
-            .chunks(chunk_len)
-            .zip(bytes.chunks(chunk_len))
-            .map(|(idxs, bytes)| {
-                scope.spawn(move || idxs.iter().zip(bytes).map(expand).collect::<Vec<_>>())
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("explorer worker panicked"))
-            .collect()
-    })
-}
-
-/// Expand one BFS level in fixed windows of the frontier — one entry at
-/// `jobs = 1`, [`WINDOW_PER_WORKER`] entries per worker otherwise — so
-/// the scratch memory of a level is one window's states and successor
-/// batches, however wide the level. For each window the merge thread
-/// fetches the encoded states (the only place a spilled shard reloads,
-/// in frontier order), the workers decode and expand them
-/// ([`expand_window`]), and the merge thread merges the batches in
-/// frontier order — exactly the order a one-entry window visits them.
+/// Expand one BFS level, one frontier entry at a time in frontier order:
+/// fetch the entry's encoded state (the only place a spilled shard
+/// reloads), compute its successors ([`compute_succs`]), then run the
+/// budget gate ([`Search::pre_merge_stop`]) and merge the successors
+/// ([`Search::merge_entry`]).
 ///
-/// Returns `Some(reason)` on truncation, detected at the same
-/// `(parent, successor)` position at every `jobs` value, with the entry
-/// the stop landed on and everything after it disclosed as unexpanded.
-/// At most one window of successors is computed past that point. Worker
-/// panics are contained inside each worker ([`compute_succs`]) and
-/// recorded at merge time in frontier order, so the fault list is
-/// identical at every `jobs` value. A failed fetch stops the level at
-/// its entry once the entries before it are merged, as a one-entry
-/// window would.
-fn expand_level<M>(
+/// Returns `Some(reason)` on truncation, with the entry the stop landed
+/// on and everything after it disclosed as unexpanded. A contained
+/// successor panic is recorded as a fault on its entry when the entry is
+/// merged. A failed fetch stops the level at its entry, unless the gate
+/// stops it there first.
+fn expand_level<M: Model>(
     model: &M,
     search: &mut Search<'_, M::State>,
     frontier: &[usize],
     depth: usize,
     limits: &Limits,
-    jobs: usize,
     obs: &Obs,
-) -> Option<StopReason>
-where
-    M: Model + Sync,
-    M::State: Send + Sync,
-{
-    let window_len = if jobs <= 1 {
-        1
-    } else {
-        jobs * WINDOW_PER_WORKER
-    };
-    let mut pos = 0;
-    for window in frontier.chunks(window_len) {
-        let mut bytes = Vec::with_capacity(window.len());
-        let mut fetch_error = None;
-        for &idx in window {
-            match search.visited.fetch(idx, obs) {
-                Ok(b) => bytes.push(b),
-                Err(e) => {
-                    fetch_error = Some(e);
-                    break;
+) -> Option<StopReason> {
+    for (pos, &idx) in frontier.iter().enumerate() {
+        let stop = match search.visited.fetch(idx, obs) {
+            Ok(bytes) => {
+                let gen_start = search.timed.then(Instant::now);
+                let succs = compute_succs(model, &bytes, idx, search.config.fault_plan.as_ref());
+                // Phase accounting is wall-clock per phase: successor
+                // generation above, dedup/monitor work below.
+                let merge_start = search.timed.then(Instant::now);
+                if let (Some(g), Some(m)) = (gen_start, merge_start) {
+                    search.succ_time += m.duration_since(g);
                 }
-            }
-        }
-        let ready = &window[..bytes.len()];
-        let gen_start = search.timed.then(Instant::now);
-        let plan = search.config.fault_plan.as_ref();
-        let batches = expand_window(model, ready, &bytes, jobs, plan, &search.visited);
-        drop(bytes);
-        // Phase accounting is wall-clock per phase: the expansion above
-        // is pure successor generation, the merge below is pure
-        // dedup/monitor work on the merge thread.
-        let merge_start = search.timed.then(Instant::now);
-        if let (Some(g), Some(m)) = (gen_start, merge_start) {
-            search.succ_time += m.duration_since(g);
-        }
-        let mut stop = None;
-        for (&idx, succs) in ready.iter().zip(batches) {
-            stop = search.pre_merge_stop(idx).or_else(|| {
-                let succs = succs.unwrap_or_else(|fault| {
-                    search.faults.push(fault);
-                    Vec::new()
+                let stop = search.pre_merge_stop(idx).or_else(|| {
+                    let succs = succs.unwrap_or_else(|fault| {
+                        search.faults.push(fault);
+                        Vec::new()
+                    });
+                    search.merge_entry(model, idx, succs, depth, limits, obs)
                 });
-                search.merge_entry(model, idx, succs, depth, limits, obs)
-            });
-            if stop.is_some() {
-                break;
+                if let Some(m) = merge_start {
+                    search.dedup_time += m.elapsed();
+                }
+                stop
             }
-            pos += 1;
-        }
-        // A one-entry window gates the entry before its fetch fails, so a
-        // budget stop at that entry still takes precedence.
-        if let (None, Some(e)) = (&stop, fetch_error) {
-            stop = Some(
+            Err(e) => Some(
                 search
-                    .pre_merge_stop(frontier[pos])
+                    .pre_merge_stop(idx)
                     .unwrap_or_else(|| search.spill_failure(e)),
-            );
-        }
-        if let Some(m) = merge_start {
-            search.dedup_time += m.elapsed();
-        }
+            ),
+        };
         if stop.is_some() {
             search.unexpanded += frontier.len() - pos;
             return stop;
@@ -798,7 +691,7 @@ fn encode_checkpoint<S: Clone>(
             });
             w.str(label);
         }
-        let store = &mut search.visited;
+        let store = &search.visited;
         for &(shard, slot) in store.locator() {
             w.u32(shard);
             w.u32(slot);
@@ -1093,10 +986,10 @@ fn checkpoint_at_barrier<S: Clone>(
         return;
     };
     // Deterministic persist-fault injection: the write index counts
-    // *attempts* (in barrier order, jobs-independent), so a planned
-    // `FaultSite::PersistWrite` at scope "explorer" fails the same
-    // barrier's snapshot at every jobs value. Like a real write error,
-    // an injected one degrades crash-safety only — counted, not raised.
+    // *attempts* (in barrier order), so a planned `FaultSite::PersistWrite`
+    // at scope "explorer" fails the same barrier's snapshot on every run.
+    // Like a real write error, an injected one degrades crash-safety only
+    // — counted, not raised.
     let n = *writes;
     *writes += 1;
     let injected = search
@@ -1117,22 +1010,15 @@ fn checkpoint_at_barrier<S: Clone>(
 
 /// The level-synchronous BFS driver, from either starting point (a fresh
 /// search, or a decoded checkpoint). Each level is expanded by
-/// [`expand_level`] on `jobs` worker threads (`0` = available
-/// parallelism).
-fn explore_driver<M>(
+/// [`expand_level`].
+fn explore_driver<M: Model>(
     model: &M,
     monitors: &[Monitor<'_, M::State>],
     limits: &Limits,
     config: &ExploreConfig,
-    jobs: usize,
     obs: &Obs,
     seed: SearchSeed<M::State>,
-) -> Exploration<M::State>
-where
-    M: Model + Sync,
-    M::State: Send + Sync,
-{
-    let jobs = resolve_jobs(jobs);
+) -> Exploration<M::State> {
     let start = Instant::now();
     let SearchSeed {
         states: seed_states,
@@ -1201,7 +1087,7 @@ where
         let level_faults = search.faults.len();
         let (succ_before, dedup_before) = (search.succ_time, search.dedup_time);
         let dedup_hits_before = search.dedup_hits;
-        stop = expand_level(model, &mut search, &frontier, depth, limits, jobs, obs);
+        stop = expand_level(model, &mut search, &frontier, depth, limits, obs);
         states_per_depth.push(search.len() - level_start);
         obs.gauge("mc.frontier", search.next_frontier.len() as f64);
         obs.counter("mc.states", search.next_frontier.len() as u64);
@@ -1323,37 +1209,30 @@ where
     result
 }
 
-/// Resume an exploration from the snapshot at `config.checkpoint_path`
-/// on `jobs` worker threads, continuing to checkpoint as it goes.
+/// Resume an exploration from the snapshot at `config.checkpoint_path`,
+/// continuing to checkpoint as it goes.
 ///
 /// The search restarts at the checkpointed level barrier and finishes the
 /// run; because checkpoints only land at barriers (deterministic prefixes
 /// of the full run), the final [`Exploration`] is bit-identical to an
-/// uninterrupted run at every `jobs` value. Errors are typed: a missing
-/// path, an unreadable file, a truncated or corrupted snapshot, and an
-/// internally inconsistent payload are each reported as their own
-/// [`PersistError`] — never deserialized into garbage.
-pub fn explore_resume_with_config_jobs<M>(
+/// uninterrupted run. Errors are typed: a missing path, an unreadable
+/// file, a truncated or corrupted snapshot, and an internally
+/// inconsistent payload are each reported as their own [`PersistError`]
+/// — never deserialized into garbage.
+pub fn explore_resume_with_config_jobs<M: Model>(
     model: &M,
     monitors: &[Monitor<'_, M::State>],
     limits: &Limits,
     config: &ExploreConfig,
-    jobs: usize,
     obs: &Obs,
-) -> Result<Exploration<M::State>, PersistError>
-where
-    M: Model + Sync,
-    M::State: Send + Sync,
-{
+) -> Result<Exploration<M::State>, PersistError> {
     let path = config
         .checkpoint_path
         .as_ref()
         .ok_or(PersistError::MissingPath)?;
     let (_meta, payload) = read_snapshot(path, SnapshotKind::Explorer, obs)?;
     let seed = decode_checkpoint(model, &payload, config.spill_dir.as_deref(), obs)?;
-    Ok(explore_driver(
-        model, monitors, limits, config, jobs, obs, seed,
-    ))
+    Ok(explore_driver(model, monitors, limits, config, obs, seed))
 }
 
 #[cfg(test)]
@@ -1420,7 +1299,7 @@ mod tests {
     }
 
     /// A 5×5 grid walked right/down: wide frontiers and diamond-shaped
-    /// dedup, so the parallel path genuinely fans out.
+    /// dedup.
     struct Grid;
 
     impl Model for Grid {
@@ -1814,121 +1693,6 @@ mod tests {
         }
     }
 
-    /// A two-level fan wider than three windows at `jobs = 4`: the root
-    /// reaches `(1, i)` for every `i < width`, and each `(1, i)` reaches
-    /// one new state `(2, i)` plus the duplicate `(2, 0)`. Counts every
-    /// successor computation.
-    struct Fan {
-        width: u16,
-        calls: std::sync::atomic::AtomicUsize,
-    }
-
-    impl Model for Fan {
-        type State = (u8, u16);
-
-        fn initial(&self) -> (u8, u16) {
-            (0, 0)
-        }
-
-        fn successors(&self, &(level, i): &(u8, u16)) -> Vec<(String, (u8, u16))> {
-            self.calls
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            match level {
-                0 => (0..self.width)
-                    .map(|j| (format!("fan{j}"), (1, j)))
-                    .collect(),
-                1 => vec![("keep".into(), (2, i)), ("merge".into(), (2, 0))],
-                _ => Vec::new(),
-            }
-        }
-
-        fn encode_state(&self, &(level, i): &(u8, u16)) -> Option<Vec<u8>> {
-            let [hi, lo] = i.to_be_bytes();
-            Some(vec![level, hi, lo])
-        }
-
-        fn decode_state(&self, bytes: &[u8]) -> Option<(u8, u16)> {
-            match bytes {
-                [level, hi, lo] => Some((*level, u16::from_be_bytes([*hi, *lo]))),
-                _ => None,
-            }
-        }
-    }
-
-    #[test]
-    fn a_stop_in_a_later_window_is_identical_and_wastes_at_most_one_window() {
-        use equitls_rewrite::budget::Fault;
-        use std::sync::atomic::Ordering;
-        const WIDTH: usize = 2000;
-        const { assert!(WIDTH > 3 * 4 * WINDOW_PER_WORKER) };
-        // Both stops land on depth-1 frontier position 1100 (global state
-        // index 1101), inside the third window at jobs 4: an injected
-        // deadline, and a state cap that refuses that entry's new state.
-        let stop_pos = 1100;
-        assert_eq!(stop_pos / (4 * WINDOW_PER_WORKER), 2);
-        let deadline = ExploreConfig {
-            fault_plan: Some(FaultPlan::new().with_fault(Fault::new(
-                FaultSite::Successor,
-                FaultKind::DeadlineExpiry,
-                stop_pos as u64 + 1,
-            ))),
-            ..Default::default()
-        };
-        let cases = [
-            (
-                "deadline",
-                deadline,
-                full_limits(),
-                StopReason::DeadlineExceeded,
-            ),
-            (
-                "cap",
-                ExploreConfig::default(),
-                Limits {
-                    max_states: 1 + WIDTH + stop_pos,
-                    max_depth: 16,
-                },
-                StopReason::StateCapReached,
-            ),
-        ];
-        for (tag, config, limits, reason) in cases {
-            let run = |jobs: usize| {
-                let fan = Fan {
-                    width: WIDTH as u16,
-                    calls: Default::default(),
-                };
-                let result = bfs_with(&fan, &[], &limits, &config, jobs);
-                (result, fan.calls.load(Ordering::Relaxed))
-            };
-            let (seq, seq_calls) = run(1);
-            assert_eq!(seq.stop_reason, Some(reason), "{tag}");
-            assert_eq!(seq.states_per_depth, [1, WIDTH, stop_pos], "{tag}");
-            // The dropped depth-1 remainder plus the enqueued depth-2 states.
-            assert_eq!(seq.unexpanded, (WIDTH - stop_pos) + stop_pos, "{tag}");
-            // The root, then at most the depth-1 entries up to the stop.
-            assert!(seq_calls <= 1 + stop_pos + 1, "{tag}: {seq_calls} calls");
-            for jobs in [2, 4] {
-                let (par, calls) = run(jobs);
-                assert_eq!(par.states, seq.states, "{tag} jobs {jobs}");
-                assert_eq!(par.stop_reason, seq.stop_reason, "{tag} jobs {jobs}");
-                assert_eq!(par.unexpanded, seq.unexpanded, "{tag} jobs {jobs}");
-                assert_eq!(
-                    par.states_per_depth, seq.states_per_depth,
-                    "{tag} jobs {jobs}"
-                );
-                assert_eq!(par.dedup_hits, seq.dedup_hits, "{tag} jobs {jobs}");
-                if jobs == 2 {
-                    // Whole-level batching would expand all WIDTH
-                    // entries; the window bounds the waste.
-                    assert!(
-                        calls <= seq_calls + jobs * WINDOW_PER_WORKER,
-                        "{tag}: {calls} successor calls at jobs 2"
-                    );
-                }
-            }
-        }
-    }
-
     fn tmp_snapshot(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("equitls_mc_{}_{name}.snap", std::process::id()))
     }
@@ -1972,7 +1736,6 @@ mod tests {
                 &monitors,
                 &Limits::default(),
                 &resume_config,
-                jobs,
                 &Obs::noop(),
             )
             .expect("snapshot loads");
@@ -2009,7 +1772,6 @@ mod tests {
             &[],
             &Limits::default(),
             &config,
-            1,
             &Obs::noop(),
         )
         .expect("snapshot loads");
@@ -2028,7 +1790,6 @@ mod tests {
             &[],
             &Limits::default(),
             &ExploreConfig::default(),
-            1,
             &Obs::noop(),
         );
         assert_eq!(result.err(), Some(PersistError::MissingPath));
@@ -2039,14 +1800,8 @@ mod tests {
             checkpoint_path: Some(path.clone()),
             ..Default::default()
         };
-        let result = explore_resume_with_config_jobs(
-            &Grid,
-            &[],
-            &Limits::default(),
-            &config,
-            1,
-            &Obs::noop(),
-        );
+        let result =
+            explore_resume_with_config_jobs(&Grid, &[], &Limits::default(), &config, &Obs::noop());
         assert_eq!(result.err(), Some(PersistError::BadMagic));
         let _ = std::fs::remove_file(&path);
     }
@@ -2296,7 +2051,6 @@ mod tests {
                 &monitors,
                 &Limits::default(),
                 &spill_config(None),
-                jobs,
                 &Obs::noop(),
             )
             .expect("manifest snapshot loads");
@@ -2315,7 +2069,6 @@ mod tests {
             &monitors,
             &Limits::default(),
             &spill_config(None),
-            1,
             &Obs::noop(),
         )
         .expect_err("a corrupt shard cannot resume");
@@ -2330,7 +2083,6 @@ mod tests {
             &monitors,
             &Limits::default(),
             &no_dir,
-            1,
             &Obs::noop(),
         )
         .expect_err("manifest without a spill dir");

@@ -45,8 +45,8 @@ pub mod visited;
 pub mod prelude {
     pub use crate::check::{check_scope_config_obs, check_scope_resume_obs, expected_outcomes};
     pub use crate::explorer::{
-        explore_resume_with_config_jobs, explore_with_config_jobs, resolve_jobs, Exploration,
-        ExploreConfig, Limits, Violation,
+        explore_resume_with_config_jobs, explore_with_config_jobs, Exploration, ExploreConfig,
+        Limits, Violation,
     };
     pub use crate::model::{Model, TlsMachine};
     pub use crate::scenario::{counterexample_2prime, counterexample_3prime, render_trace, Replay};

@@ -6,8 +6,8 @@ use std::hash::Hash;
 /// An explicit-state transition system.
 ///
 /// Every model supplies a state codec: the explorer's visited set holds
-/// states as their canonical encoded bytes, so it can probe them
-/// concurrently, spill them to disk, and write them into checkpoints.
+/// states as their canonical encoded bytes, so it can spill them to disk
+/// and write them into checkpoints.
 /// The contract is that [`Model::encode_state`] returns `Some` for every
 /// state the model produces, and [`Model::decode_state`] inverts it. A
 /// successor that does not encode is contained as a

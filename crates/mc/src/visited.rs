@@ -9,10 +9,8 @@
 //!   bytes ([`crate::model::Model::encode_state`]), not as hashed Rust
 //!   values — a fraction of the in-memory footprint, and directly
 //!   writable to disk.
-//! * **Shards with striped locks.** Entries are sharded by state hash;
-//!   each shard sits behind its own mutex so parallel level workers can
-//!   [`probe`](VisitedStore::probe) for duplicates concurrently while
-//!   the merge thread owns all mutation.
+//! * **Shards.** Entries are sharded by state hash; a shard is the unit
+//!   that spills to disk and reloads.
 //! * **Disk spill.** Under memory pressure whole shards are evicted to
 //!   checksummed snapshot files ([`SnapshotKind::VisitedShard`], written
 //!   atomically by `equitls-persist`) and reloaded on demand. The
@@ -22,13 +20,10 @@
 //!
 //! ## Determinism
 //!
-//! All mutation (insert, spill, reload) happens on the merge thread in
-//! frontier order; spill decisions are taken only at level barriers, in
-//! shard-id order, driven purely by byte estimates — never by wall
-//! clock. Workers' concurrent probes are read-only and can only observe
-//! a *definite hit* against resident entries, which the merge thread
-//! counts exactly as a lookup hit would be. Verdicts, counts, and traces
-//! are therefore bit-identical at every `jobs` value, spilled or not.
+//! Inserts and reloads happen in frontier order; spill decisions are
+//! taken only at level barriers, in shard-id order, driven purely by
+//! byte estimates — never by wall clock. Verdicts, counts, and traces
+//! are therefore bit-identical whether the store spills or not.
 //!
 //! ## Failure containment
 //!
@@ -47,10 +42,9 @@ use equitls_rewrite::budget::{FaultKind, FaultPlan, FaultSite};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, PoisonError};
 
-/// Default shard count: enough stripes that probe contention is rare and
-/// one spilled shard is a usefully small eviction unit.
+/// Default shard count: one spilled shard is a usefully small eviction
+/// unit.
 pub const DEFAULT_SHARDS: usize = 64;
 
 /// Coarse bookkeeping overhead per *resident* entry (boxed slice header,
@@ -210,7 +204,7 @@ impl Shard {
 /// The sharded visited set. See the module docs for the design.
 #[derive(Debug)]
 pub struct VisitedStore {
-    shards: Vec<Mutex<Shard>>,
+    shards: Vec<Shard>,
     /// Global state index → `(shard, slot)`.
     locator: Vec<(u32, u32)>,
     spill: Option<SpillSettings>,
@@ -221,7 +215,7 @@ pub struct VisitedStore {
 }
 
 impl VisitedStore {
-    /// An empty store with `shard_count` stripes (`0` = default) and an
+    /// An empty store with `shard_count` shards (`0` = default) and an
     /// optional spill tier.
     pub fn new(shard_count: usize, spill: Option<SpillSettings>) -> Self {
         let n = if shard_count == 0 {
@@ -230,7 +224,7 @@ impl VisitedStore {
             shard_count
         };
         VisitedStore {
-            shards: (0..n).map(|_| Mutex::new(Shard::new())).collect(),
+            shards: (0..n).map(|_| Shard::new()).collect(),
             locator: Vec::new(),
             spill,
             write_attempts: 0,
@@ -248,14 +242,9 @@ impl VisitedStore {
         self.locator.is_empty()
     }
 
-    /// Number of shard stripes.
+    /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Whether a spill directory is configured.
-    pub fn can_spill(&self) -> bool {
-        self.spill.is_some()
     }
 
     /// The shard holding global state `idx`.
@@ -274,9 +263,7 @@ impl VisitedStore {
     }
 
     fn shard_mut(&mut self, shard: u32) -> &mut Shard {
-        self.shards[shard as usize]
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner)
+        &mut self.shards[shard as usize]
     }
 
     fn place(&self, bytes: &[u8]) -> (u32, u64) {
@@ -293,55 +280,25 @@ impl VisitedStore {
     /// Coarse heap estimate of everything currently resident:
     /// [`unspillable_estimate`](Self::unspillable_estimate) plus the
     /// resident entry payloads and their bookkeeping.
-    pub fn resident_estimate(&mut self) -> u64 {
+    pub fn resident_estimate(&self) -> u64 {
         let mut total = self.locator.len() as u64 * SLOT_INDEX_BYTES;
-        for m in &mut self.shards {
-            let s = m.get_mut().unwrap_or_else(PoisonError::into_inner);
+        for s in &self.shards {
             total += s.resident_bytes + s.entries.len() as u64 * ENTRY_OVERHEAD_BYTES;
         }
         total
     }
 
     /// Shards with at least one resident entry.
-    pub fn resident_shard_count(&mut self) -> usize {
-        self.shards
-            .iter_mut()
-            .map(|m| m.get_mut().unwrap_or_else(PoisonError::into_inner))
-            .filter(|s| !s.entries.is_empty())
-            .count()
+    pub fn resident_shard_count(&self) -> usize {
+        self.shards.iter().filter(|s| !s.entries.is_empty()).count()
     }
 
     /// Shards whose bytes live (at least partly) only on disk.
-    pub fn spilled_shard_count(&mut self) -> usize {
-        self.shards
-            .iter_mut()
-            .map(|m| m.get_mut().unwrap_or_else(PoisonError::into_inner))
-            .filter(|s| !s.resident)
-            .count()
+    pub fn spilled_shard_count(&self) -> usize {
+        self.shards.iter().filter(|s| !s.resident).count()
     }
 
-    /// Concurrent read-only duplicate probe, safe from worker threads.
-    ///
-    /// Returns `true` only on a definite byte-equal match against a
-    /// *resident* entry — a hit is final (the store only grows), so the
-    /// merge thread may count it as a dedup hit without a lookup. A
-    /// `false` means "unknown": the state may still match a spilled
-    /// entry, which only [`lookup_or_insert`](Self::lookup_or_insert)
-    /// (merge thread) may find. Never reloads, never mutates.
-    pub fn probe(&self, bytes: &[u8]) -> bool {
-        let (shard, hash) = self.place(bytes);
-        let guard = self.shards[shard as usize]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let Some(slots) = guard.slots_by_hash.get(&hash) else {
-            return false;
-        };
-        slots
-            .iter()
-            .any(|&slot| guard.slot_bytes(slot) == Some(bytes))
-    }
-
-    /// Dedup-or-store one encoded state (merge thread only).
+    /// Dedup-or-store one encoded state.
     ///
     /// A new state is refused (nothing stored) once the store holds
     /// `cap` states; duplicates are always recognized, even at the cap.
@@ -544,7 +501,7 @@ impl VisitedStore {
     /// the resident estimate is at most `resident_goal` bytes and (when
     /// `max_resident_shards > 0`) at most that many shards keep resident
     /// entries. Purely a function of the store's contents — no clocks —
-    /// so the pass is identical at every `jobs` value. Failed writes are
+    /// so the pass is identical on every run. Failed writes are
     /// counted and skipped; the pass moves on to the next shard.
     pub fn spill_until(
         &mut self,
@@ -595,12 +552,10 @@ impl VisitedStore {
     /// The per-shard manifest a checkpoint records: `(entry count,
     /// running digest)` for every shard, in shard-id order. A resume
     /// revalidates each shard file's prefix against these.
-    pub fn manifest(&mut self) -> Vec<(u64, u64)> {
-        (0..self.shards.len() as u32)
-            .map(|id| {
-                let s = self.shard_mut(id);
-                (s.len as u64, s.fnv_acc)
-            })
+    pub fn manifest(&self) -> Vec<(u64, u64)> {
+        self.shards
+            .iter()
+            .map(|s| (s.len as u64, s.fnv_acc))
             .collect()
     }
 }
@@ -688,8 +643,6 @@ mod tests {
         for i in 0..50 {
             assert_eq!(store.fetch(i as usize, &obs).unwrap(), entry(i));
         }
-        assert!(store.probe(&entry(13)));
-        assert!(!store.probe(&entry(999)));
     }
 
     #[test]
@@ -732,9 +685,9 @@ mod tests {
     }
 
     #[test]
-    fn probe_is_unknown_for_spilled_entries_but_lookup_finds_them() {
+    fn lookup_finds_a_spilled_entry_by_reloading_its_shard() {
         let obs = Obs::noop();
-        let dir = tmp_dir("probe");
+        let dir = tmp_dir("spilled_lookup");
         let mut store = VisitedStore::new(
             2,
             Some(SpillSettings {
@@ -743,14 +696,14 @@ mod tests {
             }),
         );
         fill(&mut store, 20);
-        assert!(store.probe(&entry(5)), "resident entries probe true");
         store.spill_until(0, 0, &obs);
-        assert!(!store.probe(&entry(5)), "spilled entries probe unknown");
+        let reloads = store.stats().reloads;
         assert_eq!(
             store.lookup_or_insert(entry(5), usize::MAX, &obs).unwrap(),
             Lookup::Known,
-            "the merge-thread lookup still finds them"
+            "the lookup finds a spilled entry"
         );
+        assert_eq!(store.stats().reloads, reloads + 1, "by reloading its shard");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

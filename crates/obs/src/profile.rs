@@ -8,18 +8,13 @@
 //! the folded-stack format `inferno`/`flamegraph.pl`/speedscope consume:
 //! one `path;leaf <self-µs>` line per stack.
 //!
-//! The profiler has two front doors:
-//!
-//! * **live** — [`Profiler::enter`]/[`Profiler::exit`] (or the RAII-free
-//!   [`Profiler::scoped`]) stamp times from an internal monotonic clock;
-//! * **replay** — [`Profiler::enter_at`]/[`Profiler::exit_at`] take
-//!   explicit microsecond stamps, so the offline tools can rebuild the
-//!   attribution from a recorded trace, one profiler per thread, and
-//!   [`Profiler::merge`] the threads afterwards (frame addition is
-//!   associative, so merge order does not matter).
+//! Scopes are replayed: [`Profiler::enter_at`]/[`Profiler::exit_at`] take
+//! explicit microsecond stamps, so the offline tools can rebuild the
+//! attribution from a recorded trace, one profiler per thread, and
+//! [`Profiler::merge`] the threads afterwards (frame addition is
+//! associative, so merge order does not matter).
 
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 /// Aggregate statistics for one scope path.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -41,49 +36,16 @@ struct OpenFrame {
 }
 
 /// A stack profiler attributing wall time to named scope paths.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Profiler {
-    start: Instant,
     stack: Vec<OpenFrame>,
     frames: BTreeMap<String, FrameStat>,
 }
 
-impl Default for Profiler {
-    fn default() -> Self {
-        Profiler::new()
-    }
-}
-
 impl Profiler {
-    /// An empty profiler; the live clock starts now.
+    /// An empty profiler.
     pub fn new() -> Self {
-        Profiler {
-            start: Instant::now(),
-            stack: Vec::new(),
-            frames: BTreeMap::new(),
-        }
-    }
-
-    fn now_us(&self) -> u64 {
-        u64::try_from(self.start.elapsed().as_micros()).unwrap_or(u64::MAX)
-    }
-
-    /// Open a scope (live clock).
-    pub fn enter(&mut self, name: &str) {
-        self.enter_at(name, self.now_us());
-    }
-
-    /// Close the innermost scope (live clock).
-    pub fn exit(&mut self) {
-        self.exit_at(self.now_us());
-    }
-
-    /// Run `f` inside a scope named `name` (live clock).
-    pub fn scoped<T>(&mut self, name: &str, f: impl FnOnce(&mut Self) -> T) -> T {
-        self.enter(name);
-        let out = f(self);
-        self.exit();
-        out
+        Profiler::default()
     }
 
     /// Open a scope at an explicit microsecond stamp (replay).
@@ -131,11 +93,6 @@ impl Profiler {
         }
         path.push_str(leaf);
         path
-    }
-
-    /// Scope paths currently open, outermost first (for diagnostics).
-    pub fn open_depth(&self) -> usize {
-        self.stack.len()
     }
 
     /// All completed frames, keyed by `;`-joined scope path.
@@ -213,7 +170,7 @@ mod tests {
         p.enter_at("left-open", 0);
         p.enter_at("inner", 5);
         p.close_all_at(20);
-        assert_eq!(p.open_depth(), 0);
+        assert!(p.stack.is_empty());
         assert_eq!(p.frames()["left-open"].total_us, 20);
         assert_eq!(p.frames()["left-open;inner"].total_us, 15);
     }
@@ -240,18 +197,5 @@ mod tests {
         assert_eq!(ab.frames(), ba.frames());
         assert_eq!(ab.frames()["x"].total_us, 60);
         assert_eq!(ab.frames()["x"].count, 2);
-    }
-
-    #[test]
-    fn live_clock_scopes_nest() {
-        let mut p = Profiler::new();
-        p.scoped("outer", |p| {
-            p.scoped("inner", |_| {
-                std::thread::sleep(std::time::Duration::from_millis(2))
-            });
-        });
-        let frames = p.frames();
-        assert!(frames["outer;inner"].total_us >= 2_000);
-        assert!(frames["outer"].total_us >= frames["outer;inner"].total_us);
     }
 }

@@ -100,9 +100,9 @@ impl CancelToken {
 
 /// The most worker threads a `jobs` value from outside the program may
 /// ask for: the `--jobs`/`--workers` flags and a daemon request's `jobs`
-/// field are refused above it. The explorer spawns up to `jobs` threads
-/// per frontier window, so an unbounded value would let one request ask
-/// for a thread per state of the widest level.
+/// field are refused above it. The daemon spawns `--workers` threads and
+/// the prover and linter up to `jobs` each, so an unbounded value would
+/// let one command line or request ask for any number of threads.
 pub const MAX_JOBS: usize = 256;
 
 /// Resolve a `jobs` request: `0` means "use the machine's available
@@ -160,12 +160,6 @@ impl Budget {
     /// Convenience: heap ceiling in mebibytes.
     pub fn with_max_mem_mb(self, mb: u64) -> Self {
         self.with_max_heap_bytes(mb.saturating_mul(1024 * 1024))
-    }
-
-    /// Share an existing cancellation token instead of the fresh default.
-    pub fn with_cancel_token(mut self, token: CancelToken) -> Self {
-        self.cancel = token;
-        self
     }
 
     /// A clone of the cancellation token (for handing to other threads).
@@ -246,14 +240,14 @@ pub enum FaultSite {
     PersistWrite,
     /// The *N*-th visited-set shard *write* attempted by the explorer's
     /// spill tier (disk-full modeling). Attempts are counted in barrier
-    /// order on the merge thread, so the index is jobs-invariant. A
+    /// order, so the index is the same on every run. A
     /// fired fault fails the write atomically — the shard stays
     /// resident and the search degrades to backpressure, never stops.
     SpillWrite,
     /// A visited-set shard *reload* from the spill tier. Unlike the
     /// other sites, `at` is the **shard id**, not a call index: reloads
-    /// are demand-driven, so "shard 3 is unreadable" is the stable,
-    /// jobs-invariant way to name one.
+    /// are demand-driven, so "shard 3 is unreadable" is the stable way to
+    /// name one.
     SpillRead,
 }
 

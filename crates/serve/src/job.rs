@@ -76,8 +76,9 @@ pub fn validate(request: &JobRequest, allow_test_jobs: bool) -> Result<(), (Stri
 /// Visited-set spill settings for `check` jobs, from the daemon config.
 pub struct SpillOptions {
     /// Spill root; each job spills under its own `job<seq>` subdirectory
-    /// so concurrent workers never share shard files. `None` disables
-    /// spilling (the search truncates at a memory ceiling instead).
+    /// so concurrent workers never share shard files, and the directory
+    /// is removed when the job's search returns. `None` disables spilling
+    /// (the search truncates at a memory ceiling instead).
     pub dir: Option<std::path::PathBuf>,
     /// See [`ExploreConfig::max_resident_shards`].
     pub max_resident_shards: usize,
@@ -265,7 +266,12 @@ fn run_check(seq: u64, request: &JobRequest, spill: &SpillOptions, obs: &Obs) ->
         max_resident_shards: spill.max_resident_shards,
         ..ExploreConfig::default()
     };
-    let exploration = check_scope_config_obs(&scope, &limits, request.jobs.max(1), &config, obs);
+    let exploration = check_scope_config_obs(&scope, &limits, request.jobs, &config, obs);
+    // A check job has no checkpoint, so nothing reads its shard files
+    // again: remove them whatever the stop reason.
+    if let Some(dir) = &config.spill_dir {
+        let _ = std::fs::remove_dir_all(dir);
+    }
     let violations = exploration
         .violations
         .iter()

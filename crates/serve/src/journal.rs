@@ -19,7 +19,7 @@
 
 use std::path::{Path, PathBuf};
 
-use equitls_obs::json::{self, JsonValue};
+use equitls_obs::json::JsonValue;
 use equitls_obs::sink::Obs;
 use equitls_persist::prelude::*;
 use equitls_rewrite::budget::FaultPlan;
@@ -202,21 +202,6 @@ impl JobJournal {
         if write_snapshot(&path, SnapshotKind::JobJournal, &w.into_bytes(), obs).is_err() {
             obs.counter("persist.snapshot_failed", 1);
         }
-    }
-}
-
-/// Extract the canonical `degradation` array from a stable response
-/// line, for clients that want to inspect disclosures.
-pub fn response_degradation(line: &str) -> Vec<String> {
-    let Ok(value) = json::parse(line) else {
-        return Vec::new();
-    };
-    match value.get("degradation") {
-        Some(JsonValue::Array(items)) => items
-            .iter()
-            .filter_map(|v| v.as_str().map(str::to_string))
-            .collect(),
-        _ => Vec::new(),
     }
 }
 

@@ -218,3 +218,34 @@ fn resumed_journal_replays_the_unfinished_suffix() {
         std::fs::remove_file(p).ok();
     }
 }
+
+/// A `check` job spills under `<spill-dir>/job<seq>`; it has no
+/// checkpoint, so nothing reads those shard files again and the job
+/// removes the directory once its search returns.
+#[test]
+fn a_spilling_check_job_removes_its_spill_directory() {
+    let spill_dir =
+        std::env::temp_dir().join(format!("equitls_engine_{}_spill", std::process::id()));
+    std::fs::remove_dir_all(&spill_dir).ok();
+    let config = ServeConfig {
+        workers: 0,
+        spill_dir: Some(spill_dir.clone()),
+        max_resident_shards: 1,
+        ..ServeConfig::default()
+    };
+    let engine = ServeEngine::start(config, Obs::noop()).expect("engine starts");
+    let mut request = check("spilling");
+    request.max_depth = Some(2);
+    let seq = accepted(engine.submit(request));
+    assert!(engine.run_next_job());
+    let response = engine.stable_response(seq).expect("check job completed");
+    assert!(
+        response.contains("\"degradation\":[\"visited-spilled\"]"),
+        "the search spilled: {response}"
+    );
+    assert!(
+        !spill_dir.join(format!("job{seq}")).exists(),
+        "the job's spill directory is gone"
+    );
+    std::fs::remove_dir_all(&spill_dir).ok();
+}

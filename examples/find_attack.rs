@@ -8,12 +8,10 @@
 //! it believes is with `a` although `a` never participated.
 //!
 //! ```text
-//! cargo run --release --example find_attack [-- --jobs N]
+//! cargo run --release --example find_attack
 //! ```
 //!
-//! `--jobs N` (see the README's "Command line" section) runs the
-//! breadth-first search on N worker threads; the violation trace found is
-//! identical for every N.
+//! It takes no arguments; any argument is a usage error (exit 2).
 
 use equitls::mc::prelude::*;
 use equitls::obs::sink::Obs;
@@ -22,7 +20,7 @@ use equitls::tls::concrete::{props, Scope};
 use equitls::tls::outln;
 
 fn main() {
-    let jobs = cli::parse_env("", |flags| RunFlags::parse_only("--jobs", flags)).jobs;
+    cli::parse_env("", |flags| RunFlags::parse_only("", flags));
     outln!("== searching for a violation of property 2' (ClientFinished authenticity) ==\n");
     let mut scope = Scope::counterexample();
     scope.max_messages = 2;
@@ -39,7 +37,7 @@ fn main() {
         &[("prop2p", &monitor)],
         &limits,
         &ExploreConfig::default(),
-        jobs,
+        1,
         &Obs::noop(),
     );
     outln!(

@@ -7,15 +7,15 @@
 //! refuted 2′/3′ are violated.
 //!
 //! ```text
-//! cargo run --release --example model_check [-- --jobs N] [--deadline-ms N] [--max-mem-mb N]
+//! cargo run --release --example model_check [-- --deadline-ms N] [--max-mem-mb N]
 //!     [--checkpoint <path>] [--checkpoint-every-secs N] [--resume]
 //!     [--profile <out.json>] [--heartbeat-every-secs N]
 //!     [--spill-dir <dir>] [--max-resident-shards N]
 //! ```
 //!
 //! The README's "Command line" section lists the shared flags and exit
-//! codes; results are identical for every `--jobs`. Each network bound
-//! checkpoints to `<path>.m<bound>` and spills under `<dir>/m<bound>`.
+//! codes. Each network bound checkpoints to `<path>.m<bound>` and spills
+//! under `<dir>/m<bound>`.
 //! `--heartbeat-every-secs N` prints a progress line to stderr at level
 //! barriers. `--inject-spill-write-fault N` (testing) fails the N-th
 //! spill write "disk full": the shard stays resident and the run
@@ -27,8 +27,8 @@ use equitls::tls::concrete::Scope;
 use equitls::tls::{out, outln};
 
 /// The shared run flags `model_check` takes.
-const RUN_FLAGS: &str = "--jobs --deadline-ms --max-mem-mb --checkpoint \
-    --checkpoint-every-secs --resume --profile --spill-dir --max-resident-shards";
+const RUN_FLAGS: &str = "--deadline-ms --max-mem-mb --checkpoint --checkpoint-every-secs \
+    --resume --profile --spill-dir --max-resident-shards";
 
 struct Args {
     run: RunFlags,
@@ -63,12 +63,8 @@ fn parse_args(flags: &mut Flags) -> Result<Args, UsageError> {
 fn main() {
     let args = cli::parse_env("", parse_args);
     let run = &args.run;
-    let jobs = run.jobs;
     let budget = run.interruptible_budget();
-    outln!(
-        "== bounded exhaustive check (Mitchell-et-al.-style scope, {} worker threads) ==\n",
-        resolve_jobs(jobs)
-    );
+    outln!("== bounded exhaustive check (Mitchell-et-al.-style scope) ==\n");
     let (obs, recorder) = run.obs();
     for max_messages in [1, 2, 3] {
         let mut scope = Scope::counterexample();
@@ -102,11 +98,11 @@ fn main() {
             spill_shards: 0,
         };
         let result = if run.resume {
-            check_scope_resume_obs(&scope, &limits, jobs, &config, &obs).unwrap_or_else(|e| {
+            check_scope_resume_obs(&scope, &limits, &config, &obs).unwrap_or_else(|e| {
                 cli::fail(format!("cannot resume network bound {max_messages}: {e}"))
             })
         } else {
-            check_scope_config_obs(&scope, &limits, jobs, &config, &obs)
+            check_scope_config_obs(&scope, &limits, 1, &config, &obs)
         };
         outln!(
             "network bound {max_messages}: {} states, depth {}, {:?}, complete: {}{}",

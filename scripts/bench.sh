@@ -3,7 +3,7 @@
 # the rewrite engine's indexing legs (E19), and the serve daemon's
 # warm-path latency (E20).
 #
-# Runs the explorer and prover workloads at jobs ∈ {1, 2, all cores},
+# Runs the prover workload at jobs ∈ {1, 2, all cores},
 # the two-leg rewriting benchmark, and the cold/warm serve legs, and
 # writes BENCH_parallel.json, BENCH_rewriting.json, and BENCH_serve.json
 # at the repository root.

@@ -27,6 +27,16 @@ if grep -rn "VerifyOptions" crates src examples tests | grep -vE "$ALIAS"; then
     exit 1
 fi
 
+echo "== model checker: one thread, no locks, no duplicate probe =="
+# The explorer expands every BFS level on the calling thread, and the
+# merge loop is the visited set's only user (EXPERIMENTS.md E31). A
+# thread, a lock or a concurrent probe in crates/mc/src is a second,
+# parallel search path.
+if grep -rnE "std::thread|Mutex|fn probe" crates/mc/src; then
+    echo "crates/mc/src starts threads or locks its visited set; the search runs on one thread" >&2
+    exit 1
+fi
+
 echo "== cargo build --release =="
 cargo build --release --workspace
 
@@ -119,14 +129,13 @@ SPILL_DIR="$(mktemp -d /tmp/equitls_check_spill_XXXXXX)"
 SPILL_CKPT="$(mktemp -u /tmp/equitls_check_XXXXXX.spill.snap)"
 MC="cargo run -q --release --example model_check --"
 STRIP_DURATION='s/depth ([0-9]+), [^,]*, complete/depth \1, T, complete/'
-$MC --jobs 2 \
-    | sed -E "$STRIP_DURATION" > /tmp/equitls_check_spill_base.txt
+$MC | sed -E "$STRIP_DURATION" > /tmp/equitls_check_spill_base.txt
 # Resident-only under the ceiling: typed truncation, disclosed.
-$MC --jobs 2 --max-mem-mb 16 > /tmp/equitls_check_spill_trunc.txt
+$MC --max-mem-mb 16 > /tmp/equitls_check_spill_trunc.txt
 grep -q "stopped: memory ceiling exceeded" /tmp/equitls_check_spill_trunc.txt
 grep -q "unexpanded:" /tmp/equitls_check_spill_trunc.txt
 # Same ceiling + spill tier: completes, spills, matches the baseline.
-$MC --jobs 2 --max-mem-mb 16 --spill-dir "$SPILL_DIR" --checkpoint "$SPILL_CKPT" \
+$MC --max-mem-mb 16 --spill-dir "$SPILL_DIR" --checkpoint "$SPILL_CKPT" \
     > /tmp/equitls_check_spill_full.txt
 test "$(grep -c 'complete: true' /tmp/equitls_check_spill_full.txt)" -eq 3
 grep -q "visited-spilled" /tmp/equitls_check_spill_full.txt
@@ -134,14 +143,6 @@ test "$(find "$SPILL_DIR" -name '*.vshard' | wc -l)" -ge 1
 sed -E "$STRIP_DURATION" /tmp/equitls_check_spill_full.txt \
     | grep -v '^  spill:' \
     | diff - /tmp/equitls_check_spill_base.txt
-# One worker runs the same windowed expansion loop: same baseline, once
-# the header's worker count is set to the baseline's.
-SPILL_DIR_J1="$(mktemp -d /tmp/equitls_check_spill_XXXXXX)"
-$MC --jobs 1 --max-mem-mb 16 --spill-dir "$SPILL_DIR_J1" \
-    | sed -E "$STRIP_DURATION" | grep -v '^  spill:' \
-    | sed -E 's/scope, 1 worker threads\)/scope, 2 worker threads)/' \
-    | diff - /tmp/equitls_check_spill_base.txt
-rm -rf "$SPILL_DIR_J1"
 # A byte-flipped shard fails the resume with a typed error and exit 2 …
 VSHARD="$(find "$SPILL_DIR" -name '*.vshard' | sort | tail -1)"
 python3 - "$VSHARD" <<'EOF'
@@ -151,7 +152,7 @@ data = bytearray(open(path, 'rb').read())
 data[-1] ^= 1
 open(path, 'wb').write(data)
 EOF
-if $MC --jobs 2 --max-mem-mb 16 --spill-dir "$SPILL_DIR" \
+if $MC --max-mem-mb 16 --spill-dir "$SPILL_DIR" \
     --checkpoint "$SPILL_CKPT" --resume \
     > /dev/null 2> /tmp/equitls_check_spill_corrupt.err; then
     echo "resume over a corrupted shard must fail" >&2
@@ -166,14 +167,14 @@ data = bytearray(open(path, 'rb').read())
 data[-1] ^= 1
 open(path, 'wb').write(data)
 EOF
-$MC --jobs 2 --max-mem-mb 16 --spill-dir "$SPILL_DIR" \
+$MC --max-mem-mb 16 --spill-dir "$SPILL_DIR" \
     --checkpoint "$SPILL_CKPT" --resume \
     | sed -E "$STRIP_DURATION" | grep -v '^  spill:' \
     | diff - /tmp/equitls_check_spill_base.txt
 # Disk-full injection: the first shard write fails, the shard stays
 # resident, the run still completes identically — degradation disclosed.
 rm -rf "$SPILL_DIR"; mkdir -p "$SPILL_DIR"
-$MC --jobs 2 --max-mem-mb 16 --spill-dir "$SPILL_DIR" --inject-spill-write-fault 0 \
+$MC --max-mem-mb 16 --spill-dir "$SPILL_DIR" --inject-spill-write-fault 0 \
     > /tmp/equitls_check_spill_fault.txt
 test "$(grep -c 'complete: true' /tmp/equitls_check_spill_fault.txt)" -eq 3
 grep -q "spill-write-failed" /tmp/equitls_check_spill_fault.txt

@@ -120,7 +120,7 @@ fn interrupted_then_resumed_scope_check_is_identical_at_jobs_1_2_4() {
         let recorder = Arc::new(RecordingSink::new());
         let obs = Obs::new(recorder.clone());
         let resumed =
-            check_scope_resume_obs(&scope, &limits, jobs, &resume, &obs).expect("snapshot resumes");
+            check_scope_resume_obs(&scope, &limits, &resume, &obs).expect("snapshot resumes");
         assert_same_exploration(&resumed, &straight, &format!("at jobs={jobs}"));
         assert!(
             recorder

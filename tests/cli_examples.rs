@@ -1,6 +1,6 @@
 //! The shared command-line layer in the examples: `model_check` stops
-//! quietly with 141 when its stdout is closed, and a malformed `--jobs`
-//! is a usage error (exit 2) named on stderr.
+//! quietly with 141 when its stdout is closed, and a malformed flag value
+//! or an unknown argument is a usage error (exit 2) named on stderr.
 //!
 //! `cargo test` builds the examples beside the test binaries, under
 //! `target/<profile>/examples/`.
@@ -28,7 +28,6 @@ fn model_check_into_a_closed_pipe_exits_141_without_a_panic() {
     let (reader, writer) = std::io::pipe().expect("pipe");
     drop(reader);
     let out = Command::new(example("model_check"))
-        .args(["--jobs", "1"])
         .stdout(writer)
         .stderr(Stdio::piped())
         .output()
@@ -39,14 +38,17 @@ fn model_check_into_a_closed_pipe_exits_141_without_a_panic() {
 }
 
 #[test]
-fn a_malformed_jobs_value_exits_2_naming_the_flag() {
-    for name in ["model_check", "find_attack"] {
+fn a_malformed_flag_exits_2_naming_the_flag() {
+    for (name, args) in [
+        ("model_check", &["--max-mem-mb", "x"][..]),
+        ("find_attack", &["--no-such-flag"][..]),
+    ] {
         let out = Command::new(example(name))
-            .args(["--jobs", "x"])
+            .args(args)
             .output()
             .expect("example runs");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{name}:\n{stderr}");
-        assert!(stderr.contains("--jobs"), "{name}:\n{stderr}");
+        assert!(stderr.contains(args[0]), "{name}:\n{stderr}");
     }
 }

@@ -159,7 +159,7 @@ fn interrupted_spilled_run_resumes_byte_identical() {
             // uninterrupted all-resident run exactly.
             let mut resume = spill_config(&dir, None);
             resume.checkpoint_path = Some(path.clone());
-            let resumed = check_scope_resume_obs(&scope, &limits, jobs, &resume, &Obs::noop())
+            let resumed = check_scope_resume_obs(&scope, &limits, &resume, &Obs::noop())
                 .expect("manifest snapshot resumes");
             assert_same_exploration(&resumed, &straight, &format!("resume jobs={jobs}"));
             let _ = std::fs::remove_file(&path);
@@ -203,13 +203,13 @@ fn corrupt_shard_file_fails_resume_with_typed_error() {
         std::fs::write(victim, &flipped).unwrap();
         let mut resume = spill_config(&dir, None);
         resume.checkpoint_path = Some(path.clone());
-        let err = check_scope_resume_obs(&scope, &limits, 1, &resume, &Obs::noop())
+        let err = check_scope_resume_obs(&scope, &limits, &resume, &Obs::noop())
             .expect_err("a byte-flipped shard cannot resume");
         assert_eq!(err, PersistError::ChecksumMismatch, "typed, not a panic");
 
         // Truncation: typed too.
         std::fs::write(victim, &pristine[..pristine.len() / 2]).unwrap();
-        let err = check_scope_resume_obs(&scope, &limits, 1, &resume, &Obs::noop())
+        let err = check_scope_resume_obs(&scope, &limits, &resume, &Obs::noop())
             .expect_err("a truncated shard cannot resume");
         assert!(
             matches!(
@@ -222,7 +222,7 @@ fn corrupt_shard_file_fails_resume_with_typed_error() {
         // Restored bytes resume cleanly: the revalidation really was
         // checking content, not rejecting the resume path wholesale.
         std::fs::write(victim, &pristine).unwrap();
-        let resumed = check_scope_resume_obs(&scope, &limits, 1, &resume, &Obs::noop())
+        let resumed = check_scope_resume_obs(&scope, &limits, &resume, &Obs::noop())
             .expect("pristine bytes resume");
         let straight = resident_check(&scope, &limits);
         assert_same_exploration(&resumed, &straight, "after restore");
