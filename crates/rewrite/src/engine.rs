@@ -24,10 +24,20 @@
 //! memo is one bounded map, cleared when it overflows (see
 //! [`Normalizer::set_cache_capacity`]). Beside it sits a polynomial
 //! cache: every canonical Boolean form the ring layer rebuilds keeps its
-//! [`Poly`], so a connective over already-normal children reads its
-//! operands' polynomials instead of re-parsing them (and re-deciding
-//! their equality atoms). The two caches share one lifetime: they are
-//! filled, cleared and disabled together.
+//! polynomial's [`PolyId`], so a connective over already-normal children
+//! reads its operands' polynomials instead of re-parsing them (and
+//! re-deciding their equality atoms). The two caches share one lifetime:
+//! they are filled, cleared and disabled together.
+//!
+//! Every polynomial lives in the normalizer's [`PolyStore`], which
+//! interns it once and memoizes sums, products and the term each one
+//! rebuilds to. Those memos are pure functions of their operands, so they
+//! are not scoped and no assumption clears them; they live as long as the
+//! normalizer, which the prover keeps for one obligation, between the
+//! spec's mark and its rollback, so no memoized term id goes stale. The
+//! store is the only path from a polynomial to a term. It is emptied only
+//! at a [`Normalizer::normalize`] entry, once it holds more polynomials
+//! than the cache capacity, and the polynomial cache goes with it.
 //!
 //! ## Scopes
 //!
@@ -50,7 +60,7 @@
 
 use crate::assumption::orient_equation;
 use crate::bool_alg::BoolAlg;
-use crate::boolring::Poly;
+use crate::boolring::{Poly, PolyId, PolyStore};
 use crate::budget::{trigger_injected_panic, Budget, FaultKind, FaultPlan, FaultSite, StopReason};
 use crate::equality::{decide_equality, EqVerdict};
 use crate::error::RewriteError;
@@ -206,7 +216,10 @@ pub struct Normalizer {
     memo: FxHashMap<TermId, TermId>,
     /// Polynomials of the canonical Boolean forms in `memo` (keys are the
     /// rebuilt terms that normalized to themselves). Cleared with the memo.
-    polys: FxHashMap<TermId, Poly>,
+    polys: FxHashMap<TermId, PolyId>,
+    /// Every polynomial of the session, with memoized ring operations and
+    /// terms. Not scoped; see the [module documentation](self).
+    ring: PolyStore,
     cache_capacity: usize,
     /// Open scopes, innermost last.
     scopes: Vec<Scope>,
@@ -283,13 +296,13 @@ enum ScopeCaches {
     /// reverse at the pop).
     Logged {
         memo: Vec<(TermId, Option<TermId>)>,
-        polys: Vec<(TermId, Option<Poly>)>,
+        polys: Vec<(TermId, Option<PolyId>)>,
     },
     /// The scope's first clear moved the parent's caches aside, exactly as
     /// they were at the push.
     Stashed {
         memo: FxHashMap<TermId, TermId>,
-        polys: FxHashMap<TermId, Poly>,
+        polys: FxHashMap<TermId, PolyId>,
     },
 }
 
@@ -313,6 +326,7 @@ impl Normalizer {
             assumptions: RuleSet::new(),
             memo: FxHashMap::default(),
             polys: FxHashMap::default(),
+            ring: PolyStore::new(),
             cache_capacity: DEFAULT_CACHE_CAPACITY,
             scopes: Vec::new(),
             refresh_mask: None,
@@ -370,7 +384,10 @@ impl Normalizer {
     /// [`DEFAULT_CACHE_CAPACITY`]). An insert into a full cache clears it
     /// first, and [`RewriteStats::cache_evictions`] counts the clear. A
     /// capacity of 0 disables memoization, the polynomial cache included:
-    /// every normalization then runs from scratch.
+    /// every normalization then runs from scratch. The same number bounds
+    /// the polynomials of the [`PolyStore`], which
+    /// [`Normalizer::normalize`] empties on entry once it holds more; that
+    /// clear is not counted as an eviction.
     pub fn set_cache_capacity(&mut self, capacity: usize) {
         self.cache_capacity = capacity;
         if self.memo.len() > capacity {
@@ -401,7 +418,7 @@ impl Normalizer {
 
     /// Cache `poly` as the polynomial of the canonical form `key` (which
     /// the caller has just memoized as its own normal form).
-    fn poly_insert(&mut self, key: TermId, poly: Poly) {
+    fn poly_insert(&mut self, key: TermId, poly: PolyId) {
         if self.cache_capacity == 0 {
             return;
         }
@@ -410,6 +427,22 @@ impl Normalizer {
             self.scopes.last_mut().map(|s| &mut s.caches)
         {
             polys.push((key, old));
+        }
+    }
+
+    /// Empty the polynomial store. Every [`PolyId`] dies with it, so the
+    /// polynomial cache goes too, in every scope: stashed maps are
+    /// emptied, and logged entries restore nothing at the pop.
+    fn clear_ring(&mut self) {
+        self.ring = PolyStore::new();
+        self.polys.clear();
+        for scope in &mut self.scopes {
+            match &mut scope.caches {
+                ScopeCaches::Logged { polys, .. } => {
+                    polys.iter_mut().for_each(|(_, old)| *old = None);
+                }
+                ScopeCaches::Stashed { polys, .. } => polys.clear(),
+            }
         }
     }
 
@@ -641,8 +674,19 @@ impl Normalizer {
     ///
     /// # Errors
     ///
-    /// Rewriting errors (fuel).
+    /// Rewriting errors (fuel, budget). Before an error is returned the
+    /// caches are cleared, since they may hold normal forms computed with
+    /// one assumption masked.
     pub fn refresh_assumptions(&mut self, store: &mut TermStore) -> Result<(), RewriteError> {
+        let refreshed = self.refresh_rounds(store);
+        if refreshed.is_err() {
+            self.clear_caches();
+        }
+        refreshed
+    }
+
+    /// The rounds of [`Normalizer::refresh_assumptions`].
+    fn refresh_rounds(&mut self, store: &mut TermStore) -> Result<(), RewriteError> {
         for _round in 0..4 {
             let pairs: Vec<(String, TermId, TermId)> = self
                 .assumptions
@@ -738,6 +782,11 @@ impl Normalizer {
     /// (impossible for validated rules) ill-sorted construction.
     pub fn normalize(&mut self, store: &mut TermStore, t: TermId) -> Result<TermId, RewriteError> {
         self.check_budget(store, t)?;
+        // No `PolyId` is held across an entry, so only here may the store
+        // be emptied.
+        if self.ring.poly_count() > self.cache_capacity {
+            self.clear_ring();
+        }
         self.fuel = self.fuel_limit;
         self.norm(store, t)
     }
@@ -775,7 +824,15 @@ impl Normalizer {
                 reason: "term is not Bool-sorted".into(),
             });
         }
-        self.poly_of(store, n)
+        let poly = self.poly_of(store, n)?;
+        Ok(self.ring.get(poly).clone())
+    }
+
+    /// The normalizer's polynomial store. Its ids stay valid until a
+    /// [`Normalizer::normalize`] call empties it (see
+    /// [`Normalizer::set_cache_capacity`]).
+    pub fn poly_store(&mut self) -> &mut PolyStore {
+        &mut self.ring
     }
 
     /// Build the enriched fuel/depth-exhaustion error: the offending term,
@@ -798,13 +855,13 @@ impl Normalizer {
     }
 
     /// Estimate of this session's heap footprint (bytes): hash-consed term
-    /// arena plus the live memo and polynomial caches. Coarse by design —
-    /// the budget's memory ceiling is a tripwire on arena growth, not an
-    /// allocator audit.
+    /// arena, the live memo and polynomial caches, and the polynomial
+    /// store ([`PolyStore::resident_estimate`]). Coarse by design — the
+    /// budget's memory ceiling is a tripwire on growth, not an allocator
+    /// audit.
     fn heap_estimate(&self, store: &TermStore) -> u64 {
-        let memo = self.memo.len() as u64;
-        let polys = self.polys.len() as u64;
-        (store.term_count() as u64) * 96 + memo * 40 + polys * 96
+        let caches = (self.memo.len() + self.polys.len()) as u64;
+        (store.term_count() as u64) * 96 + caches * 40 + self.ring.resident_estimate()
     }
 
     /// Check the shared budget, translating a trip into a typed error.
@@ -883,7 +940,7 @@ impl Normalizer {
         if self.is_connective(op_now) || self.alg.is_eq_op(op_now) {
             self.stats.bool_normalizations += 1;
             let poly = self.poly_of(store, cur)?;
-            let rebuilt = poly.to_term(store, &self.alg)?;
+            let rebuilt = self.ring.term(poly, store, &self.alg)?;
             // Assumptions may target the canonical form itself (the prover
             // assumes whole effective conditions false): give the rules one
             // chance at the rebuilt root.
@@ -1055,14 +1112,14 @@ impl Normalizer {
 
     /// Convert an argument-normalized Bool term to its polynomial. A
     /// canonical form the ring layer already rebuilt is a cache hit.
-    fn poly_of(&mut self, store: &mut TermStore, t: TermId) -> Result<Poly, RewriteError> {
-        if let Some(p) = self.polys.get(&t) {
-            return Ok(p.clone());
+    fn poly_of(&mut self, store: &mut TermStore, t: TermId) -> Result<PolyId, RewriteError> {
+        if let Some(&p) = self.polys.get(&t) {
+            return Ok(p);
         }
         self.consume_fuel(store, t)?;
         let op = match store.op_of(t) {
             Some(op) => op,
-            None => return Ok(Poly::atom(t)), // Bool variable
+            None => return Ok(self.ring.atom(t)), // Bool variable
         };
         // Connectives and equality take at most three arguments; copy them
         // out so `store` can be borrowed mutably below.
@@ -1070,45 +1127,52 @@ impl Normalizer {
         for (slot, &a) in args.iter_mut().zip(store.args(t)) {
             *slot = a;
         }
+        let one = PolyStore::ONE;
         if op == self.alg.true_op() {
-            return Ok(Poly::one());
+            return Ok(one);
         }
         if op == self.alg.false_op() {
-            return Ok(Poly::zero());
+            return Ok(PolyStore::ZERO);
         }
         if op == self.alg.not_op() {
-            return Ok(self.poly_of(store, args[0])?.negate());
+            let a = self.poly_of(store, args[0])?;
+            return Ok(self.ring.add(one, a));
         }
         if op == self.alg.and_op() {
             let a = self.poly_of(store, args[0])?;
             let b = self.poly_of(store, args[1])?;
-            return Ok(a.mul(&b));
+            return Ok(self.ring.mul(a, b));
         }
         if op == self.alg.or_op() {
             let a = self.poly_of(store, args[0])?;
             let b = self.poly_of(store, args[1])?;
-            return Ok(a.add(&b).add(&a.mul(&b)));
+            let (sum, product) = (self.ring.add(a, b), self.ring.mul(a, b));
+            return Ok(self.ring.add(sum, product));
         }
         if op == self.alg.xor_op() {
             let a = self.poly_of(store, args[0])?;
             let b = self.poly_of(store, args[1])?;
-            return Ok(a.add(&b));
+            return Ok(self.ring.add(a, b));
         }
         if op == self.alg.implies_op() {
             let a = self.poly_of(store, args[0])?;
             let b = self.poly_of(store, args[1])?;
-            return Ok(Poly::one().add(&a).add(&a.mul(&b)));
+            let (not_a, product) = (self.ring.add(one, a), self.ring.mul(a, b));
+            return Ok(self.ring.add(not_a, product));
         }
         if op == self.alg.iff_op() {
             let a = self.poly_of(store, args[0])?;
             let b = self.poly_of(store, args[1])?;
-            return Ok(Poly::one().add(&a).add(&b));
+            let not_a = self.ring.add(one, a);
+            return Ok(self.ring.add(not_a, b));
         }
         if op == self.alg.ite_op() {
             let c = self.poly_of(store, args[0])?;
             let x = self.poly_of(store, args[1])?;
             let y = self.poly_of(store, args[2])?;
-            return Ok(c.mul(&x).add(&c.mul(&y)).add(&y));
+            let (cx, cy) = (self.ring.mul(c, x), self.ring.mul(c, y));
+            let sum = self.ring.add(cx, cy);
+            return Ok(self.ring.add(sum, y));
         }
         if self.alg.is_eq_op(op) {
             let (l, r) = (args[0], args[1]);
@@ -1116,40 +1180,42 @@ impl Normalizer {
                 // Equality on Bool is iff.
                 let a = self.poly_of(store, l)?;
                 let b = self.poly_of(store, r)?;
-                return Ok(Poly::one().add(&a).add(&b));
+                let not_a = self.ring.add(one, a);
+                return Ok(self.ring.add(not_a, b));
             }
             self.stats.eq_decisions += 1;
             let verdict = decide_equality(store, &mut self.alg, l, r)?;
             return match verdict {
-                EqVerdict::True => Ok(Poly::one()),
-                EqVerdict::False => Ok(Poly::zero()),
+                EqVerdict::True => Ok(one),
+                EqVerdict::False => Ok(PolyStore::ZERO),
                 EqVerdict::Atoms(atoms) => {
-                    let mut acc = Poly::one();
+                    let mut acc = one;
                     for atom in atoms {
-                        acc = acc.mul(&self.atom_poly(store, atom)?);
+                        let p = self.atom_poly(store, atom)?;
+                        acc = self.ring.mul(acc, p);
                     }
                     Ok(acc)
                 }
             };
         }
         // Any other Bool-sorted term is an opaque atom.
-        Ok(Poly::atom(t))
+        Ok(self.ring.atom(t))
     }
 
     /// Polynomial of a (possibly freshly decomposed) equality atom: give
     /// assumption/specification rules one chance at the root, otherwise
     /// keep it atomic.
-    fn atom_poly(&mut self, store: &mut TermStore, atom: TermId) -> Result<Poly, RewriteError> {
+    fn atom_poly(&mut self, store: &mut TermStore, atom: TermId) -> Result<PolyId, RewriteError> {
         if let Some(next) = self.apply_rules_at_root(store, atom)? {
             self.consume_fuel(store, atom)?;
             self.stats.rewrites += 1;
             let n = self.norm(store, next)?;
             if let Some(b) = self.alg.as_constant(store, n) {
-                return Ok(Poly::constant(b));
+                return Ok(PolyStore::constant(b));
             }
             return self.poly_of(store, n);
         }
-        Ok(Poly::atom(atom))
+        Ok(self.ring.atom(atom))
     }
 }
 
@@ -1929,6 +1995,79 @@ mod tests {
         norm.set_cache_capacity(0);
         norm.normalize_to_poly(&mut store, goal).unwrap();
         assert!(norm.memo.is_empty() && norm.polys.is_empty());
+    }
+
+    #[test]
+    fn a_failed_refresh_leaves_no_masked_normal_form_cached() {
+        use crate::budget::{Fault, FaultKind, FaultPlan, FaultSite};
+        let (mut store, alg, [_, _, pa, qa, _]) = scope_world();
+        let tt = alg.tt(&mut store);
+        let assume_both = |norm: &mut Normalizer, store: &TermStore| {
+            norm.assume(store, "p(a)", pa, tt).unwrap();
+            norm.assume(store, "q(a)", qa, tt).unwrap();
+        };
+        let mut norm = Normalizer::new(alg.clone(), RuleSet::new());
+        assume_both(&mut norm, &store);
+        // The refresh normalizes pair 0's `p(a)` with its own rule masked,
+        // which takes no rewrite call, then its right side `true`, whose
+        // ring step is the session's first call: the deadline stops it.
+        let plan = FaultPlan::new().with_fault(Fault::new(
+            FaultSite::Rewrite,
+            FaultKind::DeadlineExpiry,
+            0,
+        ));
+        norm.set_fault_plan(plan, "");
+        assert!(matches!(
+            norm.refresh_assumptions(&mut store),
+            Err(RewriteError::BudgetExceeded { .. })
+        ));
+        let mut fresh = Normalizer::new(alg.clone(), RuleSet::new());
+        assume_both(&mut fresh, &store);
+        let want = fresh.normalize(&mut store, pa).unwrap();
+        assert_eq!(alg.as_constant(&store, want), Some(true));
+        assert_eq!(norm.normalize(&mut store, pa).unwrap(), want);
+    }
+
+    #[test]
+    fn memory_ceiling_counts_the_polynomial_store() {
+        use crate::budget::{Budget, StopReason};
+        let (mut store, alg, [_, _, pa, qa, goal]) = scope_world();
+        let either = alg.or(&mut store, pa, qa).unwrap();
+        let mut norm = Normalizer::new(alg, RuleSet::new());
+        norm.normalize(&mut store, goal).unwrap();
+        norm.normalize(&mut store, either).unwrap();
+        let ring = norm.ring.resident_estimate();
+        let estimate = norm.heap_estimate(&store);
+        assert!(ring > 1, "the store holds polynomials");
+        // Under this ceiling only the store's bytes push the estimate over.
+        let ceiling = estimate - 1;
+        assert!(estimate - ring <= ceiling);
+        norm.set_budget(Budget::unlimited().with_max_heap_bytes(ceiling));
+        match norm.normalize(&mut store, goal).unwrap_err() {
+            RewriteError::BudgetExceeded { reason, .. } => {
+                assert_eq!(reason, StopReason::MemoryExceeded);
+            }
+            other => panic!("expected BudgetExceeded, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_full_poly_store_is_emptied_at_entry_with_every_scopes_poly_cache() {
+        let (mut store, alg, [_, _, _, qa, goal]) = scope_world();
+        let mut norm = Normalizer::new(alg, RuleSet::new());
+        let before = norm.normalize_to_poly(&mut store, goal).unwrap();
+        assert!(!norm.polys.is_empty());
+        norm.push_scope();
+        // Shrinking the capacity stashes the parent's caches; the next
+        // entry finds the store over capacity and empties it.
+        norm.set_cache_capacity(2);
+        assert!(norm.ring.poly_count() > 2);
+        norm.normalize(&mut store, qa).unwrap();
+        assert_eq!(norm.ring.poly_count(), 2, "only the constants are left");
+        norm.pop_scope();
+        assert!(norm.polys.is_empty(), "no stale id comes back with the pop");
+        norm.set_cache_capacity(DEFAULT_CACHE_CAPACITY);
+        assert_eq!(norm.normalize_to_poly(&mut store, goal).unwrap(), before);
     }
 
     /// A world with same-head rule families and a conditional rule, so

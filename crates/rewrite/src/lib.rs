@@ -68,7 +68,7 @@ pub mod prelude {
     pub use crate::assumption::{orient_equation, OrientedEq};
     pub use crate::bool_alg::BoolAlg;
     pub use crate::bool_rules::hd_bool_rules;
-    pub use crate::boolring::Poly;
+    pub use crate::boolring::{Poly, PolyId, PolyStore};
     pub use crate::budget::{
         Budget, CancelToken, Fault, FaultKind, FaultPlan, FaultSite, StopReason, WorkerFault,
     };

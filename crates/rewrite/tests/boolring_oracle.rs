@@ -9,16 +9,19 @@
 //! both [`Poly`] and a nested-set reference polynomial, which must agree
 //! operation by operation and monomial by monomial; their products run
 //! through both of `Poly::mul`'s kernels (truth tables for few atoms,
-//! pairwise expansion otherwise). Last, the cached
+//! pairwise expansion otherwise). Then the cached
 //! normalizer (memo plus polynomial cache, case splits in scopes) is run
 //! against a from-scratch one on formulas with equality atoms over
-//! arbitrary constants and constructors. Generation is
+//! arbitrary constants and constructors. Last, the normalizer's
+//! polynomial store is run against raw [`Poly`] arithmetic through
+//! scopes, a capacity-forced clear and a rollback. Generation is
 //! SplitMix64-seeded (the offline build cannot depend on proptest), so
 //! every run is reproducible.
 
 use equitls_kernel::prelude::*;
 use equitls_obs::rng::SplitMix64;
 use equitls_rewrite::boolring::{TABLE_MUL_MAX_ATOMS, TABLE_MUL_MIN_PAIRS};
+use equitls_rewrite::engine::DEFAULT_CACHE_CAPACITY;
 use equitls_rewrite::prelude::*;
 use std::collections::BTreeSet;
 
@@ -231,10 +234,6 @@ fn equivalent_formulas_share_a_normal_form() {
 struct RefPoly(BTreeSet<BTreeSet<TermId>>);
 
 impl RefPoly {
-    fn one() -> Self {
-        RefPoly(BTreeSet::from([BTreeSet::new()]))
-    }
-
     /// Xor in a single monomial.
     fn toggle(&mut self, mono: BTreeSet<TermId>) {
         if !self.0.remove(&mono) {
@@ -372,7 +371,6 @@ fn flat_kernel_matches_the_nested_set_reference() {
         let pairs = [
             (p.add(&q), rp.add(&rq), "add"),
             (p.mul(&q), rp.mul(&rq), "mul"),
-            (p.negate(), rp.add(&RefPoly::one()), "negate"),
         ];
         for (got, want, op) in &pairs {
             assert_eq!(
@@ -589,4 +587,141 @@ fn cached_polynomials_match_a_from_scratch_normalizer() {
         cached.stats().cache_hits > 0 && assumed > ORACLE_CASES,
         "the differential must exercise the caches and the scopes"
     );
+}
+
+/// Polynomials the store differential keeps: its atoms, which stay, and
+/// non-constant results of earlier operations, replaced at random once
+/// full. Without the atoms and the filter the pool decays to zero.
+const STORE_POOL: usize = 24;
+/// Operations per round of the store differential.
+const STORE_OPS: usize = 64;
+
+/// One round of the store differential: random sums, products and terms
+/// of the pooled polynomials through `norm`'s store, each sum and product
+/// in both operand orders, must equal raw [`Poly`] arithmetic and a
+/// from-scratch [`Poly::to_term`]. `ids` are the pool's ids in the store;
+/// results join both, after the first `fixed` entries.
+fn store_round(
+    rng: &mut SplitMix64,
+    norm: &mut Normalizer,
+    w: &mut EqWorld,
+    fixed: usize,
+    pool: &mut Vec<Poly>,
+    ids: &mut Vec<PolyId>,
+) {
+    for _ in 0..STORE_OPS {
+        let (i, j) = (rng.next_index(pool.len()), rng.next_index(pool.len()));
+        let (p, q) = (pool[i].clone(), pool[j].clone());
+        let (a, b) = (ids[i], ids[j]);
+        let ring = norm.poly_store();
+        // Both operations on the same pair, in a random order, so a memo
+        // table shared between them would answer one with the other.
+        let sum_first = rng.next_bool();
+        let mut results = Vec::new();
+        for op in 0..2 {
+            let (got, swapped, want) = if (op == 0) == sum_first {
+                (ring.add(a, b), ring.add(b, a), p.add(&q))
+            } else {
+                (ring.mul(a, b), ring.mul(b, a), p.mul(&q))
+            };
+            assert_eq!(got, swapped, "commuted operands");
+            assert_eq!(ring.get(got), &want);
+            results.push((want, got));
+        }
+        for (poly, id) in results {
+            if poly.as_constant().is_some() {
+                continue;
+            }
+            if pool.len() < STORE_POOL {
+                pool.push(poly);
+                ids.push(id);
+            } else {
+                let k = fixed + rng.next_index(STORE_POOL - fixed);
+                (pool[k], ids[k]) = (poly, id);
+            }
+        }
+        let k = rng.next_index(pool.len());
+        let got = norm
+            .poly_store()
+            .term(ids[k], &mut w.store, &w.alg)
+            .unwrap();
+        let want = pool[k].to_term(&mut w.store, &w.alg).unwrap();
+        assert_eq!(got, want, "term of {:?}", pool[k]);
+    }
+}
+
+/// The pool's ids in `norm`'s store, interned afresh, each checked
+/// against a from-scratch [`Poly::to_term`].
+fn intern_all(norm: &mut Normalizer, w: &mut EqWorld, pool: &[Poly]) -> Vec<PolyId> {
+    let mut ids = Vec::with_capacity(pool.len());
+    for p in pool {
+        let ring = norm.poly_store();
+        let id = ring.intern(p.clone());
+        let got = ring.term(id, &mut w.store, &w.alg).unwrap();
+        assert_eq!(
+            got,
+            p.to_term(&mut w.store, &w.alg).unwrap(),
+            "term of {p:?}"
+        );
+        ids.push(id);
+    }
+    ids
+}
+
+/// The polynomial store's memos never change an answer. Its sums,
+/// products and terms match raw [`Poly`] arithmetic and a from-scratch
+/// [`Poly::to_term`] while the normalizer it belongs to opens a scope,
+/// assumes, normalizes and pops (the store is not scoped, so ids from
+/// before the push stay good after the pop); after a capacity-forced
+/// clear renumbers every polynomial; and in a fresh normalizer after the
+/// term store rolls back to a mark, as the prover's spec does between
+/// obligations.
+#[test]
+fn poly_store_matches_raw_arithmetic_through_scopes_clears_and_rollbacks() {
+    let mut w = eq_world();
+    let mut rng = SplitMix64::new(0x1077);
+    // Atoms exist before the mark, so the pool survives the rollback.
+    let mut atoms = w.bools.clone();
+    for k in 0..3 {
+        let x = w.arbitrary[k];
+        atoms.push(w.store.app(w.observe, &[x]).unwrap());
+        atoms.push(w.alg.eq(&mut w.store, x, w.ctors[k % 2]).unwrap());
+    }
+    let mut pool: Vec<Poly> = atoms.iter().map(|&a| Poly::atom(a)).collect();
+    let fixed = pool.len();
+    let mark = w.store.mark();
+    let mut clears = 0;
+    for obligation in 0..4 {
+        let mut norm = Normalizer::new(w.alg.clone(), RuleSet::new());
+        let mut ids = intern_all(&mut norm, &mut w, &pool);
+        for case in 0..8 {
+            store_round(&mut rng, &mut norm, &mut w, fixed, &mut pool, &mut ids);
+            norm.push_scope();
+            if let Some((lhs, rhs)) = gen_assumption(&mut rng, &mut w, &mut norm) {
+                norm.assume(&w.store, "case", lhs, rhs).unwrap();
+            }
+            let term = gen_eq_formula(&mut rng, &mut w, 4);
+            norm.normalize(&mut w.store, term).unwrap();
+            store_round(&mut rng, &mut norm, &mut w, fixed, &mut pool, &mut ids);
+            norm.pop_scope();
+            store_round(&mut rng, &mut norm, &mut w, fixed, &mut pool, &mut ids);
+            if case % 4 == 3 {
+                // Force the store over capacity: the next entry empties
+                // it. A data term adds no polynomial, so the pool takes
+                // the lowest ids again: the atoms get their old ids, and
+                // the results the ids of polynomials whose terms
+                // `intern_all` or a round memoized.
+                norm.set_cache_capacity(1);
+                let data = gen_data(&mut rng, &mut w, 2);
+                norm.normalize(&mut w.store, data).unwrap();
+                norm.set_cache_capacity(DEFAULT_CACHE_CAPACITY);
+                assert_eq!(norm.poly_store().poly_count(), 2, "obligation {obligation}");
+                clears += 1;
+                ids = intern_all(&mut norm, &mut w, &pool);
+            }
+        }
+        drop(norm);
+        w.store.rollback(mark);
+    }
+    assert_eq!(clears, 8);
 }

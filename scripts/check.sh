@@ -37,6 +37,16 @@ if grep -rnE "std::thread|Mutex|fn probe" crates/mc/src; then
     exit 1
 fi
 
+echo "== rewrite engine: polynomials become terms only through the store =="
+# The normalizer's PolyStore (crates/rewrite/src/boolring.rs) interns
+# every Boolean normal form and memoizes the term it rebuilds to
+# (EXPERIMENTS.md E32). A direct `Poly::to_term` call, or a map from
+# terms to owned polynomials, in the engine is a second, unmemoized path.
+if grep -nE '\.to_term\(|FxHashMap<TermId, Poly>' crates/rewrite/src/engine.rs; then
+    echo "crates/rewrite/src/engine.rs bypasses its PolyStore; go through PolyStore::term and PolyId" >&2
+    exit 1
+fi
+
 echo "== cargo build --release =="
 cargo build --release --workspace
 
