@@ -9,7 +9,7 @@ use std::hint::black_box;
 
 fn bench_bounded_search() {
     println!("== bfs-bounded");
-    for &max_messages in &[1usize, 2] {
+    for &max_messages in &[1usize, 2, 3] {
         bench(&format!("bfs-bounded/{max_messages}"), 10, || {
             let mut scope = Scope::counterexample();
             scope.max_messages = max_messages;

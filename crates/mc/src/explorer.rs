@@ -9,15 +9,17 @@
 //!
 //! [`explore_with_config_jobs`] runs the search level-synchronously on
 //! the calling thread. Each level is one loop over its frontier, in
-//! order: fetch an entry's encoded state, decode and expand it, and merge
-//! its successors into the visited set. Successor generation
-//! (`Model::successors`) is pure, so a run's state count and numbering,
+//! order: fetch an entry's encoded state, expand it into its successors'
+//! canonical bytes (`Model::successor_batch`), and merge those into the
+//! visited set. Only a successor the visited set inserts is copied,
+//! labeled and decoded for the monitors; a duplicate costs one lookup.
+//! Successor generation is pure, so a run's state count and numbering,
 //! verdicts, violation traces and `states_per_depth`/`dedup_hits`
 //! accounting depend only on the model, the limits and the config. The
 //! level barriers between loops are where shards spill and checkpoints
 //! land.
 
-use crate::model::Model;
+use crate::model::{Model, SuccessorBatch};
 use crate::visited::{
     digest_entries, read_shard_file, shard_file_name, Lookup, SpillError, SpillSettings,
     VisitedStore,
@@ -239,14 +241,6 @@ where
     explore_driver(model, monitors, limits, config, obs, seed)
 }
 
-/// One generated successor: its label, the state, and its canonical
-/// bytes.
-struct SuccRec<S> {
-    label: String,
-    state: S,
-    bytes: Vec<u8>,
-}
-
 /// Mutable search state of one exploration.
 struct Search<'m, S> {
     monitors: &'m [Monitor<'m, S>],
@@ -366,10 +360,15 @@ impl<S: Clone> Search<'_, S> {
         obs: &Obs,
     ) -> Result<S, SpillError> {
         let bytes = self.visited.fetch(idx, obs)?;
-        model.decode_state(&bytes).ok_or_else(|| SpillError {
-            shard: self.visited.shard_of(idx),
-            error: PersistError::Malformed(format!("state {idx} does not decode for this model")),
-        })
+        match model.decode_state(bytes) {
+            Some(state) => Ok(state),
+            None => Err(SpillError {
+                shard: self.visited.shard_of(idx),
+                error: PersistError::Malformed(format!(
+                    "state {idx} does not decode for this model"
+                )),
+            }),
+        }
     }
 
     /// Check every monitor against the just-inserted state `idx`,
@@ -419,26 +418,26 @@ impl<S: Clone> Search<'_, S> {
         None
     }
 
-    /// Merge one frontier entry's successor batch into the dedup set,
-    /// in generation order. Returns `Some(StateCapReached)` when the
-    /// `max_states` cap refused a *new* state — the signal to truncate
-    /// the search. Duplicate successors never trigger truncation (they
-    /// cost no storage), so a cap equal to the true state count still
-    /// reports a complete exploration. A spill-tier read failure stops
-    /// typed ([`StopReason::SpillFailed`]).
+    /// Merge the entry's successor batch into the dedup set, in
+    /// generation order. Only an inserted successor has its label
+    /// rendered and its bytes decoded for the monitors. Returns
+    /// `Some(StateCapReached)` when the `max_states` cap refused a *new*
+    /// state — the signal to truncate the search. Duplicate successors
+    /// never trigger truncation (they cost no storage), so a cap equal to
+    /// the true state count still reports a complete exploration. A
+    /// spill-tier read failure stops typed ([`StopReason::SpillFailed`]).
     fn merge_entry<M: Model<State = S>>(
         &mut self,
         model: &M,
         parent: usize,
-        succs: Vec<SuccRec<S>>,
+        batch: &mut SuccessorBatch,
         depth: usize,
         limits: &Limits,
         obs: &Obs,
     ) -> Option<StopReason> {
-        for rec in succs {
-            let inserted = self
-                .visited
-                .lookup_or_insert(rec.bytes, limits.max_states, obs);
+        for i in 0..batch.len() {
+            let bytes = batch.bytes(i);
+            let inserted = self.visited.lookup_or_insert(bytes, limits.max_states, obs);
             let new_idx = match inserted {
                 Ok(Lookup::Known) => {
                     self.dedup_hits += 1;
@@ -448,8 +447,19 @@ impl<S: Clone> Search<'_, S> {
                 Ok(Lookup::Inserted(idx)) => idx,
                 Err(e) => return Some(self.spill_failure(e)),
             };
-            self.parents.push((parent, rec.label));
-            if let Some(stop) = self.check_new_state(model, new_idx, &rec.state, depth, obs) {
+            let state = model.decode_state(bytes);
+            self.parents.push((parent, batch.take_label(i).render()));
+            let Some(state) = state else {
+                // A successor whose bytes do not decode breaks the codec
+                // contract: it stays counted but is neither checked nor
+                // expanded, and the fault is disclosed on its parent.
+                self.faults.push(WorkerFault {
+                    site: format!("successor:{parent}"),
+                    message: format!("successor {new_idx} does not decode for this model"),
+                });
+                continue;
+            };
+            if let Some(stop) = self.check_new_state(model, new_idx, &state, depth, obs) {
                 return Some(stop);
             }
             self.next_frontier.push(new_idx);
@@ -499,8 +509,8 @@ impl<S: Clone> Search<'_, S> {
     }
 }
 
-/// Decode the frontier state at global index `idx` from its canonical
-/// `bytes` and compute its successors, each with its canonical bytes,
+/// Fill `batch` with the successors of the frontier state at global
+/// index `idx`, given its canonical `bytes` ([`Model::successor_batch`]),
 /// containing any panic (organic, or injected by the fault plan) as a
 /// typed [`WorkerFault`] instead of ending the search. A faulted state
 /// contributes no successors; the search continues. Bytes the model
@@ -511,31 +521,23 @@ fn compute_succs<M: Model>(
     bytes: &[u8],
     idx: usize,
     plan: Option<&FaultPlan>,
-) -> Result<Vec<SuccRec<M::State>>, WorkerFault> {
+    batch: &mut SuccessorBatch,
+) -> Result<(), WorkerFault> {
+    batch.clear();
     catch_unwind(AssertUnwindSafe(|| {
         if let Some(plan) = plan {
             if plan.fault_for(FaultSite::Successor, "", idx as u64) == Some(FaultKind::Panic) {
                 trigger_injected_panic(FaultSite::Successor, "", idx as u64);
             }
         }
-        let state = model
-            .decode_state(bytes)
-            .expect("Model::decode_state must decode every state encode_state produced");
-        model
-            .successors(&state)
-            .into_iter()
-            .map(|(label, succ)| SuccRec {
-                bytes: model
-                    .encode_state(&succ)
-                    .expect("Model::encode_state must encode every state the model produces"),
-                label,
-                state: succ,
-            })
-            .collect()
+        model.successor_batch(bytes, batch);
     }))
-    .map_err(|payload| WorkerFault {
-        site: format!("successor:{idx}"),
-        message: panic_message(&*payload),
+    .map_err(|payload| {
+        batch.clear();
+        WorkerFault {
+            site: format!("successor:{idx}"),
+            message: panic_message(&*payload),
+        }
     })
 }
 
@@ -553,6 +555,7 @@ fn compute_succs<M: Model>(
 fn expand_level<M: Model>(
     model: &M,
     search: &mut Search<'_, M::State>,
+    batch: &mut SuccessorBatch,
     frontier: &[usize],
     depth: usize,
     limits: &Limits,
@@ -562,7 +565,8 @@ fn expand_level<M: Model>(
         let stop = match search.visited.fetch(idx, obs) {
             Ok(bytes) => {
                 let gen_start = search.timed.then(Instant::now);
-                let succs = compute_succs(model, &bytes, idx, search.config.fault_plan.as_ref());
+                let plan = search.config.fault_plan.as_ref();
+                let succs = compute_succs(model, bytes, idx, plan, batch);
                 // Phase accounting is wall-clock per phase: successor
                 // generation above, dedup/monitor work below.
                 let merge_start = search.timed.then(Instant::now);
@@ -570,11 +574,10 @@ fn expand_level<M: Model>(
                     search.succ_time += m.duration_since(g);
                 }
                 let stop = search.pre_merge_stop(idx).or_else(|| {
-                    let succs = succs.unwrap_or_else(|fault| {
+                    if let Err(fault) = succs {
                         search.faults.push(fault);
-                        Vec::new()
-                    });
-                    search.merge_entry(model, idx, succs, depth, limits, obs)
+                    }
+                    search.merge_entry(model, idx, batch, depth, limits, obs)
                 });
                 if let Some(m) = merge_start {
                     search.dedup_time += m.elapsed();
@@ -705,8 +708,8 @@ fn encode_checkpoint<S: Clone>(
     } else {
         for idx in 0..n_states {
             let bytes = search.visited.fetch(idx, obs).ok()?;
+            w.bytes(bytes);
             let (parent, label) = &search.parents[idx];
-            w.bytes(&bytes);
             w.u64(if *parent == usize::MAX {
                 u64::MAX
             } else {
@@ -1042,7 +1045,7 @@ fn explore_driver<M: Model>(
             .encode_state(state)
             .expect("Model::encode_state must encode every state the model produces");
         visited
-            .lookup_or_insert(bytes, usize::MAX, obs)
+            .lookup_or_insert(&bytes, usize::MAX, obs)
             .expect("a fresh store has nothing to reload");
     }
     debug_assert_eq!(visited.len(), seed_states.len());
@@ -1064,6 +1067,8 @@ fn explore_driver<M: Model>(
         succ_time: Duration::ZERO,
         dedup_time: Duration::ZERO,
     };
+    // The successors of the entry being expanded, reused across entries.
+    let mut batch = SuccessorBatch::default();
     let mut frontier = seed_frontier;
     let mut states_per_depth = seed_states_per_depth;
     let mut depth = seed_depth;
@@ -1087,7 +1092,15 @@ fn explore_driver<M: Model>(
         let level_faults = search.faults.len();
         let (succ_before, dedup_before) = (search.succ_time, search.dedup_time);
         let dedup_hits_before = search.dedup_hits;
-        stop = expand_level(model, &mut search, &frontier, depth, limits, obs);
+        stop = expand_level(
+            model,
+            &mut search,
+            &mut batch,
+            &frontier,
+            depth,
+            limits,
+            obs,
+        );
         states_per_depth.push(search.len() - level_start);
         obs.gauge("mc.frontier", search.next_frontier.len() as f64);
         obs.counter("mc.states", search.next_frontier.len() as u64);
@@ -1848,6 +1861,39 @@ mod tests {
             assert_eq!(par.states, seq.states, "jobs {jobs}");
             assert_eq!(par.dedup_hits, seq.dedup_hits, "jobs {jobs}");
         }
+    }
+
+    #[test]
+    fn a_successor_that_does_not_decode_faults_its_parent_and_is_not_expanded() {
+        /// The grid, except that the codec cannot decode the bytes of
+        /// (2,2) — a model breaking the [`Model::decode_state`] contract.
+        struct Undecodable;
+        impl Model for Undecodable {
+            type State = (u8, u8);
+            fn initial(&self) -> (u8, u8) {
+                Grid.initial()
+            }
+            fn successors(&self, s: &(u8, u8)) -> Vec<(String, (u8, u8))> {
+                Grid.successors(s)
+            }
+            fn encode_state(&self, s: &(u8, u8)) -> Option<Vec<u8>> {
+                Grid.encode_state(s)
+            }
+            fn decode_state(&self, bytes: &[u8]) -> Option<(u8, u8)> {
+                Grid.decode_state(bytes).filter(|&s| s != (2, 2))
+            }
+        }
+        let never = |_: &(u8, u8)| false;
+        let result = bfs(&Undecodable, &[("never", &never)], &full_limits());
+        // (2,2) is first reached from (2,1), state 7: it is counted, its
+        // parent carries the fault, and its successors come by other
+        // paths.
+        let sites: Vec<&str> = result.faults.iter().map(|f| f.site.as_str()).collect();
+        assert_eq!(sites, ["successor:7"]);
+        assert!(result.faults[0].message.contains("does not decode"));
+        assert_eq!(result.states, 25);
+        assert!(result.complete);
+        assert_eq!(result.violation("never").map(|v| v.depth), Some(0));
     }
 
     fn tmp_spill_dir(name: &str) -> PathBuf {

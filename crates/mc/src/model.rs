@@ -1,6 +1,8 @@
 //! The model trait and the TLS instantiation.
 
-use equitls_tls::concrete::{successors, Scope, State};
+use equitls_tls::concrete::codec::{self, SuccessorEncoder};
+use equitls_tls::concrete::step::render_label;
+use equitls_tls::concrete::{apply, moves, Scope, State};
 use std::hash::Hash;
 
 /// An explicit-state transition system.
@@ -13,7 +15,15 @@ use std::hash::Hash;
 /// successor that does not encode is contained as a
 /// [`WorkerFault`](equitls_rewrite::budget::WorkerFault) on its parent,
 /// like any other panicking successor computation; an initial state that
-/// does not encode is a contract violation and panics.
+/// does not encode is a contract violation and panics. A new successor
+/// whose bytes do not decode is counted but neither checked nor expanded,
+/// and faults its parent.
+///
+/// The explorer asks for successors only through
+/// [`Model::successor_batch`], bytes in and bytes out, and decodes a
+/// successor only when the visited set keeps it. Its default goes through
+/// [`Model::successors`] and the codec; a model that can write its
+/// successors' canonical bytes directly overrides it.
 pub trait Model {
     /// The state type (hashable for the visited set).
     type State: Clone + Eq + Hash;
@@ -32,6 +42,98 @@ pub trait Model {
     /// Inverse of [`Model::encode_state`]: decode a state from its bytes.
     /// Returns `None` on malformed input.
     fn decode_state(&self, bytes: &[u8]) -> Option<Self::State>;
+
+    /// Append to `batch` the successors of the state encoded as `parent`:
+    /// each one's label and canonical bytes, in [`Model::successors`]'
+    /// order. An override must give the same labels and bytes in the same
+    /// order. Panics, as the default's do on bytes that do not decode or a
+    /// successor that does not encode, are contained by the explorer.
+    fn successor_batch(&self, parent: &[u8], batch: &mut SuccessorBatch) {
+        let state = self
+            .decode_state(parent)
+            .expect("Model::decode_state must decode every state encode_state produced");
+        for (label, succ) in self.successors(&state) {
+            let bytes = self
+                .encode_state(&succ)
+                .expect("Model::encode_state must encode every state the model produces");
+            batch.push(Label::Text(label), |out| out.extend_from_slice(&bytes));
+        }
+    }
+}
+
+/// A successor's trace label: text, or a model's compact code and the
+/// function that renders it, so a successor the visited set already knows
+/// is never rendered.
+#[derive(Debug)]
+pub enum Label {
+    /// The rendered label.
+    Text(String),
+    /// A label to render on demand as `render(code)`.
+    Code {
+        /// The compact form.
+        code: u64,
+        /// Renders `code` as the label's text.
+        render: fn(u64) -> String,
+    },
+}
+
+impl Label {
+    /// The label's text.
+    pub fn render(self) -> String {
+        match self {
+            Label::Text(text) => text,
+            Label::Code { code, render } => render(code),
+        }
+    }
+}
+
+/// The successors of one state as (label, canonical bytes) pairs, their
+/// bytes back to back in one buffer. The explorer keeps one batch per
+/// search and clears it for each parent, so the buffers are reused.
+#[derive(Debug, Default)]
+pub struct SuccessorBatch {
+    bytes: Vec<u8>,
+    ends: Vec<usize>,
+    labels: Vec<Label>,
+}
+
+impl SuccessorBatch {
+    /// Drop every successor, keeping the buffers.
+    pub fn clear(&mut self) {
+        self.bytes.clear();
+        self.ends.clear();
+        self.labels.clear();
+    }
+
+    /// Number of successors.
+    pub fn len(&self) -> usize {
+        self.labels.len()
+    }
+
+    /// Whether the batch holds no successor.
+    pub fn is_empty(&self) -> bool {
+        self.labels.is_empty()
+    }
+
+    /// Append a successor: `write` appends its canonical bytes to the
+    /// buffer it is given.
+    pub fn push(&mut self, label: Label, write: impl FnOnce(&mut Vec<u8>)) {
+        write(&mut self.bytes);
+        self.ends.push(self.bytes.len());
+        self.labels.push(label);
+    }
+
+    /// The canonical bytes of successor `i`.
+    pub fn bytes(&self, i: usize) -> &[u8] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.bytes[start..self.ends[i]]
+    }
+
+    /// Take the label of successor `i`, leaving an empty text in its
+    /// place.
+    pub fn take_label(&mut self, i: usize) -> Label {
+        std::mem::replace(&mut self.labels[i], Label::Text(String::new()))
+    }
 }
 
 /// The concrete TLS handshake protocol under a finite scope.
@@ -87,32 +189,51 @@ impl Model for TlsMachine {
     }
 
     fn successors(&self, state: &State) -> Vec<(String, State)> {
-        successors(state, &self.scope)
-            .into_iter()
-            .filter(|step| {
-                !self.weak_intruder
-                    || !(step.label.starts_with("fakeKx")
-                        || step.label.starts_with("fakeFin")
-                        || step.label.starts_with("fakeCfin")
-                        || step.label.starts_with("fakeSfin"))
-            })
-            .map(|step| {
-                let state = if self.symmetry {
-                    step.state.canonicalize()
+        moves(state, &self.scope)
+            .iter()
+            .filter(|mv| !(self.weak_intruder && mv.kind.is_ciphertext_fake()))
+            .map(|mv| {
+                let next = apply(state, mv);
+                let next = if self.symmetry {
+                    next.canonicalize()
                 } else {
-                    step.state
+                    next
                 };
-                (step.label, state)
+                (mv.label(), next)
             })
             .collect()
     }
 
     fn encode_state(&self, state: &State) -> Option<Vec<u8>> {
-        Some(equitls_tls::concrete::codec::encode_state(state))
+        Some(codec::encode_state(state))
     }
 
     fn decode_state(&self, bytes: &[u8]) -> Option<State> {
-        equitls_tls::concrete::codec::decode_state(bytes).ok()
+        codec::decode_state(bytes).ok()
+    }
+
+    /// The moves of the decoded parent, each written straight to its
+    /// successor's canonical bytes ([`SuccessorEncoder`]) with its label
+    /// left as a code. A parent at the message bound has no moves; its
+    /// length prefix says so without a decode.
+    fn successor_batch(&self, parent: &[u8], batch: &mut SuccessorBatch) {
+        if codec::encoded_message_count(parent).is_some_and(|n| n >= self.scope.max_messages as u64)
+        {
+            return;
+        }
+        let state = codec::decode_state(parent)
+            .expect("Model::decode_state must decode every state encode_state produced");
+        let mut encoder = SuccessorEncoder::new(self.symmetry);
+        for mv in moves(&state, &self.scope) {
+            if self.weak_intruder && mv.kind.is_ciphertext_fake() {
+                continue;
+            }
+            let label = Label::Code {
+                code: mv.label_code(),
+                render: render_label,
+            };
+            batch.push(label, |out| encoder.encode(&state, &mv, out));
+        }
     }
 }
 

@@ -41,6 +41,7 @@ use equitls_persist::{read_snapshot, write_snapshot, PersistError, SnapshotKind}
 use equitls_rewrite::budget::{FaultKind, FaultPlan, FaultSite};
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::path::{Path, PathBuf};
 
 /// Default shard count: one spilled shard is a usefully small eviction
@@ -75,6 +76,30 @@ fn fold_bytes(mut acc: u64, bytes: &[u8]) -> u64 {
 fn fold_entry(acc: u64, bytes: &[u8]) -> u64 {
     fold_bytes(fold_bytes(acc, &(bytes.len() as u64).to_le_bytes()), bytes)
 }
+
+/// A hasher for keys that already are hashes: it passes the FNV value
+/// through, rotated so that its well-mixed high bits become the low bits a
+/// table's bucket index reads (FNV-1a's low bits are its weakest, and
+/// `hash % shards` makes them alike across one shard).
+#[derive(Debug, Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("PassThrough only hashes u64 keys")
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(32)
+    }
+}
+
+/// End of a slot chain.
+const NO_SLOT: u32 = u32::MAX;
 
 /// The stable file name of one spilled shard inside the spill directory.
 pub fn shard_file_name(shard: u32) -> String {
@@ -153,8 +178,11 @@ pub struct SpillOutcome {
 struct Shard {
     /// Resident entry bytes (all slots when `resident`, else the tail).
     entries: Vec<Box<[u8]>>,
-    /// Hash → slots with that hash (candidates for a full byte compare).
-    slots_by_hash: HashMap<u64, Vec<u32>>,
+    /// Hash → the newest slot with that hash; `older[slot]` links each
+    /// slot to the next older one sharing its hash. The chain is the
+    /// candidate list for a full byte compare.
+    newest_by_hash: HashMap<u64, u32, BuildHasherDefault<PassThrough>>,
+    older: Vec<u32>,
     /// Total slots ever inserted.
     len: u32,
     /// Slots the on-disk shard file holds (always a prefix).
@@ -189,15 +217,33 @@ impl Shard {
         }
     }
 
-    fn push_entry(&mut self, hash: u64, bytes: Vec<u8>) -> u32 {
+    fn push_entry(&mut self, hash: u64, bytes: &[u8]) -> u32 {
         let slot = self.len;
         self.len += 1;
         self.total_bytes += bytes.len() as u64;
         self.resident_bytes += bytes.len() as u64;
-        self.fnv_acc = fold_entry(self.fnv_acc, &bytes);
-        self.slots_by_hash.entry(hash).or_default().push(slot);
-        self.entries.push(bytes.into_boxed_slice());
+        self.fnv_acc = fold_entry(self.fnv_acc, bytes);
+        let older = self.newest_by_hash.insert(hash, slot).unwrap_or(NO_SLOT);
+        self.older.push(older);
+        self.entries.push(bytes.into());
         slot
+    }
+
+    /// Look `bytes` up among the slots hashed `hash`: `Some(true)` when a
+    /// resident slot holds them, `Some(false)` when none does but a
+    /// spilled one might, `None` when no slot can.
+    fn find(&self, hash: u64, bytes: &[u8]) -> Option<bool> {
+        let mut cur = self.newest_by_hash.get(&hash).copied().unwrap_or(NO_SLOT);
+        let mut spilled_candidate = false;
+        while cur != NO_SLOT {
+            match self.slot_bytes(cur) {
+                Some(stored) if stored == bytes => return Some(true),
+                Some(_) => {}
+                None => spilled_candidate = true,
+            }
+            cur = self.older[cur as usize];
+        }
+        spilled_candidate.then_some(false)
     }
 }
 
@@ -306,36 +352,20 @@ impl VisitedStore {
     /// spilled slot and no resident slot already matches.
     pub fn lookup_or_insert(
         &mut self,
-        bytes: Vec<u8>,
+        bytes: &[u8],
         cap: usize,
         obs: &Obs,
     ) -> Result<Lookup, SpillError> {
-        let (shard_id, hash) = self.place(&bytes);
-        let needs_reload = {
-            let shard = self.shard_mut(shard_id);
-            let mut spilled_candidate = false;
-            if let Some(slots) = shard.slots_by_hash.get(&hash) {
-                for &slot in slots {
-                    match shard.slot_bytes(slot) {
-                        Some(stored) if stored == &bytes[..] => return Ok(Lookup::Known),
-                        Some(_) => {}
-                        None => spilled_candidate = true,
-                    }
-                }
-            }
-            spilled_candidate
-        };
-        if needs_reload {
-            self.reload_shard(shard_id, obs)?;
-            let shard = self.shard_mut(shard_id);
-            if let Some(slots) = shard.slots_by_hash.get(&hash) {
-                let dup = slots
-                    .iter()
-                    .any(|&slot| shard.slot_bytes(slot) == Some(&bytes[..]));
-                if dup {
+        let (shard_id, hash) = self.place(bytes);
+        match self.shards[shard_id as usize].find(hash, bytes) {
+            Some(true) => return Ok(Lookup::Known),
+            Some(false) => {
+                self.reload_shard(shard_id, obs)?;
+                if self.shards[shard_id as usize].find(hash, bytes) == Some(true) {
                     return Ok(Lookup::Known);
                 }
             }
+            None => {}
         }
         if self.locator.len() >= cap {
             return Ok(Lookup::CapRefused);
@@ -347,16 +377,14 @@ impl VisitedStore {
 
     /// The encoded bytes of global state `idx`, reloading its shard from
     /// disk if it was spilled.
-    pub fn fetch(&mut self, idx: usize, obs: &Obs) -> Result<Vec<u8>, SpillError> {
+    pub fn fetch(&mut self, idx: usize, obs: &Obs) -> Result<&[u8], SpillError> {
         let (shard_id, slot) = self.locator[idx];
         if self.shard_mut(shard_id).slot_bytes(slot).is_none() {
             self.reload_shard(shard_id, obs)?;
         }
-        Ok(self
-            .shard_mut(shard_id)
+        Ok(self.shards[shard_id as usize]
             .slot_bytes(slot)
-            .expect("a reloaded shard holds every slot")
-            .to_vec())
+            .expect("a reloaded shard holds every slot"))
     }
 
     fn shard_path(&self, shard: u32) -> PathBuf {
@@ -617,7 +645,7 @@ mod tests {
     fn fill(store: &mut VisitedStore, n: u32) {
         let obs = Obs::noop();
         for i in 0..n {
-            let got = store.lookup_or_insert(entry(i), usize::MAX, &obs).unwrap();
+            let got = store.lookup_or_insert(&entry(i), usize::MAX, &obs).unwrap();
             assert_eq!(got, Lookup::Inserted(i as usize));
         }
     }
@@ -630,12 +658,12 @@ mod tests {
         assert_eq!(store.len(), 50);
         // Duplicates are recognized, even at a cap.
         assert_eq!(
-            store.lookup_or_insert(entry(7), 50, &obs).unwrap(),
+            store.lookup_or_insert(&entry(7), 50, &obs).unwrap(),
             Lookup::Known
         );
         // New states are refused at the cap, without storage.
         assert_eq!(
-            store.lookup_or_insert(entry(99), 50, &obs).unwrap(),
+            store.lookup_or_insert(&entry(99), 50, &obs).unwrap(),
             Lookup::CapRefused
         );
         assert_eq!(store.len(), 50);
@@ -643,6 +671,50 @@ mod tests {
         for i in 0..50 {
             assert_eq!(store.fetch(i as usize, &obs).unwrap(), entry(i));
         }
+    }
+
+    #[test]
+    fn one_hash_chains_distinct_entries_resident_and_spilled() {
+        let obs = Obs::noop();
+        let dir = tmp_dir("collision");
+        let mut store = VisitedStore::new(
+            1,
+            Some(SpillSettings {
+                dir: dir.clone(),
+                fault_plan: None,
+            }),
+        );
+        fill(&mut store, 3);
+        // Forge a collision: a different entry filed under entry 0's hash.
+        let hash = fnv1a(&entry(0));
+        let collider = b"collider".as_slice();
+        let slot = store.shards[0].push_entry(hash, collider);
+        store.locator.push((0, slot));
+        assert_eq!(
+            store.shards[0].older[slot as usize], 0,
+            "chained to entry 0"
+        );
+        // Resident: the chain is walked newest first, by full bytes.
+        assert_eq!(store.shards[0].find(hash, &entry(0)), Some(true));
+        assert_eq!(store.shards[0].find(hash, collider), Some(true));
+        assert_eq!(store.shards[0].find(hash, &entry(1)), None);
+        assert_eq!(
+            store.lookup_or_insert(&entry(0), usize::MAX, &obs).unwrap(),
+            Lookup::Known
+        );
+        // Spilled: both slots are candidates, and a lookup reloads the
+        // shard to tell them apart.
+        assert_eq!(store.spill_until(0, 0, &obs).spilled, 1);
+        assert_eq!(store.shards[0].find(hash, &entry(0)), Some(false));
+        assert_eq!(store.shards[0].find(hash, b"absent"), Some(false));
+        assert_eq!(
+            store.lookup_or_insert(&entry(0), usize::MAX, &obs).unwrap(),
+            Lookup::Known
+        );
+        assert_eq!(store.stats().reloads, 1);
+        assert_eq!(store.fetch(3, &obs).unwrap(), collider);
+        assert_eq!(store.fetch(0, &obs).unwrap(), &entry(0)[..]);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -669,14 +741,14 @@ mod tests {
         }
         // Old duplicates are still recognized after a reload...
         assert_eq!(
-            store.lookup_or_insert(entry(3), usize::MAX, &obs).unwrap(),
+            store.lookup_or_insert(&entry(3), usize::MAX, &obs).unwrap(),
             Lookup::Known
         );
         // ...and brand-new states never need one: the hash index is
         // resident, so a fresh hash inserts straight into the tail.
         assert!(matches!(
             store
-                .lookup_or_insert(entry(100), usize::MAX, &obs)
+                .lookup_or_insert(&entry(100), usize::MAX, &obs)
                 .unwrap(),
             Lookup::Inserted(_)
         ));
@@ -699,7 +771,7 @@ mod tests {
         store.spill_until(0, 0, &obs);
         let reloads = store.stats().reloads;
         assert_eq!(
-            store.lookup_or_insert(entry(5), usize::MAX, &obs).unwrap(),
+            store.lookup_or_insert(&entry(5), usize::MAX, &obs).unwrap(),
             Lookup::Known,
             "the lookup finds a spilled entry"
         );
@@ -821,7 +893,7 @@ mod tests {
         // the manifest taken *before* still verifies against the new file.
         for i in 30..40 {
             assert!(matches!(
-                store.lookup_or_insert(entry(i), usize::MAX, &obs).unwrap(),
+                store.lookup_or_insert(&entry(i), usize::MAX, &obs).unwrap(),
                 Lookup::Inserted(_)
             ));
         }

@@ -704,10 +704,14 @@ impl Normalizer {
                 self.refresh_mask = Some(i);
                 self.clear_caches();
                 self.fuel = self.fuel_limit;
-                let ln = self.norm(store, *l);
-                let rn = self.norm(store, *r);
+                // A failed left side ends the refresh: the right side is
+                // not rewritten, so it neither spends work nor advances
+                // the fault plan's call counter.
+                let sides = self
+                    .norm(store, *l)
+                    .and_then(|ln| Ok((ln, self.norm(store, *r)?)));
                 self.refresh_mask = None;
-                let (ln, rn) = (ln?, rn?);
+                let (ln, rn) = sides?;
                 if ln != *l || rn != *r {
                     changed = true;
                 }
@@ -2026,6 +2030,34 @@ mod tests {
         let want = fresh.normalize(&mut store, pa).unwrap();
         assert_eq!(alg.as_constant(&store, want), Some(true));
         assert_eq!(norm.normalize(&mut store, pa).unwrap(), want);
+    }
+
+    #[test]
+    fn a_refresh_stopped_on_a_left_side_never_rewrites_its_right_side() {
+        use crate::budget::{Fault, FaultKind, FaultPlan, FaultSite};
+        let (mut store, alg, [_, _, pa, qa, goal]) = scope_world();
+        let tt = alg.tt(&mut store);
+        let mut norm = Normalizer::new(alg.clone(), RuleSet::new());
+        // Pair 0's left side rewrites `p(a)` by pair 1, and its right side
+        // `q(a)` would rewrite by pair 2.
+        norm.assume(&store, "goal", goal, qa).unwrap();
+        norm.assume(&store, "p(a)", pa, tt).unwrap();
+        norm.assume(&store, "q(a)", qa, tt).unwrap();
+        // Rewrite call 0 stops the left side; call 1 would stop the next
+        // call to reach the fault hook.
+        let stop = |n| Fault::new(FaultSite::Rewrite, FaultKind::DeadlineExpiry, n);
+        norm.set_fault_plan(FaultPlan::new().with_fault(stop(0)).with_fault(stop(1)), "");
+        let before = norm.stats();
+        assert!(matches!(
+            norm.refresh_assumptions(&mut store),
+            Err(RewriteError::BudgetExceeded { .. })
+        ));
+        assert_eq!(norm.stats().rewrites, before.rewrites, "no rewrite ran");
+        // The right side took no call, so the next one is call 1.
+        assert!(matches!(
+            norm.normalize(&mut store, qa),
+            Err(RewriteError::BudgetExceeded { .. })
+        ));
     }
 
     #[test]

@@ -24,4 +24,4 @@ pub use data::{
 pub use knowledge::Knowledge;
 pub use msg::{Body, Msg};
 pub use state::State;
-pub use step::{successors, Scope, Step};
+pub use step::{apply, moves, successors, Scope, Step};

@@ -2,18 +2,25 @@
 //! *refuted* properties 2′/3′ as state predicates for the model checker.
 
 use crate::concrete::data::*;
-use crate::concrete::knowledge::Knowledge;
 use crate::concrete::msg::{Body, Msg};
 use crate::concrete::state::State;
 use crate::concrete::step::Scope;
 
 /// Property 1 (PMS secrecy): every pre-master secret the intruder knows
 /// involves the intruder.
-pub fn prop1_pms_secrecy(state: &State, scope: &Scope) -> bool {
-    let k = Knowledge::glean(state, &scope.intruder_secrets(), &scope.trustables());
-    k.pms
-        .iter()
-        .all(|p| p.client.is_intruder() || p.server.is_intruder())
+///
+/// The intruder knows its own secrets, which name it, and every secret
+/// sent under its key `k(intruder)` (the `cpms` collection of
+/// [`Knowledge::glean`](crate::concrete::Knowledge::glean)). So the property holds exactly when every key
+/// exchange under `k(intruder)` carries a secret that names the intruder,
+/// and a scan of the network decides it without gleaning.
+pub fn prop1_pms_secrecy(state: &State, _scope: &Scope) -> bool {
+    state.messages().all(|m| match m.body {
+        Body::Kx { key_of, pms } if key_of.is_intruder() => {
+            pms.client.is_intruder() || pms.server.is_intruder()
+        }
+        _ => true,
+    })
 }
 
 /// The well-formed ServerFinished a client would accept: key and hash
@@ -216,6 +223,7 @@ pub fn monitors() -> Vec<(&'static str, MonitorFn, bool)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::concrete::knowledge::Knowledge;
 
     #[test]
     fn empty_state_satisfies_everything() {
@@ -244,6 +252,60 @@ mod tests {
             },
         ));
         assert!(!prop1_pms_secrecy(&state, &scope));
+    }
+
+    /// Property 1 as the knowledge closure states it: every gleaned
+    /// pre-master secret names the intruder.
+    fn prop1_by_gleaning(state: &State, scope: &Scope) -> bool {
+        let k = Knowledge::glean(state, &scope.intruder_secrets(), &scope.trustables());
+        k.pms
+            .iter()
+            .all(|p| p.client.is_intruder() || p.server.is_intruder())
+    }
+
+    #[test]
+    fn prop1_scan_agrees_with_gleaning_on_every_bound_2_state() {
+        use crate::concrete::step::successors;
+        use std::collections::HashSet;
+        let mut scope = Scope::counterexample();
+        scope.max_messages = 2;
+        for symmetry in [true, false] {
+            let mut seen = HashSet::from([State::new()]);
+            let mut frontier = vec![State::new()];
+            while let Some(state) = frontier.pop() {
+                assert_eq!(
+                    prop1_pms_secrecy(&state, &scope),
+                    prop1_by_gleaning(&state, &scope),
+                    "symmetry {symmetry}:\n{state}"
+                );
+                for step in successors(&state, &scope) {
+                    let next = if symmetry {
+                        step.state.canonicalize()
+                    } else {
+                        step.state
+                    };
+                    if seen.insert(next.clone()) {
+                        frontier.push(next);
+                    }
+                }
+            }
+            assert!(seen.len() > 1000, "{} states", seen.len());
+        }
+        // A hand-built leak: a trustable secret under k(intruder).
+        let leak = State::new().send(Msg::honest(
+            Prin(2),
+            Prin::INTRUDER,
+            Body::Kx {
+                key_of: Prin::INTRUDER,
+                pms: Pms {
+                    client: Prin(2),
+                    server: Prin(3),
+                    secret: Secret(0),
+                },
+            },
+        ));
+        assert!(!prop1_pms_secrecy(&leak, &scope));
+        assert!(!prop1_by_gleaning(&leak, &scope));
     }
 
     #[test]

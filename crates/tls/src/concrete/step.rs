@@ -119,61 +119,378 @@ pub struct Step {
     pub state: State,
 }
 
-fn push(steps: &mut Vec<Step>, label: impl Into<String>, state: State) {
-    steps.push(Step {
-        label: label.into(),
-        state,
-    });
+/// Which transition a [`Move`] takes: the symbolic model's action names,
+/// trustable ones first, then the intruder's fakes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MoveKind {
+    /// A client opens a handshake.
+    Chello,
+    /// A server answers a ClientHello.
+    Shello,
+    /// A server sends its certificate.
+    Cert,
+    /// A client sends the encrypted pre-master secret.
+    Kexch,
+    /// A client sends its Finished.
+    Cfin,
+    /// A server validates the client Finished and replies.
+    Sfin,
+    /// A client validates the ServerFinished and records the session.
+    Compl,
+    /// A client resumes a recorded session.
+    Chello2,
+    /// A server agrees to resume.
+    Shello2,
+    /// A server sends its Finished2.
+    Sfin2,
+    /// A server renews its session on a valid ClientFinished2.
+    Compl2,
+    /// A client sends its Finished2.
+    Cfin2,
+    /// Clear-text ClientHello fake.
+    FakeCh,
+    /// Clear-text ClientHello2 fake.
+    FakeCh2,
+    /// Clear-text ServerHello fake.
+    FakeSh,
+    /// Clear-text ServerHello2 fake.
+    FakeSh2,
+    /// Certificate fake from a gleaned signature.
+    FakeCt,
+    /// Replayed key exchange.
+    FakeKx1,
+    /// Key exchange built from a known pre-master secret.
+    FakeKx2,
+    /// Replayed Finished.
+    FakeFin1,
+    /// Replayed Finished2.
+    FakeFin21,
+    /// Constructed ClientFinished.
+    FakeCfin2,
+    /// Constructed ClientFinished2.
+    FakeCfin22,
+    /// Constructed ServerFinished.
+    FakeSfin2,
+    /// Constructed ServerFinished2.
+    FakeSfin22,
+}
+
+impl MoveKind {
+    /// Every kind, indexed by its discriminant.
+    const ALL: [MoveKind; 25] = [
+        MoveKind::Chello,
+        MoveKind::Shello,
+        MoveKind::Cert,
+        MoveKind::Kexch,
+        MoveKind::Cfin,
+        MoveKind::Sfin,
+        MoveKind::Compl,
+        MoveKind::Chello2,
+        MoveKind::Shello2,
+        MoveKind::Sfin2,
+        MoveKind::Compl2,
+        MoveKind::Cfin2,
+        MoveKind::FakeCh,
+        MoveKind::FakeCh2,
+        MoveKind::FakeSh,
+        MoveKind::FakeSh2,
+        MoveKind::FakeCt,
+        MoveKind::FakeKx1,
+        MoveKind::FakeKx2,
+        MoveKind::FakeFin1,
+        MoveKind::FakeFin21,
+        MoveKind::FakeCfin2,
+        MoveKind::FakeCfin22,
+        MoveKind::FakeSfin2,
+        MoveKind::FakeSfin22,
+    ];
+
+    /// The action name a label starts with.
+    pub fn name(self) -> &'static str {
+        match self {
+            MoveKind::Chello => "chello",
+            MoveKind::Shello => "shello",
+            MoveKind::Cert => "cert",
+            MoveKind::Kexch => "kexch",
+            MoveKind::Cfin => "cfin",
+            MoveKind::Sfin => "sfin",
+            MoveKind::Compl => "compl",
+            MoveKind::Chello2 => "chello2",
+            MoveKind::Shello2 => "shello2",
+            MoveKind::Sfin2 => "sfin2",
+            MoveKind::Compl2 => "compl2",
+            MoveKind::Cfin2 => "cfin2",
+            MoveKind::FakeCh => "fakeCh",
+            MoveKind::FakeCh2 => "fakeCh2",
+            MoveKind::FakeSh => "fakeSh",
+            MoveKind::FakeSh2 => "fakeSh2",
+            MoveKind::FakeCt => "fakeCt",
+            MoveKind::FakeKx1 => "fakeKx1",
+            MoveKind::FakeKx2 => "fakeKx2",
+            MoveKind::FakeFin1 => "fakeFin1",
+            MoveKind::FakeFin21 => "fakeFin21",
+            MoveKind::FakeCfin2 => "fakeCfin2",
+            MoveKind::FakeCfin22 => "fakeCfin22",
+            MoveKind::FakeSfin2 => "fakeSfin2",
+            MoveKind::FakeSfin22 => "fakeSfin22",
+        }
+    }
+
+    /// A ciphertext replay or construction: the moves a clear-text-only
+    /// intruder lacks.
+    pub fn is_ciphertext_fake(self) -> bool {
+        matches!(
+            self,
+            MoveKind::FakeKx1
+                | MoveKind::FakeKx2
+                | MoveKind::FakeFin1
+                | MoveKind::FakeFin21
+                | MoveKind::FakeCfin2
+                | MoveKind::FakeCfin22
+                | MoveKind::FakeSfin2
+                | MoveKind::FakeSfin22
+        )
+    }
+}
+
+/// What a [`Move`] changes in the state it is applied to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Effect {
+    /// Send `msg` (the network is a set, so a message already present
+    /// leaves it unchanged) and mark the given pool values used.
+    Send {
+        /// The message sent.
+        msg: Msg,
+        /// A random number the move draws.
+        rand: Option<Rand>,
+        /// A session id the move draws.
+        sid: Option<Sid>,
+        /// A secret the move draws.
+        secret: Option<Secret>,
+    },
+    /// Record `session` as `owner`'s session with `peer` under `sid`.
+    Session {
+        /// The recording principal.
+        owner: Prin,
+        /// Its peer.
+        peer: Prin,
+        /// The session id.
+        sid: Sid,
+        /// The session recorded.
+        session: Session,
+    },
+}
+
+/// One enabled transition, compact: its kind and its effect. Its label is
+/// rendered only on request ([`Move::label`]) and its successor built only
+/// by [`apply`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Move {
+    /// The transition taken.
+    pub kind: MoveKind,
+    /// What it changes.
+    pub effect: Effect,
+}
+
+impl Move {
+    /// A move that sends `msg` and draws nothing.
+    fn send(kind: MoveKind, msg: Msg) -> Move {
+        Move::send_drawing(kind, msg, None, None, None)
+    }
+
+    fn send_drawing(
+        kind: MoveKind,
+        msg: Msg,
+        rand: Option<Rand>,
+        sid: Option<Sid>,
+        secret: Option<Secret>,
+    ) -> Move {
+        Move {
+            kind,
+            effect: Effect::Send {
+                msg,
+                rand,
+                sid,
+                secret,
+            },
+        }
+    }
+
+    /// The transition's trace label, e.g. `chello(p2,p3,r0)`.
+    pub fn label(&self) -> String {
+        render_label(self.label_code())
+    }
+
+    /// The label packed into a word: the kind's index, the two principals
+    /// the label names, and up to three pool values, one byte each.
+    /// [`render_label`] turns it into [`Move::label`]'s text, so a caller
+    /// can keep the word and render only the labels it needs.
+    pub fn label_code(&self) -> u64 {
+        let (a, b, extra) = match self.effect {
+            Effect::Send { msg, .. } => {
+                let extra = match msg.body {
+                    Body::Ch { rand, .. } | Body::Ch2 { rand, .. } | Body::Sh2 { rand, .. } => {
+                        [rand.0, 0, 0]
+                    }
+                    Body::Sh { rand, sid, choice } => [rand.0, sid.0, choice.0],
+                    Body::Kx { pms, .. } => [pms.secret.0, 0, 0],
+                    _ => [0; 3],
+                };
+                (msg.src, msg.dst, extra)
+            }
+            Effect::Session { owner, peer, .. } => (owner, peer, [0; 3]),
+        };
+        u64::from_le_bytes([
+            self.kind as u8,
+            a.0,
+            b.0,
+            extra[0],
+            extra[1],
+            extra[2],
+            0,
+            0,
+        ])
+    }
+}
+
+/// Render a [`Move::label_code`] as the transition's label.
+///
+/// # Panics
+///
+/// When `code` did not come from [`Move::label_code`].
+pub fn render_label(code: u64) -> String {
+    let [k, a, b, x, y, z, ..] = code.to_le_bytes();
+    let kind = MoveKind::ALL[k as usize];
+    let (name, a, b) = (kind.name(), Prin(a), Prin(b));
+    match kind {
+        MoveKind::Chello | MoveKind::Chello2 | MoveKind::Shello2 => {
+            format!("{name}({a},{b},{})", Rand(x))
+        }
+        MoveKind::Shello => format!("{name}({a},{b},{},{},{})", Rand(x), Sid(y), Choice(z)),
+        MoveKind::Kexch => format!("{name}({a},{b},{})", Secret(x)),
+        _ => format!("{name}({a},{b})"),
+    }
+}
+
+/// The state `mv` leads to from `state`.
+pub fn apply(state: &State, mv: &Move) -> State {
+    let mut next = state.clone();
+    match mv.effect {
+        Effect::Send {
+            msg,
+            rand,
+            sid,
+            secret,
+        } => {
+            next.network.insert(msg);
+            next.used_rands.extend(rand);
+            next.used_sids.extend(sid);
+            next.used_secrets.extend(secret);
+        }
+        Effect::Session {
+            owner,
+            peer,
+            sid,
+            session,
+        } => {
+            next.sessions.insert((owner, peer, sid), session);
+        }
+    }
+    next
 }
 
 /// Enumerate every enabled transition from `state`.
 pub fn successors(state: &State, scope: &Scope) -> Vec<Step> {
-    let mut steps = Vec::new();
+    moves(state, scope)
+        .iter()
+        .map(|mv| Step {
+            label: mv.label(),
+            state: apply(state, mv),
+        })
+        .collect()
+}
+
+/// Every enabled transition from `state`, as moves, in [`successors`]'
+/// order: the trustable transitions, then the intruder's.
+pub fn moves(state: &State, scope: &Scope) -> Vec<Move> {
+    let mut out = Vec::new();
     if state.message_count() >= scope.max_messages {
-        return steps;
+        return out;
     }
-    honest_steps(state, scope, &mut steps);
-    intruder_steps(state, scope, &mut steps);
-    steps
+    let pools = Pools::new(scope);
+    honest_moves(state, scope, &pools, &mut out);
+    intruder_moves(state, &pools, &mut out);
+    out
+}
+
+/// The scope's value pools, built once per [`moves`] call.
+struct Pools {
+    trustables: Vec<Prin>,
+    principals: Vec<Prin>,
+    rands: Vec<Rand>,
+    sids: Vec<Sid>,
+    choices: Vec<Choice>,
+    honest_secrets: Vec<Secret>,
+    intruder_secrets: Vec<Secret>,
+    list: ChoiceList,
+}
+
+impl Pools {
+    fn new(scope: &Scope) -> Self {
+        Pools {
+            trustables: scope.trustables(),
+            principals: scope.principals(),
+            rands: scope.rand_pool(),
+            sids: scope.sid_pool(),
+            choices: scope.choice_pool(),
+            honest_secrets: scope.honest_secrets(),
+            intruder_secrets: scope.intruder_secrets(),
+            list: scope.full_list(),
+        }
+    }
 }
 
 #[allow(clippy::too_many_lines)]
-fn honest_steps(state: &State, scope: &Scope, steps: &mut Vec<Step>) {
-    let list = scope.full_list();
+fn honest_moves(state: &State, scope: &Scope, pools: &Pools, out: &mut Vec<Move>) {
+    let list = pools.list;
     // chello: client A opens a handshake with any server.
     for &a in &scope.clients {
-        for &b in scope.principals().iter().filter(|&&b| b != a) {
-            for r in scope.rand_pool() {
+        for &b in pools.principals.iter().filter(|&&b| b != a) {
+            for &r in &pools.rands {
                 if state.used_rands.contains(&r) {
                     continue;
                 }
-                let mut next = state.send(Msg::honest(a, b, Body::Ch { rand: r, list }));
-                next.used_rands.insert(r);
-                push(steps, format!("chello({a},{b},{r})"), next);
+                let msg = Msg::honest(a, b, Body::Ch { rand: r, list });
+                out.push(Move::send_drawing(
+                    MoveKind::Chello,
+                    msg,
+                    Some(r),
+                    None,
+                    None,
+                ));
             }
         }
     }
     // shello: server B answers a ClientHello.
     for &b in &scope.servers {
         for m1 in state.messages() {
-            let (rand1, list1) = match m1.body {
-                Body::Ch { rand, list } if m1.dst == b => (rand, list),
+            let list1 = match m1.body {
+                Body::Ch { list, .. } if m1.dst == b => list,
                 _ => continue,
             };
-            let _ = rand1;
-            for r in scope.rand_pool() {
+            for &r in &pools.rands {
                 if state.used_rands.contains(&r) {
                     continue;
                 }
-                for i in scope.sid_pool() {
+                for &i in &pools.sids {
                     if state.used_sids.contains(&i) {
                         continue;
                     }
-                    for c in scope.choice_pool() {
+                    for &c in &pools.choices {
                         if !list1.contains(c) {
                             continue;
                         }
-                        let mut next = state.send(Msg::honest(
+                        let msg = Msg::honest(
                             b,
                             m1.src,
                             Body::Sh {
@@ -181,10 +498,14 @@ fn honest_steps(state: &State, scope: &Scope, steps: &mut Vec<Step>) {
                                 sid: i,
                                 choice: c,
                             },
+                        );
+                        out.push(Move::send_drawing(
+                            MoveKind::Shello,
+                            msg,
+                            Some(r),
+                            Some(i),
+                            None,
                         ));
-                        next.used_rands.insert(r);
-                        next.used_sids.insert(i);
-                        push(steps, format!("shello({b},{},{r},{i},{c})", m1.src), next);
                     }
                 }
             }
@@ -213,7 +534,7 @@ fn honest_steps(state: &State, scope: &Scope, steps: &mut Vec<Step>) {
                 if state.network.contains(&ct) {
                     continue; // idempotent
                 }
-                push(steps, format!("cert({b},{})", m2.dst), state.send(ct));
+                out.push(Move::send(MoveKind::Cert, ct));
             }
         }
     }
@@ -221,7 +542,7 @@ fn honest_steps(state: &State, scope: &Scope, steps: &mut Vec<Step>) {
     let client_views = client_views(state, scope);
     // kexch: client sends the encrypted pre-master secret.
     for v in &client_views {
-        for s in scope.honest_secrets() {
+        for &s in &pools.honest_secrets {
             if state.used_secrets.contains(&s) {
                 continue;
             }
@@ -230,9 +551,14 @@ fn honest_steps(state: &State, scope: &Scope, steps: &mut Vec<Step>) {
                 server: v.b,
                 secret: s,
             };
-            let mut next = state.send(Msg::honest(v.a, v.b, Body::Kx { key_of: v.b, pms }));
-            next.used_secrets.insert(s);
-            push(steps, format!("kexch({},{},{s})", v.a, v.b), next);
+            let msg = Msg::honest(v.a, v.b, Body::Kx { key_of: v.b, pms });
+            out.push(Move::send_drawing(
+                MoveKind::Kexch,
+                msg,
+                None,
+                None,
+                Some(s),
+            ));
         }
     }
     // cfin: client sends its Finished after its kx.
@@ -272,12 +598,12 @@ fn honest_steps(state: &State, scope: &Scope, steps: &mut Vec<Step>) {
             if state.network.contains(&cf) {
                 continue;
             }
-            push(steps, format!("cfin({},{})", v.a, v.b), state.send(cf));
+            out.push(Move::send(MoveKind::Cfin, cf));
         }
     }
     // sfin: server validates the client Finished and replies.
     for &b in &scope.servers {
-        for sv in server_views(state, scope, b) {
+        for sv in server_views(state, b) {
             let key = SymKey {
                 prin: b,
                 pms: sv.pms,
@@ -299,7 +625,7 @@ fn honest_steps(state: &State, scope: &Scope, steps: &mut Vec<Step>) {
             if state.network.contains(&sf) {
                 continue;
             }
-            push(steps, format!("sfin({b},{})", sv.a), state.send(sf));
+            out.push(Move::send(MoveKind::Sfin, sf));
         }
     }
     // compl: client validates the ServerFinished and records the session.
@@ -334,47 +660,57 @@ fn honest_steps(state: &State, scope: &Scope, steps: &mut Vec<Step>) {
                 if state.session(v.a, v.b, v.sid) == Some(session) {
                     continue;
                 }
-                let mut next = state.clone();
-                next.sessions.insert((v.a, v.b, v.sid), session);
-                push(steps, format!("compl({},{})", v.a, v.b), next);
+                out.push(Move {
+                    kind: MoveKind::Compl,
+                    effect: Effect::Session {
+                        owner: v.a,
+                        peer: v.b,
+                        sid: v.sid,
+                        session,
+                    },
+                });
             }
         }
     }
-    abbreviated_steps(state, scope, steps);
+    abbreviated_moves(state, scope, pools, out);
 }
 
 /// The abbreviated handshake (both orders, per scope flag).
-fn abbreviated_steps(state: &State, scope: &Scope, steps: &mut Vec<Step>) {
+fn abbreviated_moves(state: &State, scope: &Scope, pools: &Pools, out: &mut Vec<Move>) {
     // chello2: a client resumes a recorded session.
     for &(owner, peer, sid) in state.sessions.keys() {
         if !scope.clients.contains(&owner) {
             continue;
         }
-        for r in scope.rand_pool() {
+        for &r in &pools.rands {
             if state.used_rands.contains(&r) {
                 continue;
             }
-            let mut next = state.send(Msg::honest(owner, peer, Body::Ch2 { rand: r, sid }));
-            next.used_rands.insert(r);
-            push(steps, format!("chello2({owner},{peer},{r})"), next);
+            let msg = Msg::honest(owner, peer, Body::Ch2 { rand: r, sid });
+            out.push(Move::send_drawing(
+                MoveKind::Chello2,
+                msg,
+                Some(r),
+                None,
+                None,
+            ));
         }
     }
     // shello2: the server agrees to resume.
     for &b in &scope.servers {
         for m1 in state.messages() {
-            let (r1, sid) = match m1.body {
-                Body::Ch2 { rand, sid } if m1.dst == b => (rand, sid),
+            let sid = match m1.body {
+                Body::Ch2 { sid, .. } if m1.dst == b => sid,
                 _ => continue,
             };
-            let _ = r1;
             let Some(session) = state.session(b, m1.src, sid) else {
                 continue;
             };
-            for r in scope.rand_pool() {
+            for &r in &pools.rands {
                 if state.used_rands.contains(&r) {
                     continue;
                 }
-                let mut next = state.send(Msg::honest(
+                let msg = Msg::honest(
                     b,
                     m1.src,
                     Body::Sh2 {
@@ -382,9 +718,14 @@ fn abbreviated_steps(state: &State, scope: &Scope, steps: &mut Vec<Step>) {
                         sid,
                         choice: session.choice,
                     },
+                );
+                out.push(Move::send_drawing(
+                    MoveKind::Shello2,
+                    msg,
+                    Some(r),
+                    None,
+                    None,
                 ));
-                next.used_rands.insert(r);
-                push(steps, format!("shello2({b},{},{r})", m1.src), next);
             }
         }
     }
@@ -424,13 +765,9 @@ fn abbreviated_steps(state: &State, scope: &Scope, steps: &mut Vec<Step>) {
             let has_cf2 = state
                 .messages()
                 .any(|m| m.dst == b && m.src == view.a && m.body == cf2_expected);
-            if scope.swapped_finish2 {
-                // Variant: the server replies only after ClientFinished2.
-                if has_cf2 && !state.network.contains(&sf2) {
-                    push(steps, format!("sfin2({b},{})", view.a), state.send(sf2));
-                }
-            } else if !state.network.contains(&sf2) {
-                push(steps, format!("sfin2({b},{})", view.a), state.send(sf2));
+            // Variant: the server replies only after ClientFinished2.
+            if (has_cf2 || !scope.swapped_finish2) && !state.network.contains(&sf2) {
+                out.push(Move::send(MoveKind::Sfin2, sf2));
             }
             // compl2: the server renews its session on a valid cf2.
             if has_cf2 {
@@ -441,9 +778,15 @@ fn abbreviated_steps(state: &State, scope: &Scope, steps: &mut Vec<Step>) {
                     pms: view.pms,
                 };
                 if state.session(b, view.a, view.sid) != Some(renewed) {
-                    let mut next = state.clone();
-                    next.sessions.insert((b, view.a, view.sid), renewed);
-                    push(steps, format!("compl2({b},{})", view.a), next);
+                    out.push(Move {
+                        kind: MoveKind::Compl2,
+                        effect: Effect::Session {
+                            owner: b,
+                            peer: view.a,
+                            sid: view.sid,
+                            session: renewed,
+                        },
+                    });
                 }
             }
         }
@@ -470,14 +813,12 @@ fn abbreviated_steps(state: &State, scope: &Scope, steps: &mut Vec<Step>) {
                     pms: view.pms,
                 },
             };
-            let has_sf2 = state
-                .messages()
-                .any(|m| m.dst == a && m.src == view.b && m.body == sf2_expected);
-            let ready = if scope.swapped_finish2 {
-                true // variant: client sends cf2 right after sh2
-            } else {
-                has_sf2 // standard: client waits for sf2
-            };
+            // Variant: the client sends cf2 right after sh2; standard: it
+            // waits for sf2.
+            let ready = scope.swapped_finish2
+                || state
+                    .messages()
+                    .any(|m| m.dst == a && m.src == view.b && m.body == sf2_expected);
             if !ready {
                 continue;
             }
@@ -505,7 +846,7 @@ fn abbreviated_steps(state: &State, scope: &Scope, steps: &mut Vec<Step>) {
                 },
             );
             if !state.network.contains(&cf2) {
-                push(steps, format!("cfin2({a},{})", view.b), state.send(cf2));
+                out.push(Move::send(MoveKind::Cfin2, cf2));
             }
         }
     }
@@ -573,8 +914,7 @@ struct ServerView {
     pms: Pms,
 }
 
-fn server_views(state: &State, scope: &Scope, b: Prin) -> Vec<ServerView> {
-    let _ = scope;
+fn server_views(state: &State, b: Prin) -> Vec<ServerView> {
     let mut views = Vec::new();
     for m1 in state.messages() {
         let (r1, list) = match m1.body {
@@ -742,59 +1082,50 @@ fn client_resume_views(state: &State, a: Prin) -> Vec<ClientResumeView> {
 /// The intruder's moves: replay gleaned ciphertexts under any addressing,
 /// construct fresh payloads from known pre-master secrets, and fake
 /// clear-text messages (bounded to scope values).
-fn intruder_steps(state: &State, scope: &Scope, steps: &mut Vec<Step>) {
-    let knowledge = Knowledge::glean(state, &scope.intruder_secrets(), &scope.trustables());
-    let principals = scope.trustables();
-    let list = scope.full_list();
+fn intruder_moves(state: &State, pools: &Pools, out: &mut Vec<Move>) {
+    let knowledge = Knowledge::glean(state, &pools.intruder_secrets, &pools.trustables);
+    let principals = &pools.trustables;
+    let list = pools.list;
+    // A fake is enabled unless the network already holds its message.
+    let mut fake = |kind: MoveKind, msg: Msg| {
+        if !state.network.contains(&msg) {
+            out.push(Move::send(kind, msg));
+        }
+    };
     // Clear-text fakes.
-    for &src in &principals {
-        for &dst in &principals {
+    for &src in principals {
+        for &dst in principals {
             if src == dst {
                 continue;
             }
-            for r in scope.rand_pool() {
-                let m = Msg::faked(src, dst, Body::Ch { rand: r, list });
-                if !state.network.contains(&m) {
-                    push(steps, format!("fakeCh({src},{dst})"), state.send(m));
-                }
-                for i in scope.sid_pool() {
-                    let m2 = Msg::faked(src, dst, Body::Ch2 { rand: r, sid: i });
-                    if !state.network.contains(&m2) {
-                        push(steps, format!("fakeCh2({src},{dst})"), state.send(m2));
-                    }
-                    for c in scope.choice_pool() {
-                        let sh = Msg::faked(
-                            src,
-                            dst,
-                            Body::Sh {
-                                rand: r,
-                                sid: i,
-                                choice: c,
-                            },
+            for &r in &pools.rands {
+                fake(
+                    MoveKind::FakeCh,
+                    Msg::faked(src, dst, Body::Ch { rand: r, list }),
+                );
+                for &i in &pools.sids {
+                    fake(
+                        MoveKind::FakeCh2,
+                        Msg::faked(src, dst, Body::Ch2 { rand: r, sid: i }),
+                    );
+                    for &c in &pools.choices {
+                        let (rand, sid, choice) = (r, i, c);
+                        fake(
+                            MoveKind::FakeSh,
+                            Msg::faked(src, dst, Body::Sh { rand, sid, choice }),
                         );
-                        if !state.network.contains(&sh) {
-                            push(steps, format!("fakeSh({src},{dst})"), state.send(sh));
-                        }
-                        let sh2 = Msg::faked(
-                            src,
-                            dst,
-                            Body::Sh2 {
-                                rand: r,
-                                sid: i,
-                                choice: c,
-                            },
+                        fake(
+                            MoveKind::FakeSh2,
+                            Msg::faked(src, dst, Body::Sh2 { rand, sid, choice }),
                         );
-                        if !state.network.contains(&sh2) {
-                            push(steps, format!("fakeSh2({src},{dst})"), state.send(sh2));
-                        }
                     }
                 }
             }
         }
     }
     // Certificate fakes from gleaned signatures.
-    for &src in &principals {
-        for &dst in &principals {
+    for &src in principals {
+        for &dst in principals {
             if src == dst {
                 continue;
             }
@@ -804,37 +1135,34 @@ fn intruder_steps(state: &State, scope: &Scope, steps: &mut Vec<Step>) {
                     key_of: sig.key_of,
                     sig,
                 };
-                let m = Msg::faked(src, dst, Body::Ct { cert });
-                if !state.network.contains(&m) {
-                    push(steps, format!("fakeCt({src},{dst})"), state.send(m));
-                }
+                fake(MoveKind::FakeCt, Msg::faked(src, dst, Body::Ct { cert }));
             }
         }
     }
     // Key-exchange fakes: replay or construct.
-    for &src in &principals {
-        for &dst in &principals {
+    for &src in principals {
+        for &dst in principals {
             if src == dst {
                 continue;
             }
             for &(key_of, pms) in &knowledge.epms {
-                let m = Msg::faked(src, dst, Body::Kx { key_of, pms });
-                if !state.network.contains(&m) {
-                    push(steps, format!("fakeKx1({src},{dst})"), state.send(m));
-                }
+                fake(
+                    MoveKind::FakeKx1,
+                    Msg::faked(src, dst, Body::Kx { key_of, pms }),
+                );
             }
             for &pms in &knowledge.pms {
-                let m = Msg::faked(src, dst, Body::Kx { key_of: dst, pms });
-                if !state.network.contains(&m) {
-                    push(steps, format!("fakeKx2({src},{dst})"), state.send(m));
-                }
+                fake(
+                    MoveKind::FakeKx2,
+                    Msg::faked(src, dst, Body::Kx { key_of: dst, pms }),
+                );
             }
         }
     }
     // Finished fakes: replay gleaned ciphertexts, or construct from known
     // pre-master secrets.
-    for &src in &principals {
-        for &dst in &principals {
+    for &src in principals {
+        for &dst in principals {
             if src == dst {
                 continue;
             }
@@ -844,10 +1172,7 @@ fn intruder_steps(state: &State, scope: &Scope, steps: &mut Vec<Step>) {
                 } else {
                     Body::Sf { key, hash }
                 };
-                let m = Msg::faked(src, dst, body);
-                if !state.network.contains(&m) {
-                    push(steps, format!("fakeFin1({src},{dst})"), state.send(m));
-                }
+                fake(MoveKind::FakeFin1, Msg::faked(src, dst, body));
             }
             for &(key, hash) in knowledge.ecfin2.iter().chain(&knowledge.esfin2) {
                 let body = if hash.kind == FinKind::Client2 {
@@ -855,130 +1180,71 @@ fn intruder_steps(state: &State, scope: &Scope, steps: &mut Vec<Step>) {
                 } else {
                     Body::Sf2 { key, hash }
                 };
-                let m = Msg::faked(src, dst, body);
-                if !state.network.contains(&m) {
-                    push(steps, format!("fakeFin21({src},{dst})"), state.send(m));
-                }
+                fake(MoveKind::FakeFin21, Msg::faked(src, dst, body));
             }
             // Construct: the useful shapes name src/dst in the hash (the
             // paper's fakeCfin2/fakeSfin2 patterns).
             for &pms in &knowledge.pms {
-                for r1 in scope.rand_pool() {
-                    for r2 in scope.rand_pool() {
-                        for i in scope.sid_pool() {
-                            for c in scope.choice_pool() {
-                                let cf = Msg::faked(
-                                    src,
-                                    dst,
-                                    Body::Cf {
-                                        key: SymKey {
-                                            prin: src,
-                                            pms,
-                                            r1,
-                                            r2,
+                for &r1 in &pools.rands {
+                    for &r2 in &pools.rands {
+                        for &i in &pools.sids {
+                            for &c in &pools.choices {
+                                let key = |prin| SymKey { prin, pms, r1, r2 };
+                                let hash = |kind, list| FinHash {
+                                    kind,
+                                    a: src,
+                                    b: dst,
+                                    sid: i,
+                                    list,
+                                    choice: c,
+                                    r1,
+                                    r2,
+                                    pms,
+                                };
+                                fake(
+                                    MoveKind::FakeCfin2,
+                                    Msg::faked(
+                                        src,
+                                        dst,
+                                        Body::Cf {
+                                            key: key(src),
+                                            hash: hash(FinKind::Client, Some(list)),
                                         },
-                                        hash: FinHash {
-                                            kind: FinKind::Client,
-                                            a: src,
-                                            b: dst,
-                                            sid: i,
-                                            list: Some(list),
-                                            choice: c,
-                                            r1,
-                                            r2,
-                                            pms,
-                                        },
-                                    },
+                                    ),
                                 );
-                                if !state.network.contains(&cf) {
-                                    push(steps, format!("fakeCfin2({src},{dst})"), state.send(cf));
-                                }
-                                let cf2 = Msg::faked(
-                                    src,
-                                    dst,
-                                    Body::Cf2 {
-                                        key: SymKey {
-                                            prin: src,
-                                            pms,
-                                            r1,
-                                            r2,
+                                fake(
+                                    MoveKind::FakeCfin22,
+                                    Msg::faked(
+                                        src,
+                                        dst,
+                                        Body::Cf2 {
+                                            key: key(src),
+                                            hash: hash(FinKind::Client2, None),
                                         },
-                                        hash: FinHash {
-                                            kind: FinKind::Client2,
-                                            a: src,
-                                            b: dst,
-                                            sid: i,
-                                            list: None,
-                                            choice: c,
-                                            r1,
-                                            r2,
-                                            pms,
-                                        },
-                                    },
+                                    ),
                                 );
-                                if !state.network.contains(&cf2) {
-                                    push(
-                                        steps,
-                                        format!("fakeCfin22({src},{dst})"),
-                                        state.send(cf2),
-                                    );
-                                }
-                                let sf = Msg::faked(
-                                    dst,
-                                    src,
-                                    Body::Sf {
-                                        key: SymKey {
-                                            prin: dst,
-                                            pms,
-                                            r1,
-                                            r2,
+                                fake(
+                                    MoveKind::FakeSfin2,
+                                    Msg::faked(
+                                        dst,
+                                        src,
+                                        Body::Sf {
+                                            key: key(dst),
+                                            hash: hash(FinKind::Server, Some(list)),
                                         },
-                                        hash: FinHash {
-                                            kind: FinKind::Server,
-                                            a: src,
-                                            b: dst,
-                                            sid: i,
-                                            list: Some(list),
-                                            choice: c,
-                                            r1,
-                                            r2,
-                                            pms,
-                                        },
-                                    },
+                                    ),
                                 );
-                                if !state.network.contains(&sf) {
-                                    push(steps, format!("fakeSfin2({dst},{src})"), state.send(sf));
-                                }
-                                let sf2 = Msg::faked(
-                                    dst,
-                                    src,
-                                    Body::Sf2 {
-                                        key: SymKey {
-                                            prin: dst,
-                                            pms,
-                                            r1,
-                                            r2,
+                                fake(
+                                    MoveKind::FakeSfin22,
+                                    Msg::faked(
+                                        dst,
+                                        src,
+                                        Body::Sf2 {
+                                            key: key(dst),
+                                            hash: hash(FinKind::Server2, None),
                                         },
-                                        hash: FinHash {
-                                            kind: FinKind::Server2,
-                                            a: src,
-                                            b: dst,
-                                            sid: i,
-                                            list: None,
-                                            choice: c,
-                                            r1,
-                                            r2,
-                                            pms,
-                                        },
-                                    },
+                                    ),
                                 );
-                                if !state.network.contains(&sf2) {
-                                    push(
-                                        steps,
-                                        format!("fakeSfin22({dst},{src})"),
-                                        state.send(sf2),
-                                    );
-                                }
                             }
                         }
                     }

@@ -128,7 +128,7 @@ for JOBS in 1 2; do
 done
 rm -f "$FUEL_OUT"
 
-echo "== memory resilience: spill smoke (ceiling completes by spilling, bit-identical) =="
+echo "== model checker: resident run matches the committed table; spill smoke (ceiling completes by spilling, bit-identical) =="
 # A 16 MiB heap ceiling truncates the bound-3 scope check when the
 # visited set must stay resident; the same ceiling with a spill
 # directory completes by pushing cold shards to disk — bit-identical to
@@ -140,6 +140,11 @@ SPILL_CKPT="$(mktemp -u /tmp/equitls_check_XXXXXX.spill.snap)"
 MC="cargo run -q --release --example model_check --"
 STRIP_DURATION='s/depth ([0-9]+), [^,]*, complete/depth \1, T, complete/'
 $MC | sed -E "$STRIP_DURATION" > /tmp/equitls_check_spill_base.txt
+# The resident run itself is pinned: states, depths, states per depth,
+# verdicts and traces of every bound, durations stripped, against
+# scripts/counts/model_check.txt. A change meant to move them
+# regenerates the table with the command above and says why.
+diff /tmp/equitls_check_spill_base.txt scripts/counts/model_check.txt
 # Resident-only under the ceiling: typed truncation, disclosed.
 $MC --max-mem-mb 16 > /tmp/equitls_check_spill_trunc.txt
 grep -q "stopped: memory ceiling exceeded" /tmp/equitls_check_spill_trunc.txt
