@@ -27,12 +27,6 @@ use equitls_kernel::unify::{apply_to_fixpoint, function_positions, replace_at, u
 use equitls_rewrite::bool_alg::BoolAlg;
 use equitls_rewrite::engine::Normalizer;
 use equitls_rewrite::rule::{Rule, RuleSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-
-/// Stack size for joinability workers: normalization recurses over term
-/// structure, and TLS protocol states nest deeply.
-const WORKER_STACK_BYTES: usize = 512 * 1024 * 1024;
 
 /// Fuel per critical-pair normalization: generous for honest systems,
 /// small enough that a diverging mutant fails fast into "undecided".
@@ -83,8 +77,7 @@ pub enum Joinability {
 /// `(lhs, rhs, cond)`.
 ///
 /// Variable names are globally unique per store, so the deterministic
-/// suffix cannot collide across sorts, and re-renaming the same rule is
-/// idempotent (the store reuses same-name-same-sort variables).
+/// suffix cannot collide across sorts.
 fn rename_apart(store: &mut TermStore, rule: &Rule) -> (TermId, TermId, Option<TermId>) {
     let mut subst = Subst::new();
     for v in store.vars_of(rule.lhs) {
@@ -104,18 +97,28 @@ fn rename_apart(store: &mut TermStore, rule: &Rule) -> (TermId, TermId, Option<T
     (lhs, rhs, cond)
 }
 
-/// Compute every critical pair of `rules`.
+/// Compute every critical pair of `rules`, ordered by outer rule, inner
+/// rule, then position.
 ///
-/// The trivial self-overlap of a rule with itself at the root is skipped
-/// (it always joins by reflexivity), as are overlaps whose two sides are
-/// already syntactically equal.
+/// Each rule is renamed apart once, up front. Unification is attempted
+/// only where the outer left-hand side's subterm has the inner rule's
+/// head operator: every left-hand side is an application, so any other
+/// position fails to unify at its root. Overlaps whose two sides are
+/// syntactically equal are dropped; the self-overlap of a rule with
+/// itself at the root is always such a pair, and is skipped before
+/// unifying.
 pub fn critical_pairs(store: &mut TermStore, rules: &RuleSet) -> Vec<CriticalPair> {
+    let renamed: Vec<_> = rules.iter().map(|r| rename_apart(store, r)).collect();
     let mut out = Vec::new();
     for (i, outer) in rules.iter().enumerate() {
-        let positions = function_positions(store, outer.lhs);
-        for (j, inner) in rules.iter().enumerate() {
-            let (inner_lhs, inner_rhs, inner_cond) = rename_apart(store, inner);
-            for (position, subterm) in &positions {
+        let positions: Vec<_> = function_positions(store, outer.lhs)
+            .into_iter()
+            .map(|(position, subterm)| (position, subterm, store.op_of(subterm)))
+            .collect();
+        for (j, (inner, &(inner_lhs, inner_rhs, inner_cond))) in
+            rules.iter().zip(&renamed).enumerate()
+        {
+            for (position, subterm, _) in positions.iter().filter(|p| p.2 == Some(inner.head)) {
                 if position.is_empty() && i == j {
                     continue;
                 }
@@ -165,11 +168,9 @@ pub struct ConfluenceOutcome {
 ///
 /// Each pair is judged with **fresh** normalizers. A shared normalizer's
 /// memo cache would make fuel-exhaustion verdicts depend on which pairs
-/// were judged before this one — warm caches stretch the fuel — and
-/// therefore on scheduling once pairs are judged concurrently. Fresh
+/// were judged before this one — warm caches stretch the fuel. Fresh
 /// normalizers make every verdict a pure function of the pair and the
-/// rule set, so the report is identical at any `--jobs` level by
-/// construction.
+/// rule set.
 fn judge(store: &mut TermStore, alg: &BoolAlg, rules: &RuleSet, cp: &CriticalPair) -> Joinability {
     let mut norm = Normalizer::new(alg.clone(), rules.clone());
     norm.set_fuel_limit(CP_FUEL);
@@ -207,69 +208,13 @@ pub fn check_confluence(
     config: &LintConfig,
     report: &mut LintReport,
 ) -> ConfluenceOutcome {
-    check_confluence_jobs(store, alg, rules, config, report, 1)
-}
-
-/// [`check_confluence`] with an explicit worker count.
-///
-/// Pairs are enumerated on the caller's store; with `jobs > 1` each worker
-/// clones the store (a clone shares no state, and every `TermId` in a pair
-/// stays valid in the clone since interning is deterministic) and pulls
-/// pair indices off a shared atomic counter. Verdicts land in per-pair
-/// slots and diagnostics are emitted on the calling thread in pair order,
-/// so the report is byte-identical at every jobs level.
-pub fn check_confluence_jobs(
-    store: &mut TermStore,
-    alg: &BoolAlg,
-    rules: &RuleSet,
-    config: &LintConfig,
-    report: &mut LintReport,
-    jobs: usize,
-) -> ConfluenceOutcome {
     let cps = critical_pairs(store, rules);
-    let jobs = jobs.max(1).min(cps.len().max(1));
-    let verdicts: Vec<Joinability> = if jobs <= 1 {
-        cps.iter().map(|cp| judge(store, alg, rules, cp)).collect()
-    } else {
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Joinability>>> = cps.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for w in 0..jobs {
-                let worker_store = store.clone();
-                let (next, slots, cps) = (&next, &slots, &cps);
-                std::thread::Builder::new()
-                    .name(format!("lint-cp-{w}"))
-                    .stack_size(WORKER_STACK_BYTES)
-                    .spawn_scoped(scope, move || {
-                        let mut store = worker_store;
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= cps.len() {
-                                break;
-                            }
-                            let verdict = judge(&mut store, alg, rules, &cps[i]);
-                            *slots[i].lock().expect("verdict slot poisoned") = Some(verdict);
-                        }
-                    })
-                    .expect("spawning a lint worker thread");
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("verdict slot poisoned")
-                    .expect("every pair was judged")
-            })
-            .collect()
-    };
-
     let mut outcome = ConfluenceOutcome {
         pairs: cps.len(),
         ..ConfluenceOutcome::default()
     };
-    for (cp, verdict) in cps.iter().zip(verdicts) {
-        match verdict {
+    for cp in &cps {
+        match judge(store, alg, rules, cp) {
             Joinability::Joinable => outcome.joinable += 1,
             Joinability::Pruned => outcome.pruned += 1,
             Joinability::Undecided => {

@@ -13,8 +13,7 @@
 //!   lexicographic-path-order precedence that orients every rule;
 //! * [`confluence`] — Knuth–Bendix critical pairs, joined through the
 //!   workspace's own rewrite engine, with mutually-exclusive conditional
-//!   pairs pruned through the GF(2) ring; joinability parallelizes across
-//!   worker threads with a jobs-invariant report;
+//!   pairs pruned through the GF(2) ring;
 //! * [`coverage`] — Maranget-style pattern-matrix completeness of each
 //!   rule-defined operator over its constructor generators;
 //! * [`style`] — duplicate and shadowed rules, non-linear left-hand
@@ -57,41 +56,27 @@ use equitls_rewrite::rule::RuleSet;
 use equitls_spec::spec::Spec;
 
 /// Knobs for the pass drivers.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AnalysisOptions {
-    /// Worker threads for critical-pair joinability (the report is
-    /// identical at every level; see [`confluence::check_confluence_jobs`]).
-    pub jobs: usize,
     /// Additional dependency-analysis roots, merged with the spec's
     /// `{root}`-marked operators.
     pub roots: Vec<OpId>,
 }
 
-impl Default for AnalysisOptions {
-    fn default() -> Self {
-        AnalysisOptions {
-            jobs: 1,
-            roots: Vec::new(),
-        }
-    }
-}
-
 /// Every pass, in a fixed order, over a private clone of `store`.
-#[allow(clippy::too_many_arguments)]
 fn run_analysis(
     store: &TermStore,
     alg: &BoolAlg,
     rules: &RuleSet,
     target: &str,
     config: &LintConfig,
-    jobs: usize,
     roots: &[OpId],
     vars_input: &VarsInput<'_>,
 ) -> LintReport {
     let scratch = &mut store.clone();
     let mut report = LintReport::new(target);
     termination::check_termination(scratch, rules, config, &mut report);
-    confluence::check_confluence_jobs(scratch, alg, rules, config, &mut report, jobs);
+    confluence::check_confluence(scratch, alg, rules, config, &mut report);
     coverage::check_coverage(scratch, rules, config, &mut report);
     style::check_style(scratch, alg, rules, config, &mut report);
     deps::check_deps(scratch, rules, roots, config, &mut report);
@@ -115,7 +100,6 @@ pub fn analyze_system(
         rules,
         target,
         config,
-        options.jobs,
         &options.roots,
         &VarsInput::default(),
     )
@@ -152,7 +136,6 @@ pub fn analyze_spec(
         spec.rules(),
         target,
         config,
-        options.jobs,
         &roots,
         &vars_input,
     );

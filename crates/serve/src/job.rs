@@ -374,11 +374,12 @@ fn run_lint(request: &JobRequest, warm: &WarmState) -> JsonValue {
     } else {
         "TLS handshake"
     };
-    let options = AnalysisOptions {
-        jobs: request.jobs.max(1),
-        ..AnalysisOptions::default()
-    };
-    let report = analyze_spec(&pristine.spec, target, &LintConfig::new(), &options);
+    let report = analyze_spec(
+        &pristine.spec,
+        target,
+        &LintConfig::new(),
+        &AnalysisOptions::default(),
+    );
     let findings = report
         .diagnostics
         .iter()

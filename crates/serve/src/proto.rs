@@ -92,9 +92,8 @@ pub struct JobRequest {
     pub property: String,
     /// Run against the §5.3 swapped-Finished variant model.
     pub variant: bool,
-    /// Worker threads *within* a `prove` or `lint` job (prover
-    /// obligations / lint passes); a `check` job runs on one thread
-    /// whatever it says. `0` = the job runner's default (1); more than
+    /// Worker threads *within* a `prove` job (prover obligations); a
+    /// `check` or `lint` job runs on one thread whatever it says. `0` = the job runner's default (1); more than
     /// [`MAX_JOBS`] is a bad request.
     pub jobs: usize,
     /// Wall-clock deadline for the job's `Budget`.

@@ -4,7 +4,6 @@
 //! cargo run --release -p equitls-tls --bin tls-lint
 //! cargo run --release -p equitls-tls --bin tls-lint -- --json
 //! cargo run --release -p equitls-tls --bin tls-lint -- bool fixtures
-//! cargo run --release -p equitls-tls --bin tls-lint -- --jobs 4
 //! cargo run --release -p equitls-tls --bin tls-lint -- --sarif out.sarif --graph deps.dot
 //! ```
 //!
@@ -17,17 +16,16 @@
 //!   `equitls_tls::mutants::LintFixture`, which must come back *denied*
 //!   (the gate fails if the linter misses a seeded flaw).
 //!
-//! `--jobs N` (default 1) sets the critical-pair workers; the report is
-//! identical at every level. `--json` prints one JSON object with
-//! per-target reports; `--sarif PATH` writes every report as one SARIF
-//! 2.1.0 log; `--graph PATH` writes the first spec target's operator
-//! dependency graph as Graphviz DOT (for the TLS models the roots are the
-//! observers, the transitions, and every operator an invariant mentions).
+//! `--json` prints one JSON object with per-target reports; `--sarif
+//! PATH` writes every report as one SARIF 2.1.0 log; `--graph PATH`
+//! writes the first spec target's operator dependency graph as Graphviz
+//! DOT (for the TLS models the roots are the observers, the transitions,
+//! and every operator an invariant mentions).
 //! Exit status 0 means every shipped set is deny-free **and** every
 //! fixture is denied for its seeded reason; the README's "Command line"
 //! section lists the others.
 
-use equitls_core::prelude::{resolve_jobs, InvariantSet};
+use equitls_core::prelude::InvariantSet;
 use equitls_kernel::op::OpKind;
 use equitls_kernel::prelude::OpId;
 use equitls_kernel::signature::Signature;
@@ -40,7 +38,7 @@ use equitls_obs::json::JsonValue;
 use equitls_rewrite::bool_alg::BoolAlg;
 use equitls_rewrite::bool_rules::hd_bool_rules;
 use equitls_spec::spec::Spec;
-use equitls_tls::cli::{self, Flags, RunFlags, UsageError};
+use equitls_tls::cli::{self, Flags, UsageError};
 use equitls_tls::mutants::LintFixture;
 use equitls_tls::{out, outln, TlsModel};
 use std::path::PathBuf;
@@ -137,7 +135,7 @@ fn spec_dot(spec: &Spec, roots: &[OpId], name: &str) -> String {
     deps::to_dot(spec.store(), &graph, name)
 }
 
-fn lint_bool(options: &AnalysisOptions) -> TargetOutcome {
+fn lint_bool() -> TargetOutcome {
     let mut sig = Signature::new();
     let alg = BoolAlg::install(&mut sig).expect("fresh signature");
     let mut store = TermStore::new(sig);
@@ -148,26 +146,26 @@ fn lint_bool(options: &AnalysisOptions) -> TargetOutcome {
         &rules,
         "BOOL (Hsiang-Dershowitz)",
         &LintConfig::new(),
-        options,
+        &AnalysisOptions::default(),
     );
     TargetOutcome::from_analysis(report, Expectation::Clean)
 }
 
-fn lint_eq_procedure(options: &AnalysisOptions) -> TargetOutcome {
+fn lint_eq_procedure() -> TargetOutcome {
     let mut spec = Spec::new().expect("fresh spec");
     spec.load_module(EQ_PROCEDURE).expect("EQPROC parses");
     let report = analyze_spec(
         &spec,
         "equality procedure (EQPROC)",
         &LintConfig::new(),
-        options,
+        &AnalysisOptions::default(),
     );
     let mut outcome = TargetOutcome::from_analysis(report, Expectation::Clean);
     outcome.dot = Some(spec_dot(&spec, &[], "EQPROC"));
     outcome
 }
 
-fn lint_model(variant: bool, options: &AnalysisOptions) -> TargetOutcome {
+fn lint_model(variant: bool) -> TargetOutcome {
     let (model, label) = if variant {
         (TlsModel::variant().expect("variant model"), "TLS (variant)")
     } else {
@@ -200,7 +198,6 @@ fn lint_model(variant: bool, options: &AnalysisOptions) -> TargetOutcome {
     );
     let roots = model_roots(&model.spec, &model.invariants);
     let model_options = AnalysisOptions {
-        jobs: options.jobs,
         roots: roots.clone(),
     };
     let report = analyze_spec(&model.spec, label, &config, &model_options);
@@ -209,12 +206,17 @@ fn lint_model(variant: bool, options: &AnalysisOptions) -> TargetOutcome {
     outcome
 }
 
-fn lint_fixtures(options: &AnalysisOptions) -> Vec<TargetOutcome> {
+fn lint_fixtures() -> Vec<TargetOutcome> {
     LintFixture::all()
         .into_iter()
         .map(|fixture| {
             let spec = fixture.load().expect("fixture loads");
-            let report = analyze_spec(&spec, fixture.name(), &fixture.config(), options);
+            let report = analyze_spec(
+                &spec,
+                fixture.name(),
+                &fixture.config(),
+                &AnalysisOptions::default(),
+            );
             TargetOutcome::from_analysis(report, Expectation::DeniedWith(fixture.expected_code()))
         })
         .collect()
@@ -222,12 +224,10 @@ fn lint_fixtures(options: &AnalysisOptions) -> Vec<TargetOutcome> {
 
 const TARGET_NAMES: [&str; 5] = ["bool", "eq", "standard", "variant", "fixtures"];
 
-const USAGE: &str = "usage: tls-lint [--json] [--jobs N (0 = all cores)] [--sarif PATH] \
-                     [--graph PATH] [TARGET...]";
+const USAGE: &str = "usage: tls-lint [--json] [--sarif PATH] [--graph PATH] [TARGET...]";
 
 struct Options {
     json: bool,
-    run: RunFlags,
     sarif: Option<PathBuf>,
     graph: Option<PathBuf>,
     selected: Vec<String>,
@@ -236,16 +236,11 @@ struct Options {
 fn parse_args(flags: &mut Flags) -> Result<Options, UsageError> {
     let mut opts = Options {
         json: false,
-        run: RunFlags::accepting("--jobs"),
         sarif: None,
         graph: None,
         selected: Vec::new(),
     };
-    opts.run.jobs = 1;
     while let Some(arg) = flags.next() {
-        if opts.run.parse(&arg, flags)? {
-            continue;
-        }
         match arg.as_str() {
             "--json" => opts.json = true,
             "--sarif" => opts.sarif = Some(flags.value(&arg, "a path")?),
@@ -266,26 +261,21 @@ fn parse_args(flags: &mut Flags) -> Result<Options, UsageError> {
 fn run() {
     let opts = cli::parse_env(USAGE, parse_args);
     let want = |name: &str| opts.selected.is_empty() || opts.selected.iter().any(|s| s == name);
-    let options = AnalysisOptions {
-        jobs: resolve_jobs(opts.run.jobs),
-        roots: Vec::new(),
-    };
-
     let mut outcomes = Vec::new();
     if want("bool") {
-        outcomes.push(lint_bool(&options));
+        outcomes.push(lint_bool());
     }
     if want("eq") {
-        outcomes.push(lint_eq_procedure(&options));
+        outcomes.push(lint_eq_procedure());
     }
     if want("standard") {
-        outcomes.push(lint_model(false, &options));
+        outcomes.push(lint_model(false));
     }
     if want("variant") {
-        outcomes.push(lint_model(true, &options));
+        outcomes.push(lint_model(true));
     }
     if want("fixtures") {
-        outcomes.extend(lint_fixtures(&options));
+        outcomes.extend(lint_fixtures());
     }
 
     if let Some(path) = &opts.sarif {

@@ -68,27 +68,20 @@ fn run(bin: &str, args: &[&str]) -> (Option<i32>, String) {
 
 #[test]
 fn a_malformed_jobs_value_exits_2_naming_the_flag() {
-    for bin in [
-        env!("CARGO_BIN_EXE_tls-prove"),
-        env!("CARGO_BIN_EXE_tls-lint"),
-    ] {
-        let (code, stderr) = run(bin, &["--jobs", "x"]);
-        assert_eq!(code, Some(2), "{bin}:\n{stderr}");
-        assert!(stderr.contains("--jobs"), "{bin}:\n{stderr}");
-    }
+    let (code, stderr) = run(env!("CARGO_BIN_EXE_tls-prove"), &["--jobs", "x"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("--jobs"), "{stderr}");
 }
 
 #[test]
 fn jobs_over_the_bound_exit_2_before_any_work() {
-    for (bin, target) in [
-        (env!("CARGO_BIN_EXE_tls-prove"), "lem-src-honest"),
-        (env!("CARGO_BIN_EXE_tls-lint"), "bool"),
-    ] {
-        let (code, stderr) = run(bin, &[target, "--jobs", "257"]);
-        assert_eq!(code, Some(2), "{bin}:\n{stderr}");
-        assert!(stderr.contains("--jobs"), "{bin}:\n{stderr}");
-        assert!(stderr.contains("over the limit of 256"), "{bin}:\n{stderr}");
-    }
+    let (code, stderr) = run(
+        env!("CARGO_BIN_EXE_tls-prove"),
+        &["lem-src-honest", "--jobs", "257"],
+    );
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("--jobs"), "{stderr}");
+    assert!(stderr.contains("over the limit of 256"), "{stderr}");
 }
 
 #[test]

@@ -13,7 +13,6 @@
 //! scan (it is a lookup structure, not a strategy).
 
 use equitls::core::prelude::{ProofReport, ProverConfig};
-use equitls::lint::{analyze_spec, AnalysisOptions, LintConfig};
 use equitls::mc::prelude::*;
 use equitls::obs::sink::{Obs, RecordingSink};
 use equitls::tls::concrete::{Scope, State};
@@ -155,32 +154,6 @@ fn profiling_does_not_change_results_at_any_thread_count() {
                     .any(|e| e.name().starts_with("prover.obligation:")),
                 "obligation spans recorded at jobs={jobs}"
             );
-        }
-    });
-}
-
-/// The static analyzer under `--jobs`: critical-pair joinability fans out
-/// across workers, but each pair is judged with fresh normalizers, so the
-/// rendered report — every diagnostic, order, note, and count — must be
-/// identical at every thread count.
-#[test]
-fn lint_report_is_identical_at_every_thread_count() {
-    on_big_stack(|| {
-        let model = TlsModel::standard().unwrap();
-        let config = LintConfig::new();
-        let reports: Vec<String> = JOBS
-            .iter()
-            .map(|&jobs| {
-                let options = AnalysisOptions {
-                    jobs,
-                    roots: Vec::new(),
-                };
-                let report = analyze_spec(&model.spec, "TLS (standard)", &config, &options);
-                format!("{report}")
-            })
-            .collect();
-        for (jobs, report) in JOBS.iter().zip(&reports).skip(1) {
-            assert_eq!(report, &reports[0], "lint report differs at jobs={jobs}");
         }
     });
 }
