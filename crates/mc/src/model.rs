@@ -3,7 +3,6 @@
 use equitls_tls::concrete::codec::{self, SuccessorEncoder};
 use equitls_tls::concrete::step::render_label;
 use equitls_tls::concrete::{apply, moves, Scope, State};
-use std::hash::Hash;
 
 /// An explicit-state transition system.
 ///
@@ -25,8 +24,8 @@ use std::hash::Hash;
 /// [`Model::successors`] and the codec; a model that can write its
 /// successors' canonical bytes directly overrides it.
 pub trait Model {
-    /// The state type (hashable for the visited set).
-    type State: Clone + Eq + Hash;
+    /// The state type; the visited set holds its encoded bytes.
+    type State;
 
     /// The (single) initial state.
     fn initial(&self) -> Self::State;

@@ -21,7 +21,7 @@
 use std::time::Duration;
 
 use equitls_core::prelude::*;
-use equitls_lint::{analyze_spec, AnalysisOptions, LintConfig, Severity};
+use equitls_lint::{analyze_spec, Severity};
 use equitls_mc::check::check_scope_config_obs;
 use equitls_mc::explorer::{ExploreConfig, Limits};
 use equitls_obs::json::JsonValue;
@@ -374,12 +374,8 @@ fn run_lint(request: &JobRequest, warm: &WarmState) -> JsonValue {
     } else {
         "TLS handshake"
     };
-    let report = analyze_spec(
-        &pristine.spec,
-        target,
-        &LintConfig::new(),
-        &AnalysisOptions::default(),
-    );
+    let (config, options) = pristine.lint_setup();
+    let report = analyze_spec(&pristine.spec, target, &config, &options);
     let findings = report
         .diagnostics
         .iter()

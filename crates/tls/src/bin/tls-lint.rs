@@ -25,11 +25,9 @@
 //! fixture is denied for its seeded reason; the README's "Command line"
 //! section lists the others.
 
-use equitls_core::prelude::InvariantSet;
-use equitls_kernel::op::OpKind;
 use equitls_kernel::prelude::OpId;
 use equitls_kernel::signature::Signature;
-use equitls_kernel::term::{Term, TermStore};
+use equitls_kernel::term::TermStore;
 use equitls_lint::{
     analyze_spec, analyze_system, deps, sarif, AnalysisOptions, LintCode, LintConfig, LintReport,
     Severity,
@@ -107,29 +105,6 @@ impl TargetOutcome {
     }
 }
 
-/// Dependency-analysis roots of a TLS model: every observer and action in
-/// the signature, plus every operator an invariant body mentions — the
-/// terms `red` is actually asked to reduce during the proof scores.
-fn model_roots(spec: &Spec, invariants: &InvariantSet) -> Vec<OpId> {
-    let store = spec.store();
-    let mut roots: Vec<OpId> = Vec::new();
-    for (id, decl) in store.signature().ops() {
-        if matches!(decl.attrs.kind, OpKind::Observer | OpKind::Action) {
-            roots.push(id);
-        }
-    }
-    for inv in invariants.iter() {
-        for t in store.subterms(inv.body) {
-            if let Term::App { op, .. } = store.node(t) {
-                if !roots.contains(op) {
-                    roots.push(*op);
-                }
-            }
-        }
-    }
-    roots
-}
-
 fn spec_dot(spec: &Spec, roots: &[OpId], name: &str) -> String {
     let graph = deps::build_graph(spec.store(), spec.rules(), roots);
     deps::to_dot(spec.store(), &graph, name)
@@ -174,35 +149,10 @@ fn lint_model(variant: bool) -> TargetOutcome {
             "TLS (standard)",
         )
     };
-    // Triaged: the model's data selectors are deliberately partial
-    // functions. `rand`/`sid`/... project only the message constructor
-    // they belong to, the session observers are undefined on `noSession`,
-    // and the gleaning membership `_\in_` is defined only for the payload
-    // sorts the proofs query. Stuck selector terms never arise in
-    // reachable proof terms, so the missing cases are design, not gaps.
-    let mut config = LintConfig::new();
-    config.allow(
-        LintCode::MissingCase,
-        "selectors in the OTS model are partial by design; \
-         they are only ever applied to their own constructors",
-    );
-    // Triaged: the data modules ship every projection of every compound
-    // constructor for symmetry (`hk`, `owner`, `fi`, ...), but the proof
-    // scores only query a subset, so the rest are unreachable from the
-    // invariant/observer/action roots. Keep them visible in the census,
-    // not as warnings.
-    config.allow(
-        LintCode::DeadRule,
-        "unqueried data selectors are shipped for symmetry with the paper's \
-         DATA modules; the proofs never reduce them",
-    );
-    let roots = model_roots(&model.spec, &model.invariants);
-    let model_options = AnalysisOptions {
-        roots: roots.clone(),
-    };
+    let (config, model_options) = model.lint_setup();
     let report = analyze_spec(&model.spec, label, &config, &model_options);
     let mut outcome = TargetOutcome::from_analysis(report, Expectation::Clean);
-    outcome.dot = Some(spec_dot(&model.spec, &roots, label));
+    outcome.dot = Some(spec_dot(&model.spec, &model_options.roots, label));
     outcome
 }
 

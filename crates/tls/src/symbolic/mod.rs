@@ -18,6 +18,9 @@ pub use transitions::Variant;
 
 use equitls_core::prelude::{InvariantSet, Ots};
 use equitls_core::CoreError;
+use equitls_kernel::op::OpKind;
+use equitls_kernel::term::Term;
+use equitls_lint::{AnalysisOptions, LintCode, LintConfig};
 use equitls_spec::prelude::Spec;
 
 /// A fully assembled symbolic TLS model.
@@ -68,6 +71,56 @@ impl TlsModel {
             invariants,
             variant,
         })
+    }
+
+    /// How this model is linted, by `tls-lint` and by the daemon's lint
+    /// jobs alike: the triaged lint codes and the dependency-analysis
+    /// roots.
+    ///
+    /// The roots are every observer and action in the signature, plus
+    /// every operator an invariant body mentions — the terms `red` is
+    /// actually asked to reduce during the proof scores.
+    pub fn lint_setup(&self) -> (LintConfig, AnalysisOptions) {
+        // Triaged: the model's data selectors are deliberately partial
+        // functions. `rand`/`sid`/... project only the message constructor
+        // they belong to, the session observers are undefined on
+        // `noSession`, and the gleaning membership `_\in_` is defined only
+        // for the payload sorts the proofs query. Stuck selector terms
+        // never arise in reachable proof terms, so the missing cases are
+        // design, not gaps.
+        let mut config = LintConfig::new();
+        config.allow(
+            LintCode::MissingCase,
+            "selectors in the OTS model are partial by design; \
+             they are only ever applied to their own constructors",
+        );
+        // Triaged: the data modules ship every projection of every
+        // compound constructor for symmetry (`hk`, `owner`, `fi`, ...), but
+        // the proof scores only query a subset, so the rest are unreachable
+        // from the invariant/observer/action roots. Keep them visible in
+        // the census, not as warnings.
+        config.allow(
+            LintCode::DeadRule,
+            "unqueried data selectors are shipped for symmetry with the paper's \
+             DATA modules; the proofs never reduce them",
+        );
+        let store = self.spec.store();
+        let mut roots = Vec::new();
+        for (id, decl) in store.signature().ops() {
+            if matches!(decl.attrs.kind, OpKind::Observer | OpKind::Action) {
+                roots.push(id);
+            }
+        }
+        for inv in self.invariants.iter() {
+            for t in store.subterms(inv.body) {
+                if let Term::App { op, .. } = store.node(t) {
+                    if !roots.contains(op) {
+                        roots.push(*op);
+                    }
+                }
+            }
+        }
+        (config, AnalysisOptions { roots })
     }
 }
 

@@ -132,7 +132,7 @@ for JOBS in 1 2; do
 done
 rm -f "$FUEL_OUT"
 
-echo "== model checker: resident run matches the committed table; spill smoke (ceiling completes by spilling, bit-identical) =="
+echo "== model checker: resident run and its resume match the committed table; spill smoke (ceiling completes by spilling, bit-identical) =="
 # A 16 MiB heap ceiling truncates the bound-3 scope check when the
 # visited set must stay resident; the same ceiling with a spill
 # directory completes by pushing cold shards to disk — bit-identical to
@@ -149,6 +149,12 @@ $MC | sed -E "$STRIP_DURATION" > /tmp/equitls_check_spill_base.txt
 # scripts/counts/model_check.txt. A change meant to move them
 # regenerates the table with the command above and says why.
 diff /tmp/equitls_check_spill_base.txt scripts/counts/model_check.txt
+# Resident resume: a finished inline checkpoint resumes to the same table.
+RES_CKPT="$(mktemp -u /tmp/equitls_check_XXXXXX.res.snap)"
+$MC --checkpoint "$RES_CKPT" > /dev/null
+$MC --checkpoint "$RES_CKPT" --resume | sed -E "$STRIP_DURATION" \
+    | diff - scripts/counts/model_check.txt
+rm -f "$RES_CKPT".m*
 # Resident-only under the ceiling: typed truncation, disclosed.
 $MC --max-mem-mb 16 > /tmp/equitls_check_spill_trunc.txt
 grep -q "stopped: memory ceiling exceeded" /tmp/equitls_check_spill_trunc.txt

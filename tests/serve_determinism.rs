@@ -213,3 +213,57 @@ fn killed_and_resumed_queue_replays_bit_identically() {
         }
     });
 }
+
+/// The number after `"key":` in a stable JSON line.
+fn json_count(line: &str, key: &str) -> usize {
+    let needle = format!("\"{key}\":");
+    let at = line.find(&needle).expect("key present") + needle.len();
+    let digits: String = line[at..]
+        .chars()
+        .take_while(char::is_ascii_digit)
+        .collect();
+    digits.parse().expect("a count")
+}
+
+/// A daemon lint job lints a TLS model exactly as `tls-lint` does (the
+/// triaged codes and the dependency roots of `TlsModel::lint_setup`), so
+/// its deny and warn counts equal the ones `tls-lint` prints, as pinned
+/// in `scripts/counts/tls-lint.txt`.
+#[test]
+fn serve_lint_jobs_match_tls_lint() {
+    on_big_stack(|| {
+        let pinned = std::fs::read_to_string(
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("scripts/counts/tls-lint.txt"),
+        )
+        .expect("pinned tls-lint output");
+        let engine = ServeEngine::start(
+            ServeConfig {
+                workers: 0,
+                ..ServeConfig::default()
+            },
+            Obs::noop(),
+        )
+        .expect("engine starts");
+        for target in ["standard", "variant"] {
+            let mut lint = JobRequest::new(format!("lint-{target}"), JobKind::Lint);
+            lint.target = target.to_string();
+            let seq = submit_all(&engine, vec![lint])[0];
+            while engine.run_next_job() {}
+            let line = engine.stable_response(seq).expect("job completed");
+            let header = format!("lint TLS ({target}): ");
+            let counts = pinned
+                .lines()
+                .find_map(|l| l.strip_prefix(header.as_str()))
+                .expect("tls-lint reports the target");
+            let expected = format!(
+                "{} deny, {} warn,",
+                json_count(&line, "deny"),
+                json_count(&line, "warn")
+            );
+            assert!(
+                counts.starts_with(&expected),
+                "{target}: serve reports `{expected}`, tls-lint `{counts}`"
+            );
+        }
+    });
+}

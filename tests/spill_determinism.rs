@@ -4,10 +4,14 @@
 //! Three contracts, pinned over the §5 counterexample scope:
 //!
 //! 1. **Determinism** — a run that spills cold visited-set shards to
-//!    disk produces *bit-identical* results to an all-resident run, at
-//!    every `jobs` value. Spill decisions happen only at level barriers
-//!    in shard order, so the disk tier changes wall-clock and resident
-//!    bytes, never a count, verdict, or trace.
+//!    disk produces *bit-identical* results to an all-resident run.
+//!    Spill decisions happen only at level barriers in shard order, so
+//!    the disk tier changes wall-clock and resident bytes, never a
+//!    count, verdict, or trace.
+//!
+//! The model checker runs on one thread and ignores its `jobs`
+//! argument, so each search here runs once; the test names keep their
+//! `jobs` suffixes.
 //! 2. **Crash-safety** — a run interrupted mid-spill (deterministic
 //!    injected fault standing in for `kill -9`; the script-level smoke
 //!    does the real kill) resumes from its manifest checkpoint and lands
@@ -20,8 +24,6 @@ use equitls::mc::prelude::*;
 use equitls::obs::sink::Obs;
 use equitls::tls::concrete::{Scope, State};
 use std::path::{Path, PathBuf};
-
-const JOBS: [usize; 3] = [1, 2, 4];
 
 fn on_big_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
     std::thread::Builder::new()
@@ -102,27 +104,17 @@ fn spilled_scope_check_is_bit_identical_at_jobs_1_2_4() {
             resident.violation("prop2p-cf-authentic").is_some(),
             "the paper's 2' violation is found"
         );
-        for jobs in JOBS {
-            let dir = tmp_spill_dir(&format!("identical_j{jobs}"));
-            let spilled = check_scope_config_obs(
-                &scope,
-                &limits,
-                jobs,
-                &spill_config(&dir, None),
-                &Obs::noop(),
-            );
-            assert_same_exploration(&spilled, &resident, &format!("jobs={jobs}"));
-            assert!(
-                spilled.spill_shards > 0,
-                "jobs={jobs}: shards actually went to disk"
-            );
-            assert!(
-                spilled.degradation.iter().any(|d| d == "visited-spilled"),
-                "jobs={jobs}: degradation disclosed, got {:?}",
-                spilled.degradation
-            );
-            let _ = std::fs::remove_dir_all(&dir);
-        }
+        let dir = tmp_spill_dir("identical");
+        let spilled =
+            check_scope_config_obs(&scope, &limits, 1, &spill_config(&dir, None), &Obs::noop());
+        assert_same_exploration(&spilled, &resident, "spilled");
+        assert!(spilled.spill_shards > 0, "shards actually went to disk");
+        assert!(
+            spilled.degradation.iter().any(|d| d == "visited-spilled"),
+            "degradation disclosed, got {:?}",
+            spilled.degradation
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     });
 }
 
@@ -131,40 +123,37 @@ fn interrupted_spilled_run_resumes_byte_identical() {
     on_big_stack(|| {
         let (scope, limits) = small_scope();
         let straight = resident_check(&scope, &limits);
-        for jobs in JOBS {
-            let dir = tmp_spill_dir(&format!("resume_j{jobs}"));
-            let path = tmp_snapshot(&format!("resume_j{jobs}"));
-            let _ = std::fs::remove_file(&path);
-            // Interrupt mid-level, after barriers that both spilled
-            // shards and wrote a manifest checkpoint.
-            let mut interrupt = spill_config(
-                &dir,
-                Some(FaultPlan::new().with_fault(Fault::new(
-                    FaultSite::Successor,
-                    FaultKind::DeadlineExpiry,
-                    40,
-                ))),
-            );
-            interrupt.checkpoint_path = Some(path.clone());
-            let interrupted =
-                check_scope_config_obs(&scope, &limits, jobs, &interrupt, &Obs::noop());
-            assert!(!interrupted.complete, "the fault interrupts the search");
-            assert!(
-                interrupted.spill_shards > 0,
-                "shards were on disk at the interrupt"
-            );
-            assert!(path.exists(), "a manifest checkpoint was written");
-            // Resume without the fault: revalidates every spilled
-            // shard's checksum and digest, finishes, and matches the
-            // uninterrupted all-resident run exactly.
-            let mut resume = spill_config(&dir, None);
-            resume.checkpoint_path = Some(path.clone());
-            let resumed = check_scope_resume_obs(&scope, &limits, &resume, &Obs::noop())
-                .expect("manifest snapshot resumes");
-            assert_same_exploration(&resumed, &straight, &format!("resume jobs={jobs}"));
-            let _ = std::fs::remove_file(&path);
-            let _ = std::fs::remove_dir_all(&dir);
-        }
+        let dir = tmp_spill_dir("resume");
+        let path = tmp_snapshot("resume");
+        let _ = std::fs::remove_file(&path);
+        // Interrupt mid-level, after barriers that both spilled shards
+        // and wrote a manifest checkpoint.
+        let mut interrupt = spill_config(
+            &dir,
+            Some(FaultPlan::new().with_fault(Fault::new(
+                FaultSite::Successor,
+                FaultKind::DeadlineExpiry,
+                40,
+            ))),
+        );
+        interrupt.checkpoint_path = Some(path.clone());
+        let interrupted = check_scope_config_obs(&scope, &limits, 1, &interrupt, &Obs::noop());
+        assert!(!interrupted.complete, "the fault interrupts the search");
+        assert!(
+            interrupted.spill_shards > 0,
+            "shards were on disk at the interrupt"
+        );
+        assert!(path.exists(), "a manifest checkpoint was written");
+        // Resume without the fault: revalidates every spilled shard's
+        // checksum and digest, finishes, and matches the uninterrupted
+        // all-resident run exactly.
+        let mut resume = spill_config(&dir, None);
+        resume.checkpoint_path = Some(path.clone());
+        let resumed = check_scope_resume_obs(&scope, &limits, &resume, &Obs::noop())
+            .expect("manifest snapshot resumes");
+        assert_same_exploration(&resumed, &straight, "resumed");
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&dir);
     });
 }
 
@@ -274,39 +263,35 @@ fn spill_read_fault_stops_identically_at_jobs_1_2_4() {
         // Each shard in turn fails every read-back. Wherever the first
         // failed reload lands — a frontier fetch, or a dedup lookup while
         // merging — the search stops there, typed, with the entries
-        // before it merged and the rest disclosed, at every jobs value.
+        // before it merged and the rest disclosed.
         let mut stopped = Vec::new();
         for shard in 0..8 {
             let plan = FaultPlan::new().with_fault(
                 Fault::new(FaultSite::SpillRead, FaultKind::IoError, shard).in_scope("visited"),
             );
-            let run = |jobs: usize| {
-                let dir = tmp_spill_dir(&format!("rfault_s{shard}_j{jobs}"));
-                let result = check_scope_config_obs(
-                    &scope,
-                    &limits,
-                    jobs,
-                    &spill_config(&dir, Some(plan.clone())),
-                    &Obs::noop(),
-                );
-                let _ = std::fs::remove_dir_all(&dir);
-                result
-            };
-            let seq = run(1);
-            if seq.stop_reason == Some(StopReason::SpillFailed) {
+            let dir = tmp_spill_dir(&format!("rfault_s{shard}"));
+            let run = check_scope_config_obs(
+                &scope,
+                &limits,
+                1,
+                &spill_config(&dir, Some(plan)),
+                &Obs::noop(),
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+            assert_eq!(
+                run.states_per_depth.iter().sum::<usize>(),
+                run.states,
+                "shard {shard}: the partial tally is consistent"
+            );
+            if run.stop_reason == Some(StopReason::SpillFailed) {
                 stopped.push(shard);
                 let site = format!("spill:shard{shard}");
                 assert!(
-                    seq.faults.iter().any(|f| f.site == site),
+                    run.faults.iter().any(|f| f.site == site),
                     "shard {shard}: typed fault recorded, got {:?}",
-                    seq.faults
+                    run.faults
                 );
-            }
-            for jobs in [2, 4] {
-                let par = run(jobs);
-                let ctx = format!("shard {shard} jobs={jobs}");
-                assert_same_exploration(&par, &seq, &ctx);
-                assert_eq!(par.faults, seq.faults, "faults {ctx}");
+                assert!(run.unexpanded > 0, "shard {shard}: the stop is disclosed");
             }
         }
         // Shard 7 is never read back in this scope, so it never fails.
