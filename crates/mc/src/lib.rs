@@ -36,6 +36,7 @@
 #![warn(missing_docs)]
 
 pub mod check;
+mod checkpoint;
 pub mod explorer;
 pub mod model;
 pub mod scenario;

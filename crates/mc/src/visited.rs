@@ -18,6 +18,9 @@
 //!   needs a reload to be inserted — only a successor that hash-matches
 //!   a spilled entry forces one.
 //!
+//! The store owns its spill policy (whether to spill at a level barrier)
+//! and its shard files, whose format only its `shard_file` module knows.
+//!
 //! ## Determinism
 //!
 //! Inserts and reloads happen in frontier order; spill decisions are
@@ -35,18 +38,26 @@
 //! set, so the explorer stops with `StopReason::SpillFailed` — but never
 //! panics and never decodes garbage states.
 
+mod shard_file;
+
 use equitls_obs::sink::Obs;
-use equitls_persist::codec::{Reader, Writer};
-use equitls_persist::{read_snapshot, write_snapshot, PersistError, SnapshotKind};
-use equitls_rewrite::budget::{FaultKind, FaultPlan, FaultSite};
+use equitls_persist::{write_snapshot, PersistError, SnapshotKind};
+use equitls_rewrite::budget::{Budget, FaultKind, FaultPlan, FaultSite, StopReason};
+use shard_file::{encode_shard, read_shard_prefix, shard_file_name};
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
-/// Default shard count: one spilled shard is a usefully small eviction
-/// unit.
-pub const DEFAULT_SHARDS: usize = 64;
+/// The explorer's shard count: one spilled shard is a usefully small
+/// eviction unit. Entries are placed by hash over it, so a checkpoint
+/// manifest records it and a resume with another count is refused.
+pub(crate) const SHARDS: usize = 64;
+
+/// Barrier spill trigger: spill when the heap estimate crosses this
+/// fraction of the budget's memory ceiling, *before* the ceiling itself
+/// trips mid-level.
+const SPILL_PRESSURE: f64 = 0.7;
 
 /// Coarse bookkeeping overhead per *resident* entry (boxed slice header,
 /// vec slot), on top of the entry's payload bytes.
@@ -55,6 +66,10 @@ const ENTRY_OVERHEAD_BYTES: u64 = 48;
 /// Coarse always-resident overhead per entry: the locator pair plus the
 /// hash-index slot, which stay in memory even when the shard is spilled.
 const SLOT_INDEX_BYTES: u64 = 40;
+
+/// Coarse per-state estimate of what the explorer keeps beside each
+/// entry and never spills: the state's parent edge and label.
+const PARENT_EDGE_BYTES: u64 = 64;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -100,11 +115,6 @@ impl Hasher for PassThrough {
 
 /// End of a slot chain.
 const NO_SLOT: u32 = u32::MAX;
-
-/// The stable file name of one spilled shard inside the spill directory.
-pub fn shard_file_name(shard: u32) -> String {
-    format!("shard{shard:04}.vshard")
-}
 
 /// Where (and how) the store may spill shards.
 #[derive(Debug, Clone)]
@@ -157,9 +167,9 @@ pub struct SpillStats {
     pub write_failures: u64,
 }
 
-/// The result of one barrier spill pass.
+/// The result of one spill pass.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct SpillOutcome {
+struct SpillOutcome {
     /// Shards evicted by this pass.
     pub spilled: usize,
     /// Shard writes that failed during this pass.
@@ -258,23 +268,26 @@ pub struct VisitedStore {
     /// deterministic index for injected [`FaultSite::SpillWrite`]).
     write_attempts: u64,
     stats: SpillStats,
+    /// Set when a mid-level memory-ceiling trip was deferred to the next
+    /// barrier's spill pass instead of truncating the search.
+    memory_stop_deferred: bool,
+    /// Disclosed degradations (`"visited-spilled"`,
+    /// `"spill-write-failed"`), in the order they first happened.
+    pub(crate) degradation: Vec<String>,
 }
 
 impl VisitedStore {
-    /// An empty store with `shard_count` shards (`0` = default) and an
-    /// optional spill tier.
+    /// An empty store with `shard_count` shards and an optional spill
+    /// tier.
     pub fn new(shard_count: usize, spill: Option<SpillSettings>) -> Self {
-        let n = if shard_count == 0 {
-            DEFAULT_SHARDS
-        } else {
-            shard_count
-        };
         VisitedStore {
-            shards: (0..n).map(|_| Shard::new()).collect(),
+            shards: (0..shard_count).map(|_| Shard::new()).collect(),
             locator: Vec::new(),
             spill,
             write_attempts: 0,
             stats: SpillStats::default(),
+            memory_stop_deferred: false,
+            degradation: Vec::new(),
         }
     }
 
@@ -288,19 +301,9 @@ impl VisitedStore {
         self.locator.is_empty()
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The shard holding global state `idx`.
     pub fn shard_of(&self, idx: usize) -> u32 {
         self.locator[idx].0
-    }
-
-    /// The global `(shard, slot)` placement table, in insertion order.
-    pub fn locator(&self) -> &[(u32, u32)] {
-        &self.locator
     }
 
     /// Spill-tier counters so far.
@@ -317,17 +320,21 @@ impl VisitedStore {
         ((hash % self.shards.len() as u64) as u32, hash)
     }
 
-    /// Coarse heap estimate of the parts that never leave memory: the
-    /// locator and the per-entry hash-index slots.
-    pub fn unspillable_estimate(&self) -> u64 {
-        self.locator.len() as u64 * SLOT_INDEX_BYTES
+    /// Coarse heap estimate of the parts of a search that never leave
+    /// memory: the locator, the per-entry hash-index slots and the
+    /// explorer's parent edges.
+    fn unspillable_estimate(&self) -> u64 {
+        self.locator.len() as u64 * (SLOT_INDEX_BYTES + PARENT_EDGE_BYTES)
     }
 
-    /// Coarse heap estimate of everything currently resident:
-    /// [`unspillable_estimate`](Self::unspillable_estimate) plus the
-    /// resident entry payloads and their bookkeeping.
+    /// Coarse heap estimate of a search, for the budget's memory
+    /// tripwire: the unspillable part (locator, hash index, parent edges)
+    /// plus the resident entry payloads and their bookkeeping. It
+    /// *drops* when shards spill — that is the degradation: the same
+    /// ceiling that would truncate a resident run instead steers the
+    /// store onto disk.
     pub fn resident_estimate(&self) -> u64 {
-        let mut total = self.locator.len() as u64 * SLOT_INDEX_BYTES;
+        let mut total = self.unspillable_estimate();
         for s in &self.shards {
             total += s.resident_bytes + s.entries.len() as u64 * ENTRY_OVERHEAD_BYTES;
         }
@@ -335,13 +342,14 @@ impl VisitedStore {
     }
 
     /// Shards with at least one resident entry.
-    pub fn resident_shard_count(&self) -> usize {
+    fn resident_shard_count(&self) -> usize {
         self.shards.iter().filter(|s| !s.entries.is_empty()).count()
     }
 
-    /// Shards whose bytes live (at least partly) only on disk.
-    pub fn spilled_shard_count(&self) -> usize {
-        self.shards.iter().filter(|s| !s.resident).count()
+    /// Whether more than `max_resident_shards` shards keep resident
+    /// entries; `0` sets no cap.
+    fn over_shard_cap(&self, max_resident_shards: usize) -> bool {
+        max_resident_shards > 0 && self.resident_shard_count() > max_resident_shards
     }
 
     /// Dedup-or-store one encoded state.
@@ -395,9 +403,9 @@ impl VisitedStore {
             .join(shard_file_name(shard))
     }
 
-    /// Read one shard back into memory, revalidating everything: the
-    /// file CRC (via `read_snapshot`), the shard id, the entry count,
-    /// and the running digest against the in-memory accumulator.
+    /// Read one shard back into memory through [`read_shard_prefix`]:
+    /// its file must hold the `file_len` slots whose digest, continued
+    /// over the resident tail, is the in-memory accumulator.
     fn reload_shard(&mut self, shard_id: u32, obs: &Obs) -> Result<(), SpillError> {
         let fail = |error: PersistError| SpillError {
             shard: shard_id,
@@ -421,27 +429,11 @@ impl VisitedStore {
             None => {}
         }
         let path = self.shard_path(shard_id);
-        let entries = read_shard_file(&path, shard_id, obs).map_err(fail)?;
+        let shard = &self.shards[shard_id as usize];
+        let (len, digest) = (shard.file_len as u64, shard.fnv_acc);
+        let entries =
+            read_shard_prefix(&path, shard_id, len, &shard.entries, digest, obs).map_err(fail)?;
         let shard = self.shard_mut(shard_id);
-        if entries.len() != shard.file_len as usize {
-            return Err(fail(PersistError::Malformed(format!(
-                "shard {shard_id} file holds {} entries, store expects {}",
-                entries.len(),
-                shard.file_len
-            ))));
-        }
-        let mut digest = FNV_OFFSET;
-        for e in &entries {
-            digest = fold_entry(digest, e);
-        }
-        for tail in &shard.entries {
-            digest = fold_entry(digest, tail);
-        }
-        if digest != shard.fnv_acc {
-            return Err(fail(PersistError::Malformed(format!(
-                "shard {shard_id} file content does not match the in-memory digest"
-            ))));
-        }
         let mut all: Vec<Box<[u8]>> = entries.into_iter().map(Vec::into_boxed_slice).collect();
         all.append(&mut shard.entries);
         shard.entries = all;
@@ -487,16 +479,7 @@ impl VisitedStore {
                 return fail(self);
             }
         }
-        let payload = {
-            let s = self.shard_mut(shard_id);
-            let mut w = Writer::new();
-            w.u32(shard_id);
-            w.usize(s.len as usize);
-            for e in &s.entries {
-                w.bytes(e);
-            }
-            w.into_bytes()
-        };
+        let payload = encode_shard(shard_id, &self.shards[shard_id as usize].entries);
         match write_snapshot(&path, SnapshotKind::VisitedShard, &payload, obs) {
             Ok(_) => {
                 let s = self.shard_mut(shard_id);
@@ -525,27 +508,76 @@ impl VisitedStore {
         true
     }
 
-    /// The barrier spill pass: evict shards **in shard-id order** until
-    /// the resident estimate is at most `resident_goal` bytes and (when
-    /// `max_resident_shards > 0`) at most that many shards keep resident
-    /// entries. Purely a function of the store's contents — no clocks —
-    /// so the pass is identical on every run. Failed writes are
-    /// counted and skipped; the pass moves on to the next shard.
-    pub fn spill_until(
+    /// Whether a mid-level `MemoryExceeded` may be deferred to the next
+    /// barrier's spill pass, and if so, arm that pass. There must be
+    /// somewhere to spill *to*, and the unspillable part must itself fit
+    /// the ceiling — otherwise spilling cannot help and the honest
+    /// answer is to stop.
+    pub(crate) fn defer_memory_stop(&mut self, budget: &Budget) -> bool {
+        let max = budget.max_heap_bytes().unwrap_or(u64::MAX);
+        let defer = self.spill.is_some() && self.unspillable_estimate() <= max;
+        self.memory_stop_deferred |= defer;
+        defer
+    }
+
+    /// The barrier spill pass — the only place shards go to disk, so
+    /// spill decisions are a function of the search alone. Spills (in
+    /// shard order) when a mid-level ceiling trip was deferred, when the heap
+    /// estimate crosses [`SPILL_PRESSURE`] of the ceiling, or when more
+    /// than `max_resident_shards` shards are resident; the goal is half
+    /// the ceiling, leaving headroom for the next level. If the estimate
+    /// still exceeds the ceiling after the pass (e.g. every write failed
+    /// on a full disk), the honest answer is the typed `MemoryExceeded`
+    /// stop — degradation is disclosed, never silent.
+    pub(crate) fn barrier_spill(
+        &mut self,
+        budget: &Budget,
+        max_resident_shards: usize,
+        obs: &Obs,
+    ) -> Option<StopReason> {
+        self.spill.as_ref()?;
+        let deferred = std::mem::take(&mut self.memory_stop_deferred);
+        let over_pressure = budget
+            .memory_pressure(self.resident_estimate())
+            .is_some_and(|p| p >= SPILL_PRESSURE);
+        if !(deferred || over_pressure || self.over_shard_cap(max_resident_shards)) {
+            return None;
+        }
+        let goal = match budget.max_heap_bytes() {
+            Some(max) => max / 2,
+            None => u64::MAX,
+        };
+        let outcome = self.spill_until(goal, max_resident_shards, obs);
+        if outcome.spilled > 0 {
+            self.disclose("visited-spilled");
+        }
+        if outcome.write_failures > 0 {
+            self.disclose("spill-write-failed");
+        }
+        budget.check(self.resident_estimate()).err()
+    }
+
+    fn disclose(&mut self, degradation: &str) {
+        if !self.degradation.iter().any(|d| d == degradation) {
+            self.degradation.push(degradation.into());
+        }
+    }
+
+    /// Evict shards **in shard-id order** until the resident estimate is
+    /// at most `resident_goal` bytes and the shard cap holds. Purely a
+    /// function of the store's contents — no clocks — so the pass is
+    /// identical on every run. Failed writes are counted and skipped;
+    /// the pass moves on to the next shard.
+    fn spill_until(
         &mut self,
         resident_goal: u64,
         max_resident_shards: usize,
         obs: &Obs,
     ) -> SpillOutcome {
         let mut outcome = SpillOutcome::default();
-        if self.spill.is_none() {
-            return outcome;
-        }
         for shard_id in 0..self.shards.len() as u32 {
             let over_bytes = self.resident_estimate() > resident_goal;
-            let over_shards =
-                max_resident_shards > 0 && self.resident_shard_count() > max_resident_shards;
-            if !over_bytes && !over_shards {
+            if !over_bytes && !self.over_shard_cap(max_resident_shards) {
                 break;
             }
             if self.shard_mut(shard_id).entries.is_empty() {
@@ -576,60 +608,32 @@ impl VisitedStore {
         }
         ok
     }
-
-    /// The per-shard manifest a checkpoint records: `(entry count,
-    /// running digest)` for every shard, in shard-id order. A resume
-    /// revalidates each shard file's prefix against these.
-    pub fn manifest(&self) -> Vec<(u64, u64)> {
-        self.shards
-            .iter()
-            .map(|s| (s.len as u64, s.fnv_acc))
-            .collect()
-    }
-}
-
-/// Read and decode one shard file: CRC-validated by `read_snapshot`,
-/// then shape-validated (shard id, trailing bytes). Used by the store's
-/// demand reloads and by checkpoint resume.
-pub fn read_shard_file(
-    path: &Path,
-    shard_id: u32,
-    obs: &Obs,
-) -> Result<Vec<Vec<u8>>, PersistError> {
-    let (_meta, payload) = read_snapshot(path, SnapshotKind::VisitedShard, obs)?;
-    let mut r = Reader::new(&payload);
-    let found = r.u32()?;
-    if found != shard_id {
-        return Err(PersistError::Malformed(format!(
-            "shard file {} holds shard {found}, expected {shard_id}",
-            path.display()
-        )));
-    }
-    let n = r.seq_len(8)?;
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        entries.push(r.bytes()?.to_vec());
-    }
-    if !r.is_empty() {
-        return Err(PersistError::Malformed(format!(
-            "{} trailing bytes after shard file",
-            r.remaining()
-        )));
-    }
-    Ok(entries)
-}
-
-/// Recompute the manifest digest of an entry prefix (resume validation).
-pub fn digest_entries<B: AsRef<[u8]>>(entries: &[B]) -> u64 {
-    entries
-        .iter()
-        .fold(FNV_OFFSET, |acc, e| fold_entry(acc, e.as_ref()))
 }
 
 #[cfg(test)]
+pub(crate) use shard_file::{forge_shard_file, manifest_entry};
+
+#[cfg(test)]
 mod tests {
+    use super::shard_file::{digest_entries, read_shard_file};
     use super::*;
     use equitls_rewrite::budget::Fault;
+
+    impl VisitedStore {
+        /// Shards whose bytes live (at least partly) only on disk.
+        fn spilled_shard_count(&self) -> usize {
+            self.shards.iter().filter(|s| !s.resident).count()
+        }
+
+        /// The per-shard manifest a checkpoint records: `(entry count,
+        /// running digest)` for every shard, in shard-id order.
+        fn manifest(&self) -> Vec<(u64, u64)> {
+            self.shards
+                .iter()
+                .map(|s| (s.len as u64, s.fnv_acc))
+                .collect()
+        }
+    }
 
     fn tmp_dir(name: &str) -> PathBuf {
         let dir =

@@ -17,6 +17,15 @@ impl Writer {
         Self::default()
     }
 
+    /// Start an empty buffer that holds `capacity` bytes before it has
+    /// to grow: an encoder that knows its output size writes it without
+    /// reallocating.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Writer {
+            buf: Vec::with_capacity(capacity),
+        }
+    }
+
     /// Consume the writer and return the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf

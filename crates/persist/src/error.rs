@@ -41,6 +41,14 @@ pub enum PersistError {
         /// Bytes actually present.
         found: u64,
     },
+    /// The file is longer than its header claims: bytes were appended
+    /// after a complete snapshot.
+    TrailingBytes {
+        /// Bytes the header promised.
+        expected: u64,
+        /// Bytes actually present.
+        found: u64,
+    },
     /// The payload's CRC32 does not match the header — the file was
     /// corrupted after it was written.
     ChecksumMismatch,
@@ -68,6 +76,10 @@ impl fmt::Display for PersistError {
             PersistError::Truncated { expected, found } => write!(
                 f,
                 "snapshot truncated: header promises {expected} payload bytes, file has {found}"
+            ),
+            PersistError::TrailingBytes { expected, found } => write!(
+                f,
+                "snapshot has trailing bytes: header promises {expected} payload bytes, file has {found}"
             ),
             PersistError::ChecksumMismatch => {
                 write!(f, "snapshot checksum mismatch (file corrupted)")

@@ -237,27 +237,35 @@ pub fn peek_meta(path: &Path) -> Result<SnapshotMeta, PersistError> {
 }
 
 /// Read and fully validate the snapshot at `path`, returning its header
-/// and payload. Emits a `persist.load` span.
+/// and payload. A file shorter or longer than its header claims is
+/// refused. Emits a `persist.load` span.
 pub fn read_snapshot(
     path: &Path,
     kind: SnapshotKind,
     obs: &Obs,
 ) -> Result<(SnapshotMeta, Vec<u8>), PersistError> {
     let _span = obs.span("persist.load");
-    let bytes = fs::read(path).map_err(|e| PersistError::io("read", path, &e))?;
+    let mut bytes = fs::read(path).map_err(|e| PersistError::io("read", path, &e))?;
     let (meta, crc) = parse_header(&bytes, Some(kind))?;
-    let body = &bytes[HEADER_LEN..];
-    if (body.len() as u64) < meta.payload_len {
+    let found = (bytes.len() - HEADER_LEN) as u64;
+    if found < meta.payload_len {
         return Err(PersistError::Truncated {
             expected: meta.payload_len,
-            found: body.len() as u64,
+            found,
         });
     }
-    let payload = &body[..meta.payload_len as usize];
-    if crc32(payload) != crc {
+    if found > meta.payload_len {
+        return Err(PersistError::TrailingBytes {
+            expected: meta.payload_len,
+            found,
+        });
+    }
+    if crc32(&bytes[HEADER_LEN..]) != crc {
         return Err(PersistError::ChecksumMismatch);
     }
-    Ok((meta, payload.to_vec()))
+    // The file buffer becomes the payload: one copy of the bytes, not two.
+    bytes.drain(..HEADER_LEN);
+    Ok((meta, bytes))
 }
 
 #[cfg(test)]
@@ -319,6 +327,24 @@ mod tests {
             read_snapshot(&path, SnapshotKind::Explorer, &obs),
             Err(PersistError::Truncated { .. })
         ));
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn bytes_appended_after_the_payload_are_refused() {
+        let path = tmp_file("appended.snap");
+        let obs = Obs::noop();
+        write_snapshot(&path, SnapshotKind::Explorer, &[9u8; 64], &obs).unwrap();
+        let mut bytes = fs::read(&path).unwrap();
+        bytes.extend_from_slice(b"tail");
+        fs::write(&path, &bytes).unwrap();
+        assert_eq!(
+            read_snapshot(&path, SnapshotKind::Explorer, &obs),
+            Err(PersistError::TrailingBytes {
+                expected: 64,
+                found: 68
+            })
+        );
         let _ = fs::remove_file(&path);
     }
 

@@ -95,7 +95,6 @@ fn main() {
                 .as_ref()
                 .map(|d| d.join(format!("m{max_messages}"))),
             max_resident_shards: run.max_resident_shards,
-            spill_shards: 0,
         };
         let result = if run.resume {
             check_scope_resume_obs(&scope, &limits, &config, &obs).unwrap_or_else(|e| {

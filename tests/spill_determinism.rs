@@ -84,7 +84,6 @@ fn spill_config(dir: &Path, fault_plan: Option<FaultPlan>) -> ExploreConfig {
         fault_plan,
         spill_dir: Some(dir.to_path_buf()),
         max_resident_shards: 1,
-        spill_shards: 8,
         ..ExploreConfig::default()
     }
 }
@@ -230,7 +229,7 @@ fn injected_spill_write_fault_never_changes_the_verdicts() {
         // (graceful backpressure), the check completes with identical
         // results, and the degradation is disclosed.
         let mut plan = FaultPlan::new();
-        for attempt in 0..64 {
+        for attempt in 0..256 {
             plan.push(
                 Fault::new(FaultSite::SpillWrite, FaultKind::IoError, attempt).in_scope("visited"),
             );
@@ -294,10 +293,10 @@ fn spill_read_fault_stops_identically_at_jobs_1_2_4() {
                 assert!(run.unexpanded > 0, "shard {shard}: the stop is disclosed");
             }
         }
-        // Shard 7 is never read back in this scope, so it never fails.
+        // Shard 5 is never read back in this scope, so it never fails.
         assert_eq!(
             stopped,
-            [0, 1, 2, 3, 4, 5, 6],
+            [0, 1, 2, 3, 4, 6, 7],
             "shards whose read-back stops"
         );
     });
