@@ -37,6 +37,23 @@ if grep -rnE "std::thread|Mutex|fn probe" crates/mc/src; then
     exit 1
 fi
 
+echo "== model checker: files of at most 1,000 lines; one owner of the shard-file format =="
+# crates/mc/src is split by concern (EXPERIMENTS.md E36): explorer.rs
+# runs the search, checkpoint.rs owns the explorer snapshot, and
+# visited.rs owns the visited store, its spill policy and (in
+# visited/shard_file.rs) its shard files. A file over 1,000 lines has
+# outgrown its concern, and a shard-file routine named in the explorer
+# or the checkpoint is a second owner of that format.
+if find crates/mc/src -name '*.rs' -exec wc -l {} + | awk '$2 != "total" && $1 > 1000' | grep .; then
+    echo "a crates/mc/src file is over 1,000 lines; split it by concern" >&2
+    exit 1
+fi
+if grep -nE "read_shard_file|shard_file_name|digest_entries" \
+    crates/mc/src/explorer.rs crates/mc/src/checkpoint.rs; then
+    echo "the explorer or the checkpoint reads shard files itself; go through VisitedStore" >&2
+    exit 1
+fi
+
 echo "== rewrite engine: polynomials become terms only through the store =="
 # The normalizer's PolyStore (crates/rewrite/src/boolring.rs) interns
 # every Boolean normal form and memoizes the term it rebuilds to
