@@ -30,6 +30,9 @@ pub struct BoolAlg {
     iff: OpId,
     ite: OpId,
     eq_ops: FxHashMap<SortId, OpId>,
+    /// The values of `eq_ops` as a bitset over `OpId::index()`, so
+    /// [`BoolAlg::is_eq_op`] is one load, not a scan.
+    eq_op_bits: Vec<u64>,
 }
 
 impl BoolAlg {
@@ -67,6 +70,7 @@ impl BoolAlg {
             iff,
             ite,
             eq_ops: FxHashMap::default(),
+            eq_op_bits: Vec::new(),
         };
         // `_=_` at Bool itself behaves as iff.
         alg.ensure_eq(sig, sort)?;
@@ -89,13 +93,7 @@ impl BoolAlg {
             sig.op_by_name(name)
                 .ok_or_else(|| KernelError::UnknownOp(name.into()))
         };
-        let mut eq_ops = FxHashMap::default();
-        for (id, decl) in sig.ops() {
-            if decl.name == "_=_" && decl.args.len() == 2 && decl.args[0] == decl.args[1] {
-                eq_ops.insert(decl.args[0], id);
-            }
-        }
-        Ok(BoolAlg {
+        let mut alg = BoolAlg {
             sort,
             tt: find("true")?,
             ff: find("false")?,
@@ -106,8 +104,25 @@ impl BoolAlg {
             imp: find("_implies_")?,
             iff: find("_iff_")?,
             ite: find("if_then_else_fi")?,
-            eq_ops,
-        })
+            eq_ops: FxHashMap::default(),
+            eq_op_bits: Vec::new(),
+        };
+        for (id, decl) in sig.ops() {
+            if decl.name == "_=_" && decl.args.len() == 2 && decl.args[0] == decl.args[1] {
+                alg.record_eq(decl.args[0], id);
+            }
+        }
+        Ok(alg)
+    }
+
+    /// Remember `op` as the equality operator of `sort`.
+    fn record_eq(&mut self, sort: SortId, op: OpId) {
+        self.eq_ops.insert(sort, op);
+        let (word, bit) = (op.index() / 64, op.index() % 64);
+        if word >= self.eq_op_bits.len() {
+            self.eq_op_bits.resize(word + 1, 0);
+        }
+        self.eq_op_bits[word] |= 1 << bit;
     }
 
     /// The `Bool` sort.
@@ -173,7 +188,7 @@ impl BoolAlg {
             Some(op) => op,
             None => sig.add_op("_=_", &[sort, sort], self.sort, OpAttrs::defined())?,
         };
-        self.eq_ops.insert(sort, op);
+        self.record_eq(sort, op);
         Ok(op)
     }
 
@@ -184,7 +199,10 @@ impl BoolAlg {
 
     /// `true` when `op` is an equality operator of some sort.
     pub fn is_eq_op(&self, op: OpId) -> bool {
-        self.eq_ops.values().any(|&e| e == op)
+        let (word, bit) = (op.index() / 64, op.index() % 64);
+        self.eq_op_bits
+            .get(word)
+            .is_some_and(|&bits| bits & (1 << bit) != 0)
     }
 
     /// Intern `true`.

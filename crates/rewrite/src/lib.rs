@@ -56,6 +56,7 @@ pub mod bool_alg;
 pub mod bool_rules;
 pub mod boolring;
 pub mod budget;
+mod cache;
 pub mod engine;
 pub mod equality;
 pub mod error;

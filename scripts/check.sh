@@ -54,13 +54,21 @@ if grep -nE "read_shard_file|shard_file_name|digest_entries" \
     exit 1
 fi
 
-echo "== rewrite engine: polynomials become terms only through the store =="
+echo "== rewrite engine: polynomials become terms only through the store; caches are dense =="
 # The normalizer's PolyStore (crates/rewrite/src/boolring.rs) interns
 # every Boolean normal form and memoizes the term it rebuilds to
-# (EXPERIMENTS.md E32). A direct `Poly::to_term` call, or a map from
-# terms to owned polynomials, in the engine is a second, unmemoized path.
-if grep -nE '\.to_term\(|FxHashMap<TermId, Poly>' crates/rewrite/src/engine.rs; then
+# (EXPERIMENTS.md E32). A direct `Poly::to_term` call in the engine is a
+# second, unmemoized path.
+if grep -nE '\.to_term\(' crates/rewrite/src/engine.rs; then
     echo "crates/rewrite/src/engine.rs bypasses its PolyStore; go through PolyStore::term and PolyId" >&2
+    exit 1
+fi
+# The memo and the polynomial cache are TermCaches
+# (crates/rewrite/src/cache.rs): slots indexed by term id, cleared by an
+# epoch bump and restored at a scope's pop from one write log (E37). A
+# hash map keyed by term id in the engine is a second cache beside them.
+if grep -nE 'FxHashMap<TermId,' crates/rewrite/src/engine.rs; then
+    echo "crates/rewrite/src/engine.rs declares a hash-map cache keyed by TermId; use TermCache" >&2
     exit 1
 fi
 

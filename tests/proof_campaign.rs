@@ -7,7 +7,7 @@
 //! auxiliary lemmas) are machine-checked by the mechanized proof-score
 //! prover.
 
-use equitls::core::prelude::{ProofReport, ProverConfig};
+use equitls::core::prelude::{ProofReport, Prover, ProverConfig};
 use equitls::obs::sink::Obs;
 use equitls::tls::{verify, TlsModel, Variant};
 
@@ -103,5 +103,49 @@ fn proof_reports_count_passages_and_splits() {
         assert!(report.total_splits() > 0);
         assert!(report.base.outcome.is_proved());
         assert_search_counts(&report, 139, 4_199, 2_453);
+    });
+}
+
+/// Every plan in `verify::PLANS` is minimal: with any one of its fifteen
+/// lemma edges dropped, the property stays OPEN on both models. A proof
+/// that closes anyway would mean a case closed on something other than
+/// its assumptions and lemmas, such as a cache entry left over from
+/// another branch.
+#[test]
+fn dropping_any_one_lemma_leaves_its_property_open_on_both_models() {
+    on_big_stack(|| {
+        let mut runs = 0;
+        for variant in [false, true] {
+            let mut model = if variant {
+                TlsModel::variant().unwrap()
+            } else {
+                TlsModel::standard().unwrap()
+            };
+            let config = ProverConfig {
+                witnesses: verify::witness_map(&model),
+                ..ProverConfig::default()
+            };
+            for plan in &verify::PLANS {
+                for dropped in plan.lemmas {
+                    let lemmas: Vec<&str> = plan
+                        .lemmas
+                        .iter()
+                        .copied()
+                        .filter(|l| l != dropped)
+                        .collect();
+                    let report = Prover::new(&mut model.spec, &model.ots, &model.invariants)
+                        .with_config(config.clone())
+                        .prove(plan.name, plan.method, &lemmas)
+                        .unwrap();
+                    assert!(
+                        !report.is_proved() && !report.open_cases().is_empty(),
+                        "{} (variant: {variant}) proved without {dropped}",
+                        plan.name
+                    );
+                    runs += 1;
+                }
+            }
+        }
+        assert_eq!(runs, 30, "15 lemma edges on each model");
     });
 }
