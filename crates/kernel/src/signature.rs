@@ -237,17 +237,6 @@ impl Signature {
             self.sort_names.remove(&decl.name);
         }
     }
-
-    /// All constants (nullary constructors) of the given sort.
-    ///
-    /// Used by the model checker to enumerate finite scopes and by the
-    /// prover to ground lemma instantiations.
-    pub fn constants_of_sort(&self, sort: SortId) -> Vec<OpId> {
-        self.ops()
-            .filter(|(_, d)| d.is_constant() && d.result == sort)
-            .map(|(id, _)| id)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -288,23 +277,6 @@ mod tests {
         assert_eq!(sig.op_by_name("ca"), Some(op));
         assert_eq!(sig.op_by_name("nope"), None);
         assert_eq!(sig.sort_by_name("nope"), None);
-    }
-
-    #[test]
-    fn constants_of_sort_enumerates_only_matching_constants() {
-        let (mut sig, s) = tiny();
-        let r = sig.add_visible_sort("Rand").unwrap();
-        let ca = sig.add_constant("ca", s, OpAttrs::constructor()).unwrap();
-        let intr = sig
-            .add_constant("intruder", s, OpAttrs::constructor())
-            .unwrap();
-        let _r1 = sig.add_constant("r1", r, OpAttrs::constructor()).unwrap();
-        sig.add_op("f", &[s], s, OpAttrs::defined()).unwrap();
-        let mut consts = sig.constants_of_sort(s);
-        consts.sort();
-        let mut expected = vec![ca, intr];
-        expected.sort();
-        assert_eq!(consts, expected);
     }
 
     #[test]

@@ -6,12 +6,13 @@
 use crate::explorer::{
     empty_store, explore_driver, Exploration, ExploreConfig, Limits, Monitor, Search, SearchSeed,
 };
-use crate::model::Model;
+use crate::model::{Label, Model};
 use crate::visited::{Lookup, VisitedStore};
 use equitls_obs::sink::Obs;
 use equitls_persist::codec::{Reader, Writer};
 use equitls_persist::{read_snapshot, write_snapshot, PersistError, SnapshotKind};
 use equitls_rewrite::budget::WorkerFault;
+use std::borrow::Cow;
 use std::time::Instant;
 
 /// Serialize the search at its level barrier into a snapshot payload.
@@ -29,7 +30,10 @@ use std::time::Instant;
 ///   file against the manifest before trusting a byte of it.
 fn encode_checkpoint<S>(search: &mut Search<'_, S>, obs: &Obs) -> Option<Vec<u8>> {
     let inline = search.config.spill_dir.is_none();
-    let len = encoded_len(search, inline);
+    // A search keeps its labels compact: each is rendered here once, for
+    // both the payload's size and its bytes.
+    let labels: Vec<Cow<'_, str>> = search.parents.iter().map(|(_, l)| l.text()).collect();
+    let len = encoded_len(search, &labels, inline);
     let mut w = Writer::with_capacity(len);
     w.u8(if inline { 0 } else { 1 });
     w.usize(search.depth);
@@ -39,7 +43,7 @@ fn encode_checkpoint<S>(search: &mut Search<'_, S>, obs: &Obs) -> Option<Vec<u8>
         w.usize(n);
     }
     w.usize(search.len());
-    for (idx, (parent, label)) in search.parents.iter().enumerate() {
+    for (idx, ((parent, _), label)) in search.parents.iter().zip(&labels).enumerate() {
         if inline {
             w.bytes(search.visited.fetch(idx, obs).ok()?);
         }
@@ -78,9 +82,9 @@ fn encode_checkpoint<S>(search: &mut Search<'_, S>, obs: &Obs) -> Option<Vec<u8>
 /// The size of the payload [`encode_checkpoint`] writes, so that its
 /// buffer is allocated once: grown by doubling, it would peak at up to
 /// twice the payload.
-fn encoded_len<S>(search: &Search<'_, S>, inline: bool) -> usize {
+fn encoded_len<S>(search: &Search<'_, S>, labels: &[Cow<'_, str>], inline: bool) -> usize {
     let words = 7 + search.states_per_depth.len() + search.frontier.len();
-    let parents: usize = search.parents.iter().map(|(_, l)| 16 + l.len()).sum();
+    let parents: usize = labels.iter().map(|l| 16 + l.len()).sum();
     let violations: usize = search
         .violations
         .iter()
@@ -162,7 +166,7 @@ fn decode_checkpoint<M: Model>(
                 )))
             }
         };
-        parents.push((parent, r.str()?));
+        parents.push((parent, Label::Text(r.str()?)));
     }
     if format == 1 {
         let entries = visited.read_checkpoint_section(&mut r, n_states, obs)?;

@@ -11,8 +11,10 @@
 //! the calling thread. Each level is one loop over its frontier, in
 //! order: fetch an entry's encoded state, expand it into its successors'
 //! canonical bytes (`Model::successor_batch`), and merge those into the
-//! visited set. Only a successor the visited set inserts is copied,
-//! labeled and decoded for the monitors; a duplicate costs one lookup.
+//! visited set. Only a successor the visited set inserts is copied and
+//! decoded for the monitors, and it keeps its label's compact form (text
+//! is rendered only for a witness trace or a checkpoint); a duplicate
+//! costs one lookup.
 //! Successor generation is pure, so a run's state count and numbering,
 //! verdicts, violation traces and `states_per_depth`/`dedup_hits`
 //! accounting depend only on the model, the limits and the config. The
@@ -20,7 +22,7 @@
 //! land.
 
 use crate::checkpoint::Checkpointer;
-use crate::model::{Model, SuccessorBatch};
+use crate::model::{Label, Model, SuccessorBatch};
 use crate::visited::{Lookup, SpillError, SpillSettings, VisitedStore, SHARDS};
 use equitls_obs::sink::Obs;
 use equitls_persist::PersistError;
@@ -231,7 +233,7 @@ pub fn explore_with_config_jobs<M: Model>(
         .expect("a fresh store has nothing to reload");
     let seed = SearchSeed {
         visited,
-        parents: vec![(usize::MAX, String::new())],
+        parents: vec![(usize::MAX, Label::Text(String::new()))],
         violations: monitors
             .iter()
             .filter(|(_, monitor)| !monitor(&root))
@@ -254,7 +256,8 @@ pub(crate) struct Search<'m, S> {
     /// The dedup set: every state's canonical encoded bytes, sharded and
     /// spillable to disk under pressure.
     pub(crate) visited: VisitedStore,
-    pub(crate) parents: Vec<(usize, String)>,
+    /// Every state's parent index and the label of the move from it.
+    pub(crate) parents: Vec<(usize, Label)>,
     pub(crate) violations: Vec<Violation<S>>,
     /// The violating state's global index, parallel to `violations`
     /// (checkpoints store the index; the trace is rebuilt on load).
@@ -309,7 +312,12 @@ impl<S> Search<'_, S> {
             }
         }
         let budget = &self.config.budget;
-        match budget.check(self.visited.resident_estimate()) {
+        // The estimate sums every shard: only a memory ceiling reads it.
+        let heap = match budget.max_heap_bytes() {
+            Some(_) => self.visited.resident_estimate(),
+            None => 0,
+        };
+        match budget.check(heap) {
             Ok(()) => None,
             Err(StopReason::MemoryExceeded) if self.visited.defer_memory_stop(budget) => None,
             Err(reason) => Some(reason),
@@ -387,7 +395,7 @@ impl<S> Search<'_, S> {
         let mut cur = idx;
         while cur != 0 {
             match self.state_at(model, cur, obs) {
-                Ok(state) => trace.push((self.parents[cur].1.clone(), state)),
+                Ok(state) => trace.push((self.parents[cur].1.text().into_owned(), state)),
                 Err(e) => return Some(self.spill_failure(e)),
             }
             cur = self.parents[cur].0;
@@ -403,8 +411,8 @@ impl<S> Search<'_, S> {
     }
 
     /// Merge the entry's successor batch into the dedup set, in
-    /// generation order. Only an inserted successor has its label
-    /// rendered and its bytes decoded for the monitors. Returns
+    /// generation order. Only an inserted successor has its label kept
+    /// and its bytes decoded for the monitors. Returns
     /// `Some(StateCapReached)` when the `max_states` cap refused a *new*
     /// state — the signal to truncate the search. Duplicate successors
     /// never trigger truncation (they cost no storage), so a cap equal to
@@ -431,7 +439,7 @@ impl<S> Search<'_, S> {
                 Err(e) => return Some(self.spill_failure(e)),
             };
             let state = model.decode_state(bytes);
-            self.parents.push((parent, batch.take_label(i).render()));
+            self.parents.push((parent, batch.take_label(i)));
             let Some(state) = state else {
                 // A successor whose bytes do not decode breaks the codec
                 // contract: it stays counted but is neither checked nor
@@ -545,7 +553,7 @@ fn expand_level<M: Model>(
 /// and a decoded checkpoint both reduce to this.
 pub(crate) struct SearchSeed {
     pub(crate) visited: VisitedStore,
-    pub(crate) parents: Vec<(usize, String)>,
+    pub(crate) parents: Vec<(usize, Label)>,
     /// `(property, depth, violating state)` per violation so far;
     /// `explore_driver` rebuilds each witness trace from the store.
     pub(crate) violations: Vec<(String, usize, usize)>,

@@ -3,6 +3,7 @@
 use equitls_tls::concrete::codec::{self, SuccessorEncoder};
 use equitls_tls::concrete::step::render_label;
 use equitls_tls::concrete::{apply, moves, Scope, State};
+use std::borrow::Cow;
 
 /// An explicit-state transition system.
 ///
@@ -61,8 +62,8 @@ pub trait Model {
 }
 
 /// A successor's trace label: text, or a model's compact code and the
-/// function that renders it, so a successor the visited set already knows
-/// is never rendered.
+/// function that renders it. The explorer keeps each state's label as it
+/// came and renders it only for a witness trace or a checkpoint.
 #[derive(Debug)]
 pub enum Label {
     /// The rendered label.
@@ -82,6 +83,14 @@ impl Label {
         match self {
             Label::Text(text) => text,
             Label::Code { code, render } => render(code),
+        }
+    }
+
+    /// The label's text, leaving the label as it is.
+    pub fn text(&self) -> Cow<'_, str> {
+        match self {
+            Label::Text(text) => Cow::Borrowed(text),
+            Label::Code { code, render } => Cow::Owned(render(*code)),
         }
     }
 }

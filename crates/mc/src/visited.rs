@@ -59,8 +59,10 @@ pub(crate) const SHARDS: usize = 64;
 /// trips mid-level.
 const SPILL_PRESSURE: f64 = 0.7;
 
-/// Coarse bookkeeping overhead per *resident* entry (boxed slice header,
-/// vec slot), on top of the entry's payload bytes.
+/// Coarse bookkeeping overhead per *resident* entry, on top of the
+/// entry's payload bytes. A nominal figure (the store keeps a 4-byte end
+/// offset per entry), kept so that a memory ceiling cuts a search where
+/// it always has.
 const ENTRY_OVERHEAD_BYTES: u64 = 48;
 
 /// Coarse always-resident overhead per entry: the locator pair plus the
@@ -176,18 +178,52 @@ struct SpillOutcome {
     pub write_failures: usize,
 }
 
+/// A run of entries, their bytes back to back in one buffer.
+#[derive(Debug, Default)]
+struct Entries {
+    bytes: Vec<u8>,
+    /// The end offset of each entry in `bytes`.
+    ends: Vec<u32>,
+}
+
+impl Entries {
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    fn get(&self, i: usize) -> Option<&[u8]> {
+        let end = *self.ends.get(i)? as usize;
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        Some(&self.bytes[start..end])
+    }
+
+    fn push(&mut self, entry: &[u8]) {
+        self.bytes.extend_from_slice(entry);
+        let end = u32::try_from(self.bytes.len()).expect("a shard's resident bytes fit in u32");
+        self.ends.push(end);
+    }
+
+    fn iter(&self) -> impl ExactSizeIterator<Item = &[u8]> {
+        (0..self.len()).map(|i| self.get(i).expect("i < len"))
+    }
+}
+
 /// One shard: a slice of the entry space selected by state hash.
 ///
 /// Invariants: slots are append-only and numbered `0..len` in insertion
 /// order; the on-disk file (if any) holds exactly the slot prefix
-/// `0..file_len`; when `resident` is false, `entries` holds only the
-/// tail `file_len..len` and the prefix bytes live on disk alone. The
-/// hash index and the digest cover all `len` slots and never leave
-/// memory.
+/// `0..file_len`, digested by `file_digest`; when `resident` is false,
+/// `entries` holds only the tail `file_len..len` and the prefix bytes
+/// live on disk alone. The hash index covers all `len` slots and never
+/// leaves memory.
 #[derive(Debug, Default)]
 struct Shard {
     /// Resident entry bytes (all slots when `resident`, else the tail).
-    entries: Vec<Box<[u8]>>,
+    entries: Entries,
     /// Hash → the newest slot with that hash; `older[slot]` links each
     /// slot to the next older one sharing its hash. The chain is the
     /// candidate list for a full byte compare.
@@ -203,16 +239,17 @@ struct Shard {
     total_bytes: u64,
     /// Payload bytes of resident slots only.
     resident_bytes: u64,
-    /// Running FNV digest of `(len, bytes)` per slot, in slot order —
-    /// the manifest value checkpoints record and reloads revalidate.
-    fnv_acc: u64,
+    /// FNV digest of `(len, bytes)` per slot over the file's `file_len`
+    /// slots, in slot order — the manifest value checkpoints record and
+    /// reloads revalidate. Folded only when the file is written.
+    file_digest: u64,
 }
 
 impl Shard {
     fn new() -> Self {
         Shard {
             resident: true,
-            fnv_acc: FNV_OFFSET,
+            file_digest: FNV_OFFSET,
             ..Shard::default()
         }
     }
@@ -223,7 +260,7 @@ impl Shard {
         if slot < base {
             None
         } else {
-            self.entries.get((slot - base) as usize).map(|e| &e[..])
+            self.entries.get((slot - base) as usize)
         }
     }
 
@@ -232,10 +269,9 @@ impl Shard {
         self.len += 1;
         self.total_bytes += bytes.len() as u64;
         self.resident_bytes += bytes.len() as u64;
-        self.fnv_acc = fold_entry(self.fnv_acc, bytes);
         let older = self.newest_by_hash.insert(hash, slot).unwrap_or(NO_SLOT);
         self.older.push(older);
-        self.entries.push(bytes.into());
+        self.entries.push(bytes);
         slot
     }
 
@@ -404,8 +440,8 @@ impl VisitedStore {
     }
 
     /// Read one shard back into memory through [`read_shard_prefix`]:
-    /// its file must hold the `file_len` slots whose digest, continued
-    /// over the resident tail, is the in-memory accumulator.
+    /// its file must hold the `file_len` slots digested as the file was
+    /// written.
     fn reload_shard(&mut self, shard_id: u32, obs: &Obs) -> Result<(), SpillError> {
         let fail = |error: PersistError| SpillError {
             shard: shard_id,
@@ -430,12 +466,17 @@ impl VisitedStore {
         }
         let path = self.shard_path(shard_id);
         let shard = &self.shards[shard_id as usize];
-        let (len, digest) = (shard.file_len as u64, shard.fnv_acc);
-        let entries =
-            read_shard_prefix(&path, shard_id, len, &shard.entries, digest, obs).map_err(fail)?;
+        let (len, digest) = (shard.file_len as u64, shard.file_digest);
+        let entries = read_shard_prefix(&path, shard_id, len, digest, obs).map_err(fail)?;
         let shard = self.shard_mut(shard_id);
-        let mut all: Vec<Box<[u8]>> = entries.into_iter().map(Vec::into_boxed_slice).collect();
-        all.append(&mut shard.entries);
+        let mut all = Entries::default();
+        for entry in entries
+            .iter()
+            .map(Vec::as_slice)
+            .chain(shard.entries.iter())
+        {
+            all.push(entry);
+        }
         shard.entries = all;
         shard.resident = true;
         shard.resident_bytes = shard.total_bytes;
@@ -479,11 +520,17 @@ impl VisitedStore {
                 return fail(self);
             }
         }
-        let payload = encode_shard(shard_id, &self.shards[shard_id as usize].entries);
+        // The shard is resident here, so the slots new to the file are
+        // its entries from `file_len` on.
+        let s = &self.shards[shard_id as usize];
+        let payload = encode_shard(shard_id, s.entries.iter());
+        let tail = s.entries.iter().skip(s.file_len as usize);
+        let digest = tail.fold(s.file_digest, fold_entry);
         match write_snapshot(&path, SnapshotKind::VisitedShard, &payload, obs) {
             Ok(_) => {
                 let s = self.shard_mut(shard_id);
                 s.file_len = s.len;
+                s.file_digest = digest;
                 self.stats.spill_bytes += payload.len() as u64;
                 obs.counter("mc.spill_bytes", payload.len() as u64);
                 true
@@ -500,7 +547,7 @@ impl VisitedStore {
             return false;
         }
         let s = self.shard_mut(shard_id);
-        s.entries = Vec::new();
+        s.entries = Entries::default();
         s.resident = false;
         s.resident_bytes = 0;
         self.stats.spills += 1;
@@ -614,317 +661,4 @@ impl VisitedStore {
 pub(crate) use shard_file::{forge_shard_file, manifest_entry};
 
 #[cfg(test)]
-mod tests {
-    use super::shard_file::{digest_entries, read_shard_file};
-    use super::*;
-    use equitls_rewrite::budget::Fault;
-
-    impl VisitedStore {
-        /// Shards whose bytes live (at least partly) only on disk.
-        fn spilled_shard_count(&self) -> usize {
-            self.shards.iter().filter(|s| !s.resident).count()
-        }
-
-        /// The per-shard manifest a checkpoint records: `(entry count,
-        /// running digest)` for every shard, in shard-id order.
-        fn manifest(&self) -> Vec<(u64, u64)> {
-            self.shards
-                .iter()
-                .map(|s| (s.len as u64, s.fnv_acc))
-                .collect()
-        }
-    }
-
-    fn tmp_dir(name: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("equitls_visited_{}_{name}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    fn entry(i: u32) -> Vec<u8> {
-        format!("state-{i:06}").into_bytes()
-    }
-
-    fn fill(store: &mut VisitedStore, n: u32) {
-        let obs = Obs::noop();
-        for i in 0..n {
-            let got = store.lookup_or_insert(&entry(i), usize::MAX, &obs).unwrap();
-            assert_eq!(got, Lookup::Inserted(i as usize));
-        }
-    }
-
-    #[test]
-    fn insert_dedup_and_fetch_without_spill() {
-        let obs = Obs::noop();
-        let mut store = VisitedStore::new(4, None);
-        fill(&mut store, 50);
-        assert_eq!(store.len(), 50);
-        // Duplicates are recognized, even at a cap.
-        assert_eq!(
-            store.lookup_or_insert(&entry(7), 50, &obs).unwrap(),
-            Lookup::Known
-        );
-        // New states are refused at the cap, without storage.
-        assert_eq!(
-            store.lookup_or_insert(&entry(99), 50, &obs).unwrap(),
-            Lookup::CapRefused
-        );
-        assert_eq!(store.len(), 50);
-        // Fetch returns the exact bytes, in global insertion order.
-        for i in 0..50 {
-            assert_eq!(store.fetch(i as usize, &obs).unwrap(), entry(i));
-        }
-    }
-
-    #[test]
-    fn one_hash_chains_distinct_entries_resident_and_spilled() {
-        let obs = Obs::noop();
-        let dir = tmp_dir("collision");
-        let mut store = VisitedStore::new(
-            1,
-            Some(SpillSettings {
-                dir: dir.clone(),
-                fault_plan: None,
-            }),
-        );
-        fill(&mut store, 3);
-        // Forge a collision: a different entry filed under entry 0's hash.
-        let hash = fnv1a(&entry(0));
-        let collider = b"collider".as_slice();
-        let slot = store.shards[0].push_entry(hash, collider);
-        store.locator.push((0, slot));
-        assert_eq!(
-            store.shards[0].older[slot as usize], 0,
-            "chained to entry 0"
-        );
-        // Resident: the chain is walked newest first, by full bytes.
-        assert_eq!(store.shards[0].find(hash, &entry(0)), Some(true));
-        assert_eq!(store.shards[0].find(hash, collider), Some(true));
-        assert_eq!(store.shards[0].find(hash, &entry(1)), None);
-        assert_eq!(
-            store.lookup_or_insert(&entry(0), usize::MAX, &obs).unwrap(),
-            Lookup::Known
-        );
-        // Spilled: both slots are candidates, and a lookup reloads the
-        // shard to tell them apart.
-        assert_eq!(store.spill_until(0, 0, &obs).spilled, 1);
-        assert_eq!(store.shards[0].find(hash, &entry(0)), Some(false));
-        assert_eq!(store.shards[0].find(hash, b"absent"), Some(false));
-        assert_eq!(
-            store.lookup_or_insert(&entry(0), usize::MAX, &obs).unwrap(),
-            Lookup::Known
-        );
-        assert_eq!(store.stats().reloads, 1);
-        assert_eq!(store.fetch(3, &obs).unwrap(), collider);
-        assert_eq!(store.fetch(0, &obs).unwrap(), &entry(0)[..]);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn spill_evicts_and_reloads_transparently() {
-        let obs = Obs::noop();
-        let dir = tmp_dir("roundtrip");
-        let mut store = VisitedStore::new(
-            4,
-            Some(SpillSettings {
-                dir: dir.clone(),
-                fault_plan: None,
-            }),
-        );
-        fill(&mut store, 60);
-        let before = store.resident_estimate();
-        let outcome = store.spill_until(0, 0, &obs);
-        assert_eq!(outcome.spilled, 4, "every non-empty shard evicts");
-        assert_eq!(outcome.write_failures, 0);
-        assert!(store.resident_estimate() < before);
-        assert_eq!(store.spilled_shard_count(), 4);
-        // Fetch transparently reloads; bytes are exact.
-        for i in [0usize, 17, 59] {
-            assert_eq!(store.fetch(i, &obs).unwrap(), entry(i as u32));
-        }
-        // Old duplicates are still recognized after a reload...
-        assert_eq!(
-            store.lookup_or_insert(&entry(3), usize::MAX, &obs).unwrap(),
-            Lookup::Known
-        );
-        // ...and brand-new states never need one: the hash index is
-        // resident, so a fresh hash inserts straight into the tail.
-        assert!(matches!(
-            store
-                .lookup_or_insert(&entry(100), usize::MAX, &obs)
-                .unwrap(),
-            Lookup::Inserted(_)
-        ));
-        assert!(store.stats().reloads >= 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn lookup_finds_a_spilled_entry_by_reloading_its_shard() {
-        let obs = Obs::noop();
-        let dir = tmp_dir("spilled_lookup");
-        let mut store = VisitedStore::new(
-            2,
-            Some(SpillSettings {
-                dir: dir.clone(),
-                fault_plan: None,
-            }),
-        );
-        fill(&mut store, 20);
-        store.spill_until(0, 0, &obs);
-        let reloads = store.stats().reloads;
-        assert_eq!(
-            store.lookup_or_insert(&entry(5), usize::MAX, &obs).unwrap(),
-            Lookup::Known,
-            "the lookup finds a spilled entry"
-        );
-        assert_eq!(store.stats().reloads, reloads + 1, "by reloading its shard");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn injected_write_fault_keeps_the_shard_resident() {
-        let obs = Obs::noop();
-        let dir = tmp_dir("wfault");
-        let plan = FaultPlan::new().with_fault(
-            Fault::new(FaultSite::SpillWrite, FaultKind::IoError, 0).in_scope("visited"),
-        );
-        let mut store = VisitedStore::new(
-            2,
-            Some(SpillSettings {
-                dir: dir.clone(),
-                fault_plan: Some(plan),
-            }),
-        );
-        fill(&mut store, 20);
-        let outcome = store.spill_until(0, 0, &obs);
-        // The first write attempt fails; the pass moves on and spills
-        // the other shard. Nothing is lost either way.
-        assert_eq!(outcome.write_failures, 1);
-        assert_eq!(outcome.spilled, 1);
-        assert_eq!(store.stats().write_failures, 1);
-        for i in 0..20 {
-            assert_eq!(store.fetch(i as usize, &obs).unwrap(), entry(i));
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn injected_read_faults_are_typed_never_garbage() {
-        let obs = Obs::noop();
-        let dir = tmp_dir("rfault");
-        let plan = FaultPlan::new()
-            .with_fault(
-                Fault::new(FaultSite::SpillRead, FaultKind::Corruption, 0).in_scope("visited"),
-            )
-            .with_fault(
-                Fault::new(FaultSite::SpillRead, FaultKind::IoError, 1).in_scope("visited"),
-            );
-        let mut store = VisitedStore::new(
-            2,
-            Some(SpillSettings {
-                dir: dir.clone(),
-                fault_plan: Some(plan),
-            }),
-        );
-        fill(&mut store, 20);
-        store.spill_until(0, 0, &obs);
-        // Shard 0 reads back "corrupted", shard 1 hits an "I/O error".
-        let idx0 = (0..20).find(|&i| store.shard_of(i) == 0).unwrap();
-        let idx1 = (0..20).find(|&i| store.shard_of(i) == 1).unwrap();
-        let e0 = store.fetch(idx0, &obs).unwrap_err();
-        assert_eq!(e0.shard, 0);
-        assert_eq!(e0.error, PersistError::ChecksumMismatch);
-        let e1 = store.fetch(idx1, &obs).unwrap_err();
-        assert_eq!(e1.shard, 1);
-        assert!(matches!(e1.error, PersistError::Io(_)));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn a_corrupted_shard_file_fails_the_checksum_typed() {
-        let obs = Obs::noop();
-        let dir = tmp_dir("corrupt");
-        let mut store = VisitedStore::new(
-            1,
-            Some(SpillSettings {
-                dir: dir.clone(),
-                fault_plan: None,
-            }),
-        );
-        fill(&mut store, 10);
-        store.spill_until(0, 0, &obs);
-        // Flip one payload byte on disk.
-        let path = dir.join(shard_file_name(0));
-        let mut raw = std::fs::read(&path).unwrap();
-        let last = raw.len() - 1;
-        raw[last] ^= 0x40;
-        std::fs::write(&path, &raw).unwrap();
-        let err = store.fetch(0, &obs).unwrap_err();
-        assert_eq!(err.error, PersistError::ChecksumMismatch);
-        // Truncation is its own typed error.
-        let raw = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &raw[..raw.len() / 2]).unwrap();
-        let err = store.fetch(0, &obs).unwrap_err();
-        assert!(matches!(err.error, PersistError::Truncated { .. }));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn flush_and_manifest_validate_on_reread() {
-        let obs = Obs::noop();
-        let dir = tmp_dir("manifest");
-        let mut store = VisitedStore::new(
-            3,
-            Some(SpillSettings {
-                dir: dir.clone(),
-                fault_plan: None,
-            }),
-        );
-        fill(&mut store, 30);
-        assert!(store.flush_all(&obs));
-        let manifest = store.manifest();
-        assert_eq!(manifest.len(), 3);
-        assert_eq!(manifest.iter().map(|&(n, _)| n).sum::<u64>(), 30);
-        for (id, &(len, fnv)) in manifest.iter().enumerate() {
-            let entries =
-                read_shard_file(&dir.join(shard_file_name(id as u32)), id as u32, &obs).unwrap();
-            assert_eq!(entries.len() as u64, len);
-            assert_eq!(digest_entries(&entries), fnv);
-        }
-        // Growing the store after a flush keeps the file a valid prefix:
-        // the manifest taken *before* still verifies against the new file.
-        for i in 30..40 {
-            assert!(matches!(
-                store.lookup_or_insert(&entry(i), usize::MAX, &obs).unwrap(),
-                Lookup::Inserted(_)
-            ));
-        }
-        assert!(store.flush_all(&obs));
-        for (id, &(len, fnv)) in manifest.iter().enumerate() {
-            let entries =
-                read_shard_file(&dir.join(shard_file_name(id as u32)), id as u32, &obs).unwrap();
-            assert!(entries.len() as u64 >= len);
-            assert_eq!(digest_entries(&entries[..len as usize]), fnv);
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn shard_cap_bounds_resident_shards() {
-        let obs = Obs::noop();
-        let dir = tmp_dir("cap");
-        let mut store = VisitedStore::new(
-            8,
-            Some(SpillSettings {
-                dir: dir.clone(),
-                fault_plan: None,
-            }),
-        );
-        fill(&mut store, 200);
-        store.spill_until(u64::MAX, 2, &obs);
-        assert!(store.resident_shard_count() <= 2);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-}
+mod tests;

@@ -16,12 +16,15 @@ pub(super) fn shard_file_name(shard: u32) -> String {
 
 /// A shard file's payload: the shard id, then its entries in slot
 /// order, length-prefixed.
-pub(super) fn encode_shard<B: AsRef<[u8]>>(shard_id: u32, entries: &[B]) -> Vec<u8> {
+pub(super) fn encode_shard<'a>(
+    shard_id: u32,
+    entries: impl ExactSizeIterator<Item = &'a [u8]>,
+) -> Vec<u8> {
     let mut w = Writer::new();
     w.u32(shard_id);
     w.usize(entries.len());
     for e in entries {
-        w.bytes(e.as_ref());
+        w.bytes(e);
     }
     w.into_bytes()
 }
@@ -53,7 +56,7 @@ impl VisitedStore {
 
     /// Write the store's section of a manifest checkpoint: the global
     /// `(shard, slot)` locator, then the shard count and each shard's
-    /// `(entry count, running digest)`. The state bytes stay in the shard
+    /// `(entry count, file digest)`. The state bytes stay in the shard
     /// files, which [`flush_all`](Self::flush_all) must update first.
     pub(crate) fn write_checkpoint_section(&self, w: &mut Writer) {
         for &(shard, slot) in &self.locator {
@@ -62,8 +65,9 @@ impl VisitedStore {
         }
         w.usize(self.shards.len());
         for s in &self.shards {
+            debug_assert_eq!(s.file_len, s.len, "flush_all wrote every shard file");
             w.u64(s.len as u64);
-            w.u64(s.fnv_acc);
+            w.u64(s.file_digest);
         }
     }
 
@@ -114,7 +118,7 @@ impl VisitedStore {
                 _ if len == 0 => Vec::new(),
                 Some(spill) => {
                     let path = spill.dir.join(shard_file_name(shard));
-                    read_shard_prefix(&path, shard, len, &[], digest, obs)?
+                    read_shard_prefix(&path, shard, len, digest, obs)?
                 }
                 None => {
                     return Err(PersistError::Malformed(
@@ -137,14 +141,12 @@ impl VisitedStore {
 
 /// Read shard `shard_id`'s first `len` entries back from its file, for a
 /// demand reload and for a resume alike: the file CRC, the shard id, and
-/// `digest` over those entries and then `tail` (the resident entries
-/// inserted since) must all check. The file may be *longer* — a later
-/// flush appended slots — but never different.
+/// `digest` over those entries must all check. The file may be *longer*
+/// — a later flush appended slots — but never different.
 pub(super) fn read_shard_prefix(
     path: &Path,
     shard_id: u32,
     len: u64,
-    tail: &[Box<[u8]>],
     digest: u64,
     obs: &Obs,
 ) -> Result<Vec<Vec<u8>>, PersistError> {
@@ -156,8 +158,7 @@ pub(super) fn read_shard_prefix(
         )));
     }
     entries.truncate(len as usize);
-    let prefix = entries.iter().map(|e| &e[..]);
-    if digest_entries(prefix.chain(tail.iter().map(|e| &e[..]))) != digest {
+    if digest_entries(&entries) != digest {
         return Err(PersistError::Malformed(format!(
             "shard {shard_id} file does not match its recorded digest"
         )));
@@ -202,7 +203,7 @@ pub(crate) fn forge_shard_file(dir: &Path, shard: u32, entries: &[&[u8]]) {
     use equitls_persist::write_snapshot;
     std::fs::create_dir_all(dir).unwrap();
     let path = dir.join(shard_file_name(shard));
-    let payload = encode_shard(shard, entries);
+    let payload = encode_shard(shard, entries.iter().copied());
     write_snapshot(&path, SnapshotKind::VisitedShard, &payload, &Obs::noop()).unwrap();
 }
 

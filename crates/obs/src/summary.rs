@@ -183,12 +183,6 @@ impl MetricsSummary {
         self.spans.get(name).copied()
     }
 
-    /// The latency distribution of span `name` (one µs sample per
-    /// completed enter/exit pair).
-    pub fn span_histogram(&self, name: &str) -> Option<&Histogram> {
-        self.span_hists.get(name)
-    }
-
     /// Fold another summary's totals into this one (e.g. merging
     /// per-worker recorders). Counters and span aggregates add; gauges
     /// keep `other`'s value when both define one; dropped-event counts
@@ -273,25 +267,6 @@ impl MetricsSummary {
         let mut out: Vec<(String, SpanAgg)> =
             self.spans.iter().map(|(k, v)| (k.clone(), *v)).collect();
         out.sort_by(|a, b| b.1.total.cmp(&a.1.total).then_with(|| a.0.cmp(&b.0)));
-        out
-    }
-
-    /// Render all span timings as a table, longest first.
-    pub fn render_span_table(&self) -> String {
-        let mut table = Table::new(
-            &["span", "count", "total", "max"],
-            &[Align::Left, Align::Right, Align::Right, Align::Right],
-        );
-        for (name, agg) in self.spans_by_total() {
-            table.row(vec![
-                name,
-                agg.count.to_string(),
-                format!("{:.2?}", agg.total),
-                format!("{:.2?}", agg.max),
-            ]);
-        }
-        let mut out = table.render();
-        self.append_dropped_note(&mut out);
         out
     }
 
@@ -425,11 +400,11 @@ mod tests {
             },
         ];
         let mut s = MetricsSummary::from_events(&events);
-        assert!(!s.render_span_table().contains("dropped"));
+        assert!(!s.render_histogram_table().contains("dropped"));
         s.set_dropped_events(3);
         assert_eq!(s.dropped_events(), 3);
         assert!(s
-            .render_span_table()
+            .render_histogram_table()
             .contains("3 event(s) dropped by the sink stack"));
     }
 
@@ -444,7 +419,7 @@ mod tests {
             });
         }
         let s = MetricsSummary::from_events(&events);
-        let h = s.span_histogram("p").expect("histogram exists");
+        let h = s.span_hists.get("p").expect("histogram exists");
         assert_eq!(h.count(), 4);
         assert_eq!(h.max(), 100_000);
         assert!(h.p99() >= 100_000, "p99 reaches the slowest sample");
@@ -510,7 +485,7 @@ mod tests {
         assert_eq!(agg.count, 2);
         assert_eq!(agg.total, Duration::from_millis(12));
         assert_eq!(agg.max, Duration::from_millis(7));
-        assert_eq!(a.span_histogram("p").unwrap().count(), 2);
+        assert_eq!(a.span_hists["p"].count(), 2);
         assert_eq!(a.dropped_events(), 3);
     }
 

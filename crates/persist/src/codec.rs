@@ -68,6 +68,15 @@ impl Writer {
     }
 }
 
+/// The error of a read past the end of the input, kept out of line so
+/// that the inlined reads stay small.
+#[cold]
+fn short_read(n: usize, pos: usize, left: usize) -> PersistError {
+    PersistError::Malformed(format!(
+        "need {n} more bytes at offset {pos}, only {left} left"
+    ))
+}
+
 /// Bounds-checked cursor over an encoded byte slice.
 #[derive(Debug)]
 pub struct Reader<'a> {
@@ -82,22 +91,21 @@ impl<'a> Reader<'a> {
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
     /// True when every byte has been consumed.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.remaining() == 0
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], PersistError> {
         if self.remaining() < n {
-            return Err(PersistError::Malformed(format!(
-                "need {n} more bytes at offset {}, only {} left",
-                self.pos,
-                self.remaining()
-            )));
+            return Err(short_read(n, self.pos, self.remaining()));
         }
         let slice = &self.buf[self.pos..self.pos + n];
         self.pos += n;
@@ -105,6 +113,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Read one byte.
+    #[inline]
     pub fn u8(&mut self) -> Result<u8, PersistError> {
         Ok(self.take(1)?[0])
     }
@@ -116,6 +125,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Read a little-endian `u64`.
+    #[inline]
     pub fn u64(&mut self) -> Result<u64, PersistError> {
         let b = self.take(8)?;
         Ok(u64::from_le_bytes([
@@ -126,6 +136,7 @@ impl<'a> Reader<'a> {
     /// Read a `u64` and narrow it to `usize`, rejecting values that do not
     /// fit (or that exceed the remaining input, which catches absurd
     /// length prefixes early).
+    #[inline]
     pub fn usize(&mut self) -> Result<usize, PersistError> {
         let v = self.u64()?;
         usize::try_from(v)
@@ -157,6 +168,7 @@ impl<'a> Reader<'a> {
     /// Read a length prefix for a collection, guarding against prefixes
     /// that could not possibly fit in the remaining input (each element
     /// occupies at least `min_elem_bytes`).
+    #[inline]
     pub fn seq_len(&mut self, min_elem_bytes: usize) -> Result<usize, PersistError> {
         let n = self.usize()?;
         let floor = n.saturating_mul(min_elem_bytes.max(1));

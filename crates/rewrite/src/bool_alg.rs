@@ -77,44 +77,6 @@ impl BoolAlg {
         Ok(alg)
     }
 
-    /// Reconstruct a handle from a signature where `BOOL` is installed.
-    ///
-    /// Useful after deserializing a signature.
-    ///
-    /// # Errors
-    ///
-    /// [`KernelError::UnknownSort`]/[`KernelError::UnknownOp`] when the
-    /// vocabulary is missing.
-    pub fn from_signature(sig: &Signature) -> Result<Self, KernelError> {
-        let sort = sig
-            .sort_by_name("Bool")
-            .ok_or_else(|| KernelError::UnknownSort("Bool".into()))?;
-        let find = |name: &str| {
-            sig.op_by_name(name)
-                .ok_or_else(|| KernelError::UnknownOp(name.into()))
-        };
-        let mut alg = BoolAlg {
-            sort,
-            tt: find("true")?,
-            ff: find("false")?,
-            not: find("not_")?,
-            and: find("_and_")?,
-            or: find("_or_")?,
-            xor: find("_xor_")?,
-            imp: find("_implies_")?,
-            iff: find("_iff_")?,
-            ite: find("if_then_else_fi")?,
-            eq_ops: FxHashMap::default(),
-            eq_op_bits: Vec::new(),
-        };
-        for (id, decl) in sig.ops() {
-            if decl.name == "_=_" && decl.args.len() == 2 && decl.args[0] == decl.args[1] {
-                alg.record_eq(decl.args[0], id);
-            }
-        }
-        Ok(alg)
-    }
-
     /// Remember `op` as the equality operator of `sort`.
     fn record_eq(&mut self, sort: SortId, op: OpId) {
         self.eq_ops.insert(sort, op);
@@ -351,15 +313,6 @@ mod tests {
         let mut sig = Signature::new();
         BoolAlg::install(&mut sig).unwrap();
         assert!(BoolAlg::install(&mut sig).is_err());
-    }
-
-    #[test]
-    fn from_signature_round_trips() {
-        let mut sig = Signature::new();
-        let alg = BoolAlg::install(&mut sig).unwrap();
-        let rebuilt = BoolAlg::from_signature(&sig).unwrap();
-        assert_eq!(alg.and_op(), rebuilt.and_op());
-        assert_eq!(alg.eq_op(alg.sort()), rebuilt.eq_op(alg.sort()));
     }
 
     #[test]

@@ -172,11 +172,6 @@ impl Budget {
         self.cancel.cancel();
     }
 
-    /// Whether this budget can ever trip on its own (ignoring cancellation).
-    pub fn has_limits(&self) -> bool {
-        self.deadline.is_some() || self.max_heap_bytes.is_some()
-    }
-
     /// The heap-byte ceiling, if one is set.
     pub fn max_heap_bytes(&self) -> Option<u64> {
         self.max_heap_bytes
@@ -192,12 +187,6 @@ impl Budget {
     pub fn memory_pressure(&self, heap_bytes: u64) -> Option<f64> {
         self.max_heap_bytes
             .map(|max| heap_bytes as f64 / max.max(1) as f64)
-    }
-
-    /// The time left before the deadline, if one is set.
-    pub fn remaining_time(&self) -> Option<Duration> {
-        self.deadline
-            .map(|at| at.saturating_duration_since(Instant::now()))
     }
 
     /// Check the budget against a current heap-usage estimate.
@@ -484,8 +473,6 @@ mod tests {
     fn unlimited_budget_never_trips() {
         let b = Budget::unlimited();
         assert!(b.check(u64::MAX).is_ok());
-        assert!(!b.has_limits());
-        assert!(b.remaining_time().is_none());
     }
 
     #[test]

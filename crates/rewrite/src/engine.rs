@@ -477,20 +477,6 @@ impl Normalizer {
         self.profiling = on;
     }
 
-    /// The per-rule profiles collected so far, hottest (most cumulative
-    /// time, then most fires) first. Empty unless
-    /// [`Normalizer::set_profiling`] was turned on.
-    pub fn rule_profiles(&self) -> Vec<RuleProfile> {
-        let mut out: Vec<RuleProfile> = self.profiles.values().cloned().collect();
-        out.sort_by(|a, b| {
-            b.time
-                .cmp(&a.time)
-                .then_with(|| b.fires.cmp(&a.fires))
-                .then_with(|| a.label.cmp(&b.label))
-        });
-        out
-    }
-
     /// Emit the collected per-rule profiles and engine gauges as
     /// observability events (`rule.attempts:<label>`,
     /// `rule.fires:<label>`, `rule.failures:<label>`,
@@ -532,15 +518,6 @@ impl Normalizer {
                 self.obs.counter(name, value);
             }
         }
-    }
-
-    /// Reset the statistics counters (and per-rule profiles) to zero,
-    /// e.g. between proof obligations so each [`RewriteStats`] snapshot
-    /// covers exactly one obligation.
-    pub fn reset_stats(&mut self) {
-        self.stats = RewriteStats::default();
-        self.counters = EngineCounters::default();
-        self.profiles.clear();
     }
 
     /// Override the recursion-depth bound (see [`DEFAULT_MAX_DEPTH`]).
@@ -1705,8 +1682,6 @@ mod tests {
         assert!(second.cache_hits > first.cache_hits);
         assert!(second.cache_hit_rate() > first.cache_hit_rate());
         assert!(second.cache_hit_rate() <= 1.0);
-        norm.reset_stats();
-        assert_eq!(norm.stats(), RewriteStats::default());
     }
 
     #[test]
@@ -1780,8 +1755,7 @@ mod tests {
         // g(f(c)) → g(d) → c : f-rule fires once, g-rule fires once.
         let gfc = store.app(g, &[fc]).unwrap();
         assert_eq!(norm.normalize(&mut store, gfc).unwrap(), cv);
-        let profiles = norm.rule_profiles();
-        let by_label = |l: &str| profiles.iter().find(|p| p.label == l).unwrap().clone();
+        let by_label = |l: &str| norm.profiles[l].clone();
         let f_prof = by_label("f-rule");
         let g_prof = by_label("g-rule");
         assert_eq!(f_prof.fires, 1);
@@ -1795,7 +1769,7 @@ mod tests {
         let mut quiet = Normalizer::new(norm.bool_alg().clone(), norm.rules().clone());
         let gfc2 = store.app(g, &[fc]).unwrap();
         quiet.normalize(&mut store, gfc2).unwrap();
-        assert!(quiet.rule_profiles().is_empty());
+        assert!(quiet.profiles.is_empty());
     }
 
     #[test]

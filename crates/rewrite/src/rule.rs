@@ -274,15 +274,6 @@ impl RuleSet {
         self.rules.get(index)
     }
 
-    /// `true` when a rule with identical sides and condition is already
-    /// present. Hash-consing makes this an exact structural comparison:
-    /// equal `TermId`s are equal terms.
-    pub fn contains_exact(&self, lhs: TermId, rhs: TermId, cond: Option<TermId>) -> bool {
-        self.rules
-            .iter()
-            .any(|r| r.lhs == lhs && r.rhs == rhs && r.cond == cond)
-    }
-
     /// All rules in declaration order.
     pub fn iter(&self) -> impl Iterator<Item = &Rule> {
         self.rules.iter()
@@ -296,24 +287,6 @@ impl RuleSet {
     /// `true` when the set has no rules.
     pub fn is_empty(&self) -> bool {
         self.rules.is_empty()
-    }
-
-    /// Merge another rule set into this one (both sets must have been built
-    /// against the same term store; declaration order preserved per set,
-    /// `other` appended). Rules structurally identical to one already
-    /// present are skipped; the return value counts the skipped duplicates
-    /// so callers can surface them (the lint reports them as
-    /// `duplicate-rule`).
-    pub fn extend_from(&mut self, other: &RuleSet) -> usize {
-        let mut skipped = 0;
-        for rule in &other.rules {
-            if self.contains_exact(rule.lhs, rule.rhs, rule.cond) {
-                skipped += 1;
-                continue;
-            }
-            self.push_rule(rule.clone());
-        }
-        skipped
     }
 }
 
@@ -607,32 +580,6 @@ mod tests {
         assert_eq!(indexed, vec![(0, "f-const"), (1, "f-id")]);
         assert_eq!(rules.get(1).unwrap().label, "f-id");
         assert!(rules.get(2).is_none());
-        assert!(rules.contains_exact(lhs, xt, None));
-        assert!(!rules.contains_exact(lhs, cv, None));
-    }
-
-    #[test]
-    fn extend_from_skips_exact_duplicates() {
-        let mut w = world();
-        let x = w.store.declare_var("X", w.s).unwrap();
-        let xt = w.store.var(x);
-        let cv = w.store.constant(w.c);
-        let lhs = w.store.app(w.f, &[xt]).unwrap();
-        let lhs_c = w.store.app(w.f, &[cv]).unwrap();
-        let mut base = RuleSet::new();
-        base.add(&w.store, "f-id", lhs, xt, None, None).unwrap();
-        let mut incoming = RuleSet::new();
-        // Same rule under a different label: still a structural duplicate.
-        incoming
-            .add(&w.store, "f-id-again", lhs, xt, None, None)
-            .unwrap();
-        incoming
-            .add(&w.store, "f-const", lhs_c, cv, None, None)
-            .unwrap();
-        let skipped = base.extend_from(&incoming);
-        assert_eq!(skipped, 1);
-        assert_eq!(base.len(), 2);
-        assert_eq!(base.candidates(w.f).count(), 2);
     }
 
     /// A richer signature for index tests: two constants, a unary `g`,

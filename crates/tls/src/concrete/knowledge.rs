@@ -85,13 +85,6 @@ impl Knowledge {
         }
         k
     }
-
-    /// Can the intruder produce this symmetric key? (It can compute
-    /// `key(x, pms, r1, r2)` for public `x, r1, r2` whenever it knows the
-    /// pre-master secret — §4.3.)
-    pub fn knows_key(&self, key: &SymKey) -> bool {
-        self.pms.contains(&key.pms)
-    }
 }
 
 #[cfg(test)]
@@ -154,31 +147,20 @@ mod tests {
     }
 
     #[test]
-    fn knows_key_iff_knows_pms() {
+    fn the_intruder_knows_the_pms_of_its_own_secrets_only() {
         let mine = Pms {
             client: Prin::INTRUDER,
             server: Prin(3),
             secret: Secret(1),
         };
         let k = Knowledge::glean(&State::new(), &[Secret(1)], &peers());
-        let key = SymKey {
-            prin: Prin(2),
-            pms: mine,
-            r1: Rand(0),
-            r2: Rand(1),
+        assert!(k.pms.contains(&mine));
+        let other = Pms {
+            client: Prin(2),
+            server: Prin(3),
+            secret: Secret(0),
         };
-        assert!(k.knows_key(&key));
-        let other = SymKey {
-            prin: Prin(2),
-            pms: Pms {
-                client: Prin(2),
-                server: Prin(3),
-                secret: Secret(0),
-            },
-            r1: Rand(0),
-            r2: Rand(1),
-        };
-        assert!(!k.knows_key(&other));
+        assert!(!k.pms.contains(&other));
     }
 
     #[test]

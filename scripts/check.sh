@@ -180,10 +180,14 @@ $MC --checkpoint "$RES_CKPT" > /dev/null
 $MC --checkpoint "$RES_CKPT" --resume | sed -E "$STRIP_DURATION" \
     | diff - scripts/counts/model_check.txt
 rm -f "$RES_CKPT".m*
-# Resident-only under the ceiling: typed truncation, disclosed.
-$MC --max-mem-mb 16 > /tmp/equitls_check_spill_trunc.txt
+# Resident-only under the ceiling: typed truncation, disclosed. The
+# cut is pinned: bound 3 stops at 69,839 states with its `unexpanded:`
+# line, against scripts/counts/model_check_mem16.txt, so a change to the
+# store's memory estimate shows here.
+$MC --max-mem-mb 16 | sed -E "$STRIP_DURATION" > /tmp/equitls_check_spill_trunc.txt
 grep -q "stopped: memory ceiling exceeded" /tmp/equitls_check_spill_trunc.txt
 grep -q "unexpanded:" /tmp/equitls_check_spill_trunc.txt
+diff /tmp/equitls_check_spill_trunc.txt scripts/counts/model_check_mem16.txt
 # Same ceiling + spill tier: completes, spills, matches the baseline.
 $MC --max-mem-mb 16 --spill-dir "$SPILL_DIR" --checkpoint "$SPILL_CKPT" \
     > /tmp/equitls_check_spill_full.txt
@@ -193,6 +197,11 @@ test "$(find "$SPILL_DIR" -name '*.vshard' | wc -l)" -ge 1
 sed -E "$STRIP_DURATION" /tmp/equitls_check_spill_full.txt \
     | grep -v '^  spill:' \
     | diff - /tmp/equitls_check_spill_base.txt
+# Its spill line (shards spilled, bytes written, reloads) is pinned too,
+# against scripts/counts/model_check_spill16.txt; the checkpoint's
+# flushes count in its bytes.
+sed -E "$STRIP_DURATION" /tmp/equitls_check_spill_full.txt \
+    | diff - scripts/counts/model_check_spill16.txt
 # A byte-flipped shard fails the resume with a typed error and exit 2 …
 VSHARD="$(find "$SPILL_DIR" -name '*.vshard' | sort | tail -1)"
 python3 - "$VSHARD" <<'EOF'

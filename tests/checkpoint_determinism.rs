@@ -133,6 +133,61 @@ fn interrupted_then_resumed_scope_check_is_identical_at_jobs_1_2_4() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// Checkpoints committed under `tests/golden/`, written by the explorer
+/// as it stood before labels were rendered at write time and shard
+/// digests folded at file writes: the bound-2 scope check at its depth-1
+/// barrier (55 states, the 54 depth-1 states on the frontier, 2′ and 3′
+/// already violated), once inline and once as a manifest with its shard
+/// files. Both must resume to the straight run's result, so neither
+/// snapshot format can drift.
+#[test]
+fn committed_bound2_checkpoints_resume_to_the_straight_run() {
+    let (scope, limits) = small_scope();
+    let straight =
+        check_scope_config_obs(&scope, &limits, 1, &ExploreConfig::default(), &Obs::noop());
+    assert_eq!(straight.states, 2443);
+    assert_eq!(straight.states_per_depth, [1, 54, 2388, 0]);
+    let golden = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    for name in ["resident", "spilled"] {
+        // A resume writes checkpoints and shard files: it runs on copies.
+        let work =
+            std::env::temp_dir().join(format!("equitls_golden_{}_{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&work);
+        std::fs::create_dir_all(&work).unwrap();
+        let snapshot = work.join("bound2.snap");
+        std::fs::copy(
+            golden.join(format!("mc_bound2_depth1_{name}.snap")),
+            &snapshot,
+        )
+        .unwrap();
+        let spill_dir = (name == "spilled").then(|| work.join("shards"));
+        if let Some(dir) = &spill_dir {
+            std::fs::create_dir_all(dir).unwrap();
+            for file in std::fs::read_dir(golden.join("mc_bound2_depth1_shards")).unwrap() {
+                let file = file.unwrap();
+                std::fs::copy(file.path(), dir.join(file.file_name())).unwrap();
+            }
+        }
+        let config = ExploreConfig {
+            checkpoint_path: Some(snapshot),
+            spill_dir,
+            ..ExploreConfig::default()
+        };
+        let resumed = check_scope_resume_obs(&scope, &limits, &config, &Obs::noop())
+            .unwrap_or_else(|e| panic!("the {name} golden checkpoint resumes: {e}"));
+        assert_same_exploration(&resumed, &straight, name);
+        let trace: Vec<&str> = resumed
+            .violation("prop2p-cf-authentic")
+            .expect("2′ is violated")
+            .trace
+            .iter()
+            .map(|(label, _)| label.as_str())
+            .collect();
+        assert_eq!(trace, ["fakeCfin2(p2,p3)"], "{name}");
+        let _ = std::fs::remove_dir_all(&work);
+    }
+}
+
 fn assert_same_report(
     resumed: &equitls::core::prelude::ProofReport,
     straight: &equitls::core::prelude::ProofReport,
